@@ -31,18 +31,16 @@ from .errors import (
 from .geometry import (
     CoveringReport,
     CylinderSet,
-    DistanceInterval,
     Repeller,
     ShellSumReport,
     SimilarityMap,
-    build_ifs,
     covering_counts,
     parse_repeller_spec,
     preset,
     shell_integral_sums,
     similarity_dimension,
 )
-from .shapes import Circle, Segment, SinglePoint
+from .shapes import Circle, Segment, Shape, SinglePoint
 from .potential import (
     ComparabilityReport,
     EmpiricalMeasure,
@@ -56,7 +54,6 @@ from .potential import (
     comparability_fit,
     fit_holder_envelope,
     green_model,
-    green_value,
     log_potential,
     natural_measure,
     robin_constant,
@@ -74,11 +71,8 @@ from .curvature import (
     menger_curvature,
 )
 from .dynamics import (
-    CylinderMassTable,
+    CylinderProfile,
     DimensionEstimate,
-    cylinder_masses,
-    entropy_sequence,
-    lyapunov_exponent,
     manning_dimension,
 )
 from .lab import (

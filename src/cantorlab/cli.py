@@ -6,11 +6,14 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 from .errors import LabError, OutputCollisionError
 from .geometry import Repeller, similarity_dimension
 from .lab import (
+    _KEY_TYPES,
     ExperimentConfig,
+    _config_from_keys,
     parse_experiment_config,
     resolve_shape,
     run_experiment,
@@ -39,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cantorlab",
         description="Numerical potential theory on self-similar Cantor sets",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     parser.add_argument("--force", action="store_true", help="overwrite outputs")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -123,53 +126,21 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _given(args, keys) -> dict:
+    """The config keys among keys that were set on the command line."""
+    return {k: v for k in keys if (v := getattr(args, k, None)) is not None}
+
+
 def _experiment_config(args) -> ExperimentConfig:
-    experiment = _SUBCOMMAND_EXPERIMENT[args.command]
-    params = {}
-    for key in (
-        "kmax", "a", "delta", "rtol", "n_points", "depth_lo", "depth_hi",
-        "n_centers", "n_eval", "pole_p", "pole_q", "n_pairs",
-        "walks_per_point", "n_boot", "n_triples",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    core = {}
-    if getattr(args, "samples", None) is not None:
-        core["samples"] = args.samples
-    return ExperimentConfig(
-        experiment=experiment,
-        shape=args.shape,
-        seed=args.seed,
-        out=args.out,
-        threads=args.threads,
-        params=params,
-        **core,
-    )
+    values = {"seed": 0, **_given(args, _KEY_TYPES)}
+    values["experiment"] = _SUBCOMMAND_EXPERIMENT[args.command]
+    return _config_from_keys(values)
 
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = parse_experiment_config(fh.read())
-    overrides = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed != 0:
-        overrides["seed"] = args.seed
-    if args.threads != 1:
-        overrides["threads"] = args.threads
-    if overrides:
-        cfg = ExperimentConfig(
-            experiment=cfg.experiment,
-            shape=cfg.shape,
-            seed=overrides.get("seed", cfg.seed),
-            out=overrides.get("out", cfg.out),
-            samples=cfg.samples,
-            threads=overrides.get("threads", cfg.threads),
-            stop_tol=cfg.stop_tol,
-            launch_radius=cfg.launch_radius,
-            params=cfg.params,
-        )
+    cfg = replace(cfg, **_given(args, ("out", "seed", "threads")))
     return _finish(cfg, args.force)
 
 

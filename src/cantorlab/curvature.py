@@ -112,18 +112,12 @@ def curvature_energy(
     if mode == "sampled":
         rng = rng_stream(seed, 2)
         idx = rng.integers(0, n, size=(n_triples, 3))
-        bad = (
-            (idx[:, 0] == idx[:, 1])
-            | (idx[:, 1] == idx[:, 2])
-            | (idx[:, 0] == idx[:, 2])
-        )
-        while bad.any():
+        while True:
+            i, j, k = idx.T
+            bad = (i == j) | (j == k) | (i == k)
+            if not bad.any():
+                break
             idx[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
-            bad = (
-                (idx[:, 0] == idx[:, 1])
-                | (idx[:, 1] == idx[:, 2])
-                | (idx[:, 0] == idx[:, 2])
-            )
         c = menger_curvature(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]])
         vals = w[idx[:, 0]] * w[idx[:, 1]] * w[idx[:, 2]] * c**2
         scale = float(n) * (n - 1) * (n - 2)

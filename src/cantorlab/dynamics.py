@@ -27,84 +27,63 @@ OCCUPANCY_FACTOR = 50
 MIN_BOOTSTRAP_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class CylinderMassTable:
-    """Masses of the generation-k cylinders under one measure."""
-
-    generation: int
-    entries: dict[tuple[int, ...], float]
-
-    @property
-    def occupied(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.entries.values()))
-
-
-def _prefix_index(em: EmpiricalMeasure, k: int):
-    if not 1 <= k <= em.code_depth:
-        raise DepthError(
-            f"generation {k} outside the coded depth 1..{em.code_depth}"
-        )
-    prefixes, inverse = np.unique(em.codes[:, :k], axis=0, return_inverse=True)
-    return prefixes, inverse.ravel()
-
-
-def cylinder_masses(em: EmpiricalMeasure, k: int) -> CylinderMassTable:
-    """Sum atom weights by length-k code prefix."""
-    prefixes, inverse = _prefix_index(em, k)
-    masses = np.bincount(inverse, weights=em.weights, minlength=len(prefixes))
-    entries = {
-        tuple(int(c) for c in prefixes[i]): float(masses[i])
-        for i in range(len(prefixes))
-    }
-    return CylinderMassTable(generation=k, entries=entries)
-
-
 def _plugin_entropy(masses: np.ndarray) -> float:
     m = masses[masses > 0]
     return float(-np.sum(m * np.log(m)))
 
 
-def entropy_sequence(
-    em: EmpiricalMeasure, kmax: int, correction: bool = True
-) -> list[float]:
-    """Per-letter entropies h_k = H(generation-k masses) / k, in nats.
+class CylinderProfile:
+    """Cylinder partitions of one coded measure at generations k = 1..kmax.
 
-    With correction on and a sampled measure, the Miller-Madow bias term
-    (occupied - 1) / (2 * samples) is added to each H before dividing.
+    prefixes[k-1] lists the occupied length-k code words in lexicographic
+    order and masses[k-1] their masses.  entropy[k-1] is the Shannon entropy
+    H_k of that mass table in nats, plus the Miller-Madow bias term
+    (occupied - 1) / (2 * samples) for a sampled measure when correction is
+    on; stretching[k-1] is the total stretching L_k, the measure-weighted
+    sum of log(1/scale) along length-k words (exact for similarity systems,
+    so any probability measure on an equal-scale system gives the same
+    L_k / k).  H_k / k and L_k / k are the per-letter entropy and Lyapunov
+    exponent.  kmax outside 1..code_depth raises DepthError.
     """
-    out = []
-    for k in range(1, kmax + 1):
-        _, inverse = _prefix_index(em, k)
-        masses = np.bincount(inverse, weights=em.weights)
-        h = _plugin_entropy(masses)
-        if correction and em.samples:
-            h += (np.count_nonzero(masses) - 1) / (2.0 * em.samples)
-        out.append(h / k)
-    return out
 
+    def __init__(
+        self,
+        rep: Repeller,
+        em: EmpiricalMeasure,
+        kmax: int | None = None,
+        correction: bool = True,
+    ):
+        if kmax is None:
+            kmax = em.code_depth
+        if not 1 <= kmax <= em.code_depth:
+            raise DepthError(
+                f"generation {kmax} outside the coded depth 1..{em.code_depth}"
+            )
+        self.ks = tuple(range(1, kmax + 1))
+        prefixes, self._inverses = [], []
+        for k in self.ks:
+            words, inverse = np.unique(em.codes[:, :k], axis=0, return_inverse=True)
+            prefixes.append(words)
+            self._inverses.append(inverse.ravel())
+        self.prefixes = tuple(prefixes)
+        log_inv = np.array([-math.log(b.scale) for b in rep.branches])
+        codes = em.codes.astype(np.int64)
+        self._word_sums = [log_inv[codes[:, :k]].sum(axis=1) for k in self.ks]
+        self._samples = em.samples if correction else None
+        self.masses, self.entropy, self.stretching = self._evaluate(em.weights)
 
-def lyapunov_exponent(rep: Repeller, em: EmpiricalMeasure, kmax: int) -> list[float]:
-    """Per-letter stretching rates lambda_k for k = 1..kmax.
-
-    lambda_k is the measure-weighted mean of log(1/scale) per letter over
-    length-k code words; exact for similarity systems, so any probability
-    measure on an equal-scale system gives the same constant.
-    """
-    if not 1 <= kmax <= em.code_depth:
-        raise DepthError(
-            f"generation {kmax} outside the coded depth 1..{em.code_depth}"
-        )
-    log_inv = np.array([-math.log(b.scale) for b in rep.branches])
-    codes = em.codes.astype(np.int64)
-    out = []
-    for k in range(1, kmax + 1):
-        word_sum = log_inv[codes[:, :k]].sum(axis=1)
-        out.append(float(np.dot(em.weights, word_sum)) / k)
-    return out
+    def _evaluate(self, weights: np.ndarray):
+        """Masses, entropies H_k and stretchings L_k with the atoms reweighted."""
+        masses, hs, ls = [], [], []
+        for inverse, word_sum in zip(self._inverses, self._word_sums):
+            m = np.bincount(inverse, weights=weights)
+            h = _plugin_entropy(m)
+            if self._samples:
+                h += (np.count_nonzero(m) - 1) / (2.0 * self._samples)
+            masses.append(m)
+            hs.append(h)
+            ls.append(float(np.dot(weights, word_sum)))
+        return tuple(masses), np.array(hs), np.array(ls)
 
 
 @dataclass(frozen=True)
@@ -153,32 +132,13 @@ def manning_dimension(
         kmax = em.code_depth
     if kmax < 2:
         raise FitDegeneracyError("need kmax >= 2 to fit growth slopes")
-    ks = list(range(1, kmax + 1))
-    log_inv = np.array([-math.log(b.scale) for b in rep.branches])
-    codes = em.codes.astype(np.int64)
-    inverses, occupied = [], []
-    for k in ks:
-        _, inv = _prefix_index(em, k)
-        inverses.append(inv)
-        occupied.append(int(len(np.unique(inv))))
-
-    def profile(weights: np.ndarray):
-        hs, ls = [], []
-        for k in ks:
-            masses = np.bincount(inverses[k - 1], weights=weights)
-            h = _plugin_entropy(masses)
-            if correction and em.samples:
-                h += (np.count_nonzero(masses) - 1) / (2.0 * em.samples)
-            hs.append(h)
-            ls.append(float(np.dot(weights, log_inv[codes[:, :k]].sum(axis=1))))
-        return np.array(hs), np.array(ls)
-
-    H_tot, L_tot = profile(em.weights)
+    prof = CylinderProfile(rep, em, kmax, correction)
+    ks, H_tot, L_tot = prof.ks, prof.entropy, prof.stretching
     usable = [
         k
-        for k in ks
+        for k, words in zip(ks, prof.prefixes)
         if k >= 2
-        and (em.samples is None or occupied[k - 1] < em.samples / OCCUPANCY_FACTOR)
+        and (em.samples is None or len(words) < em.samples / OCCUPANCY_FACTOR)
     ]
     if len(usable) < 2:
         raise FitDegeneracyError(
@@ -206,7 +166,7 @@ def manning_dimension(
         for b in range(n_boot):
             counts = rng.multinomial(em.samples, em.weights)
             wb = counts / em.samples
-            Hb, Lb = profile(wb)
+            _, Hb, Lb = prof._evaluate(wb)
             dims[b] = _slope_dimension(usable, Hb[sel], Lb[sel])
         # normal-approximation interval: resampling adds a second layer of
         # plug-in entropy bias, so the replicate spread is trustworthy but

@@ -9,11 +9,12 @@ works from the cylinder hierarchy alone and never needs points of J itself.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     ResourceLimitError,
     QuadratureError,
 )
+from .shapes import DistanceField, Shape
 
 #: hard cap on the number of cylinders any operation may instantiate
 CYLINDER_CAP = 4**10
@@ -53,26 +55,6 @@ class SimilarityMap:
 
 
 @dataclass(frozen=True)
-class DistanceInterval:
-    """Certified enclosure lo <= dist(z, J) <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi):
-            raise ValueError(f"invalid distance interval [{self.lo}, {self.hi}]")
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
 class CylinderSet:
     """All cylinders of one generation, in lexicographic code order.
 
@@ -93,10 +75,6 @@ class CylinderSet:
 
     def code(self, i: int) -> tuple[int, ...]:
         return tuple(int(c) for c in self.codes[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.code(i), complex(self.centers[i]), float(self.radii[i])
 
 
 class _LeafField:
@@ -270,55 +248,6 @@ class Repeller:
             self._field_cache[depth] = _LeafField(self, depth)
         return self._field_cache[depth]
 
-    def distance_interval(self, z: complex, tol: float) -> DistanceInterval:
-        """Certified distance enclosure by best-first descent of the cylinder tree.
-
-        Keeps a priority queue of cylinder discs ordered by their lower bound
-        |z - c| - r, prunes branches that cannot beat the best upper bound,
-        and stops once the enclosure width drops to tol.
-        """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        z = complex(z)
-        bf = [b.factor for b in self.branches]
-        bt = [b.translation for b in self.branches]
-        rc, rr = self.root_center, self.root_radius
-        ub = abs(z - rc) + rr
-        heap = [(abs(z - rc) - rr, 0, 1.0 + 0j, 0j)]
-        counter = 1
-        lo_open = heap[0][0]
-        while heap:
-            lo_open = heap[0][0]
-            if ub - max(lo_open, 0.0) <= tol:
-                break
-            lb, _, coeff, off = heapq.heappop(heap)
-            if lb > ub:
-                continue
-            for f, t in zip(bf, bt):
-                c2 = coeff * f
-                o2 = coeff * t + off
-                center = c2 * rc + o2
-                radius = abs(c2) * rr
-                d = abs(z - center)
-                ub = min(ub, d + radius)
-                child_lb = d - radius
-                if child_lb < ub:
-                    heapq.heappush(heap, (child_lb, counter, c2, o2))
-                    counter += 1
-        else:
-            lo_open = ub
-        return DistanceInterval(max(lo_open, 0.0), ub)
-
-
-def build_ifs(
-    branches: list[SimilarityMap],
-    root_center: complex = 0j,
-    root_radius: float = 1.0,
-    name: str = "custom",
-) -> Repeller:
-    """Validate a branch list and root disc into a Repeller."""
-    return Repeller(branches, root_center, root_radius, name=name)
-
 
 # -- presets and config parsing ---------------------------------------------
 
@@ -435,23 +364,6 @@ def similarity_dimension(rep: Repeller, tol: float = 1e-12) -> float:
 # -- covering counts and the regularity exponent ------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
-
-
 @dataclass(frozen=True)
 class CoveringReport:
     """Component counts of distance neighborhoods and the fitted growth rate.
@@ -475,10 +387,22 @@ class CoveringReport:
         return len(self.counts) - 1
 
 
+def _covering_generation(rep: Repeller, eps: float, k: int) -> int:
+    """Coarsest generation whose cylinders all have radius below eps / 4."""
+    g = 0
+    while rep.max_cylinder_radius(g) >= eps / 4.0:
+        g += 1
+        if rep.fan**g > CYLINDER_CAP:
+            raise ResourceLimitError(
+                f"covering at k={k} needs generation {g}, over the cylinder cap"
+            )
+    return g
+
+
 def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     """Count components of shrinking neighborhoods of J and fit their growth.
 
-    For each scale eps = a^-k the cylinders of the finest generation with
+    For each scale eps = a^-k the cylinders of the coarsest generation with
     radius below eps / 4 are clustered: two are linked when their eps
     neighborhoods of the enclosing discs meet.  The margin eps / 4 keeps
     clusters from bridging gaps wider than 3 eps, so counts match the true
@@ -488,36 +412,29 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
         raise ValueError("scale base a must exceed 1")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    # k = kmax needs the deepest generation: check the cap before building any
+    _covering_generation(rep, float(a) ** (-kmax), kmax)
     counts = []
     diams = []
     for k in range(kmax + 1):
         eps = float(a) ** (-k)
-        g = 0
-        while rep.max_cylinder_radius(g) >= eps / 4.0:
-            g += 1
-            if rep.fan**g > CYLINDER_CAP:
-                raise ResourceLimitError(
-                    f"covering at k={k} needs generation {g}, over the cylinder cap"
-                )
-        cs = rep.cylinders(g)
+        cs = rep.cylinders(_covering_generation(rep, eps, k))
         centers, radii = cs.centers, cs.radii
-        uf = _UnionFind(len(cs))
         tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         reach = 2.0 * eps + 2.0 * float(radii.max())
-        for i, j in tree.query_pairs(reach):
-            if abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps:
-                uf.union(i, j)
-        roots = np.array([uf.find(i) for i in range(len(cs))])
-        labels = np.unique(roots)
-        counts.append(len(labels))
-        dmax = 0.0
+        i, j = tree.query_pairs(reach, output_type="ndarray").T
+        near = np.abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps
+        links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(len(cs),) * 2)
+        n, labels = connected_components(links, directed=False)
+        counts.append(n)
+        spans = []
+        for part in (centers.real, centers.imag):
+            lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
+            np.minimum.at(lo, labels, part)
+            np.maximum.at(hi, labels, part)
+            spans.append(hi - lo)
         pad = 2.0 * (float(radii.max()) + eps)
-        for lab in labels:
-            members = centers[roots == lab]
-            w = members.real.max() - members.real.min()
-            h = members.imag.max() - members.imag.min()
-            dmax = max(dmax, math.hypot(w, h) + pad)
-        diams.append(dmax)
+        diams.append(max(math.hypot(w, h) + pad for w, h in zip(*spans)))
     ks = np.arange(kmax + 1)
     x = ks * math.log(a)
     y = np.log(counts)
@@ -564,7 +481,9 @@ class ShellSumReport:
         return float(sum(self.sums))
 
 
-def _shell_quadrature(shape, fld, power: float, r_in: float, r_out: float, cells: int) -> float:
+def _shell_quadrature(
+    shape: Shape, fld: DistanceField, power: float, r_in: float, r_out: float, cells: int
+) -> float:
     """Midpoint rule over an adaptively refined grid clipped to one shell."""
     half = shape.bounding_radius + r_out
     target = r_in / cells
@@ -591,7 +510,7 @@ def _shell_quadrature(shape, fld, power: float, r_in: float, r_out: float, cells
 
 
 def shell_integral_sums(
-    shape,
+    shape: Shape,
     delta: float,
     a: float,
     kmax: int,

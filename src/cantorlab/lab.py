@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .potential import (
     rng_stream,
     sample_harmonic_measure,
 )
-from .shapes import Circle, Segment, SinglePoint
+from .shapes import Circle, Segment, Shape, SinglePoint
 
 EXPERIMENT_NAMES = (
     "regularity",
@@ -56,18 +56,8 @@ EXPERIMENT_NAMES = (
     "lemma-L",
 )
 
-_CORE_KEYS = (
-    "experiment",
-    "shape",
-    "seed",
-    "out",
-    "samples",
-    "threads",
-    "stop_tol",
-    "launch_radius",
-)
-
-# every key a config may contain, with its parser
+# every key a config may contain, with its parser: keys naming an
+# ExperimentConfig field set that field, the rest become params
 _KEY_TYPES = {
     "experiment": str,
     "shape": str,
@@ -174,11 +164,19 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     for req in _REQUIRED_KEYS:
         if req not in found:
             raise ConfigError(f"missing required key: {req}")
-    core = {k: found.pop(k) for k in _CORE_KEYS if k in found}
-    return ExperimentConfig(**core, params=found)
+    return _config_from_keys(found)
 
 
-def resolve_shape(name: str):
+def _config_from_keys(values: dict) -> ExperimentConfig:
+    """Split parsed key values into config fields and experiment params."""
+    core = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(
+        **{k: v for k, v in values.items() if k in core},
+        params={k: v for k, v in values.items() if k not in core},
+    )
+
+
+def resolve_shape(name: str) -> Shape:
     """Preset name, reference shape name, or path to an IFS description."""
     if name == "circle":
         return Circle()
@@ -239,13 +237,7 @@ def _exp_regularity(shape, cfg: ExperimentConfig):
         f"{k},{m},{d!r}"
         for k, (m, d) in enumerate(zip(cov.counts, cov.diameters))
     ]
-    gap = cov.delta_reg - dsim
-    if gap <= 0.05:
-        st = "PASS"
-    elif gap <= 0.15:
-        st = "INCONCLUSIVE"
-    else:
-        st = "REFUTING"
+    st = _grade(cov.delta_reg - dsim, 0.05)
     summary = [
         f"regular: components of dist<a^-k neighborhoods: m_k <= "
         f"{cov.c_count:.4g}*a^({cov.delta_reg:.6f}*k), diam <= "
@@ -376,16 +368,7 @@ def _exp_curvature(shape, cfg: ExperimentConfig):
 def _exp_cauchy(shape, cfg: ExperimentConfig):
     wcfg = cfg.walk_config()
     em1 = sample_harmonic_measure(shape, wcfg)
-    em2 = sample_harmonic_measure(
-        shape,
-        WalkConfig(
-            samples=2 * cfg.samples,
-            seed=cfg.seed,
-            threads=cfg.threads,
-            stop_tol=cfg.stop_tol,
-            launch_radius=cfg.launch_radius,
-        ),
-    )
+    em2 = sample_harmonic_measure(shape, replace(wcfg, samples=2 * cfg.samples))
     n_eval = min(cfg.params.get("n_eval", 100), em1.atom_count)
     rng = rng_stream(cfg.seed, 7)
     zs = em1.points[np.sort(rng.choice(em1.atom_count, size=n_eval, replace=False))]

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DepthError,
     DispersionError,
     ExcessiveDiscardError,
     FitDegeneracyError,
@@ -35,6 +34,7 @@ from .errors import (
     VarianceError,
 )
 from .geometry import Repeller
+from .shapes import Shape
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,7 +87,7 @@ class WalkConfig:
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
-    def resolve(self, shape) -> "WalkConfig":
+    def resolve(self, shape: Shape) -> "WalkConfig":
         stop = self.stop_tol if self.stop_tol is not None else 1e-4 * shape.bounding_radius
         launch = (
             self.launch_radius
@@ -275,7 +275,7 @@ def _walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     return counts, z.size
 
 
-def sample_harmonic_measure(shape, cfg: WalkConfig) -> EmpiricalMeasure:
+def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
     """Sample harmonic measure of the complement of J seen from far away.
 
     Returns an EmpiricalMeasure whose atoms sit at the centers of the pieces
@@ -346,7 +346,7 @@ def log_potential(em: EmpiricalMeasure, z) -> float | np.ndarray:
 
 
 def boundary_probes(
-    shape, n: int, band: tuple[float, float], seed: int = 0
+    shape: Shape, n: int, band: tuple[float, float], seed: int = 0
 ) -> np.ndarray:
     """Points at certified distance to J inside [band[0], band[1]].
 
@@ -383,7 +383,7 @@ def boundary_probes(
 
 def robin_constant(
     em: EmpiricalMeasure,
-    shape,
+    shape: Shape,
     probes: np.ndarray,
     trim: float = 0.1,
     dispersion_tol: float = 0.5,
@@ -424,7 +424,7 @@ class GreenModel:
 
 
 def green_model(
-    em: EmpiricalMeasure, shape, n_probes: int = 256, seed: int = 0
+    em: EmpiricalMeasure, shape: Shape, n_probes: int = 256, seed: int = 0
 ) -> GreenModel:
     """Fit the Robin constant from certified near-boundary probes.
 
@@ -439,10 +439,6 @@ def green_model(
         shape, n_probes, (2.0 * em.stop_tol, 10.0 * em.stop_tol), seed=seed
     )
     return GreenModel(measure=em, robin=robin_constant(em, shape, probes))
-
-
-def green_value(model: GreenModel, z) -> float | np.ndarray:
-    return model.green(z)
 
 
 # -- comparability of G with dist^delta ------------------------------------------
@@ -468,7 +464,7 @@ class ComparabilityReport:
 
 def comparability_fit(
     model,
-    shape,
+    shape: Shape,
     n_points: int,
     depth_range: tuple[float, float],
     seed: int = 0,
@@ -644,7 +640,7 @@ def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
 
 
 def bhp_holder_fit(
-    shape,
+    shape: Shape,
     p: complex,
     q: complex,
     cfg: WalkConfig,

@@ -1,36 +1,59 @@
-"""Analytic boundary shapes with exact distance oracles.
-
-Every shape used by the sampling and quadrature routines exposes the same
-small surface:
-
-``name``
-    short identifier used in file headers,
-``bounding_center`` / ``bounding_radius``
-    a disc known to contain the set,
-``diameter``
-    diameter of the set itself,
-``field(resolution)``
-    a distance field whose ``query(z)`` returns certified lower and upper
-    bounds on dist(z, J) (gap at most ``2 * resolution``) plus the index of
-    the nearest leaf piece,
-``atom_depth(target_radius)``
-    the piece generation whose radius first drops to ``target_radius``,
-``atoms(depth)``
-    codes, centers and radii of all pieces at a generation.
+"""Analytic boundary shapes with exact distance oracles, and the shape surface.
 
 The shapes here have closed-form distance functions, so their fields are
 exact and the leaf index only matters when stopped walks are binned into
-atoms.  Fractal repellers implement the same surface in
+atoms.  Fractal repellers implement the same :class:`Shape` surface in
 :mod:`cantorlab.geometry` with a tree-based field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+class DistanceField(Protocol):
+    """Certified distance bounds from the leaf pieces of one generation.
+
+    query(z) returns lower and upper bounds on dist(z, J), with gap at most
+    twice the resolution the field was built for, plus the index of the
+    nearest of the leaf_count leaf pieces.
+    """
+
+    depth: int
+    leaf_count: int
+
+    def query(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+
+class Shape(Protocol):
+    """What the sampling and quadrature code uses of a compact set J.
+
+    name labels file headers; the disc of bounding_center and
+    bounding_radius contains J, and diameter is that of J itself.
+    field(resolution) certifies distances to within 2 * resolution;
+    atom_depth(target_radius) is the piece generation whose radius first
+    drops to target_radius, and atoms(depth) gives the codes, centers and
+    radii of all pieces at a generation.  in_outer_domain(z) marks points
+    of the unbounded complementary component.
+    """
+
+    name: str
+
+    @property
+    def bounding_center(self) -> complex: ...
+    @property
+    def bounding_radius(self) -> float: ...
+    @property
+    def diameter(self) -> float: ...
+    def field(self, resolution: float) -> DistanceField: ...
+    def atom_depth(self, target_radius: float) -> int: ...
+    def atoms(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    def in_outer_domain(self, z: np.ndarray) -> np.ndarray: ...
 
 
 def binary_codes(depth: int) -> np.ndarray:
@@ -56,8 +79,26 @@ class _ExactField:
         return d, d, leaf
 
 
+class _ExactShape:
+    """Closed-form shape whose generation-k pieces have radius piece_radius(k)."""
+
+    def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
+        return np.ones(np.asarray(z).shape, dtype=bool)
+
+    def atom_depth(self, target_radius: float) -> int:
+        k = 0
+        while self.piece_radius(k) > target_radius:
+            k += 1
+            if k > 60:
+                raise ValueError("target radius too small")
+        return k
+
+    def field(self, resolution: float) -> _ExactField:
+        return _ExactField(self, self.atom_depth(resolution))
+
+
 @dataclass(frozen=True)
-class Circle:
+class Circle(_ExactShape):
     """The circle |z - center| = radius, as a harmonic-measure test boundary.
 
     Harmonic measure from far away is the uniform arc measure, the Robin
@@ -102,14 +143,6 @@ class Circle:
         # half arc length bounds the distance from arc midpoint to any arc point
         return np.pi * self.radius / (1 << depth)
 
-    def atom_depth(self, target_radius: float) -> int:
-        k = 0
-        while self.piece_radius(k) > target_radius:
-            k += 1
-            if k > 60:
-                raise ValueError("target radius too small")
-        return k
-
     def atoms(self, depth: int):
         n = 1 << depth
         ang = TWO_PI * (np.arange(n) + 0.5) / n
@@ -117,12 +150,9 @@ class Circle:
         radii = np.full(n, self.piece_radius(depth))
         return binary_codes(depth), centers, radii
 
-    def field(self, resolution: float) -> _ExactField:
-        return _ExactField(self, self.atom_depth(resolution))
-
 
 @dataclass(frozen=True)
-class Segment:
+class Segment(_ExactShape):
     """A straight segment between two endpoints (default [-1, 1]).
 
     For the unit segment the equilibrium measure is the arcsine law and the
@@ -159,23 +189,12 @@ class Segment:
         t = self._param(z)
         return np.abs(np.asarray(z) - (self.a + t * (self.b - self.a)))
 
-    def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
-        return np.ones(np.asarray(z).shape, dtype=bool)
-
     def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
         t = self._param(z)
         return np.minimum((t * (1 << depth)).astype(np.int64), (1 << depth) - 1)
 
     def piece_radius(self, depth: int) -> float:
         return abs(self.b - self.a) / (2 << depth)
-
-    def atom_depth(self, target_radius: float) -> int:
-        k = 0
-        while self.piece_radius(k) > target_radius:
-            k += 1
-            if k > 60:
-                raise ValueError("target radius too small")
-        return k
 
     def atoms(self, depth: int):
         n = 1 << depth
@@ -184,12 +203,9 @@ class Segment:
         radii = np.full(n, self.piece_radius(depth))
         return binary_codes(depth), centers, radii
 
-    def field(self, resolution: float) -> _ExactField:
-        return _ExactField(self, self.atom_depth(resolution))
-
 
 @dataclass(frozen=True)
-class SinglePoint:
+class SinglePoint(_ExactShape):
     """Degenerate one-point set.
 
     Not a valid repeller; it exists so the shell-sum quadrature can be checked
@@ -216,14 +232,11 @@ class SinglePoint:
     def distance(self, z: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(z) - self.point)
 
-    def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
-        return np.ones(np.asarray(z).shape, dtype=bool)
-
     def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
         return np.zeros(np.shape(z), dtype=np.int64)
 
-    def atom_depth(self, target_radius: float) -> int:
-        return 0
+    def piece_radius(self, depth: int) -> float:
+        return 0.0
 
     def atoms(self, depth: int):
         return (
@@ -231,6 +244,3 @@ class SinglePoint:
             np.array([self.point]),
             np.array([0.0]),
         )
-
-    def field(self, resolution: float) -> _ExactField:
-        return _ExactField(self, 0)

@@ -19,7 +19,6 @@ from cantorlab import (
     curvature_energy,
     default_r_grid,
     green_model,
-    green_value,
     manning_dimension,
     maximal_cauchy,
     menger_curvature,
@@ -55,7 +54,7 @@ def test_criterion_1_circle_oracle_suite(circle_em):
     threshold = float(stats.chi2.ppf(0.999, len(edges) - 2))
 
     model = green_model(circle_em, shape, seed=1)
-    g_e = green_value(model, math.e)
+    g_e = model.green(math.e)
     fit = comparability_fit(model, shape, n_points=200, depth_range=(0.01, 0.1),
                             seed=1)
     ok = (
@@ -76,7 +75,7 @@ def test_criterion_2_segment_oracle_suite(segment_em):
     ks = weighted_ks_distance(segment_em.points.real, segment_em.weights,
                               arcsine_cdf)
     model = green_model(segment_em, Segment(), seed=2)
-    g2 = green_value(model, 2.0)
+    g2 = model.green(2.0)
     g2_exact = math.log(2.0 + math.sqrt(3.0))
     ok = (
         ks < 0.01

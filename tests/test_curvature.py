@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from cantorlab import (
+    Repeller,
     ResourceLimitError,
     SingularityError,
     SimilarityMap,
-    build_ifs,
     cauchy_transform,
     cauchy_truncations,
     curvature_energy,
@@ -28,7 +28,7 @@ from test_potential import uniform_circle_measure
 
 
 def golden_repeller():
-    return build_ifs(
+    return Repeller(
         [SimilarityMap(0.5, 0.0, -0.5 + 0j), SimilarityMap(0.25, 0.0, 0.75 + 0j)],
         root_center=0j,
         root_radius=1.3,

@@ -1,4 +1,4 @@
-"""Cylinder mass tables, entropies, Lyapunov exponents, dimension estimates."""
+"""Cylinder profiles (masses, entropies, Lyapunov exponents), dimension estimates."""
 
 import dataclasses
 import math
@@ -8,13 +8,11 @@ import pytest
 
 from cantorlab import (
     BootstrapError,
+    CylinderProfile,
     DepthError,
     EmpiricalMeasure,
     FitDegeneracyError,
     WalkConfig,
-    cylinder_masses,
-    entropy_sequence,
-    lyapunov_exponent,
     manning_dimension,
     natural_measure,
     sample_harmonic_measure,
@@ -34,45 +32,63 @@ def bernoulli_measure(rep, depth: int, p) -> EmpiricalMeasure:
                             shape_name=rep.name)
 
 
+def mass_table(rep, em, k: int) -> dict:
+    """Generation-k cylinder masses keyed by code prefix."""
+    prof = CylinderProfile(rep, em, k)
+    return {tuple(int(c) for c in word): float(m)
+            for word, m in zip(prof.prefixes[k - 1], prof.masses[k - 1])}
+
+
+def entropy_rates(rep, em, kmax: int, correction: bool = True) -> list:
+    """Per-letter entropies H_k / k for k = 1..kmax."""
+    prof = CylinderProfile(rep, em, kmax, correction)
+    return list(prof.entropy / np.array(prof.ks))
+
+
+def lyapunov_rates(rep, em, kmax: int) -> list:
+    """Per-letter stretching rates L_k / k for k = 1..kmax."""
+    prof = CylinderProfile(rep, em, kmax)
+    return list(prof.stretching / np.array(prof.ks))
+
+
 # -- cylinder masses ---------------------------------------------------------
 
 
 def test_cylinder_masses_uniform(corner):
-    table = cylinder_masses(natural_measure(corner, 3), 2)
-    assert table.generation == 2
-    assert table.occupied == 16
-    assert table.total == pytest.approx(1.0, abs=1e-12)
-    assert all(v == pytest.approx(1.0 / 16.0, abs=1e-15) for v in
-               table.entries.values())
+    prof = CylinderProfile(corner, natural_measure(corner, 3), 2)
+    assert prof.ks[-1] == 2
+    assert len(prof.prefixes[1]) == len(prof.masses[1]) == 16
+    assert prof.masses[1].sum() == pytest.approx(1.0, abs=1e-12)
+    assert all(v == pytest.approx(1.0 / 16.0, abs=1e-15) for v in prof.masses[1])
 
 
-def test_cylinder_masses_match_direct_grouping(corner_em_100k):
-    table = cylinder_masses(corner_em_100k, 3)
+def test_cylinder_masses_match_direct_grouping(corner, corner_em_100k):
+    table = mass_table(corner, corner_em_100k, 3)
     expected = {}
     for code, w in zip(corner_em_100k.codes[:, :3], corner_em_100k.weights):
         key = tuple(int(c) for c in code)
         expected[key] = expected.get(key, 0.0) + float(w)
-    assert set(table.entries) == set(expected)
+    assert set(table) == set(expected)
     for key, mass in expected.items():
-        assert table.entries[key] == pytest.approx(mass, abs=1e-14)
+        assert table[key] == pytest.approx(mass, abs=1e-14)
 
 
-def test_cylinder_masses_are_consistent_across_generations(corner_em_100k):
-    coarse = cylinder_masses(corner_em_100k, 2)
-    fine = cylinder_masses(corner_em_100k, 3)
+def test_cylinder_masses_are_consistent_across_generations(corner, corner_em_100k):
+    coarse = mass_table(corner, corner_em_100k, 2)
+    fine = mass_table(corner, corner_em_100k, 3)
     regrouped = {}
-    for code, mass in fine.entries.items():
+    for code, mass in fine.items():
         regrouped[code[:2]] = regrouped.get(code[:2], 0.0) + mass
-    for key, mass in coarse.entries.items():
+    for key, mass in coarse.items():
         assert regrouped[key] == pytest.approx(mass, abs=1e-12)
 
 
 def test_cylinder_masses_depth_gate(corner):
     em = natural_measure(corner, 3)
     with pytest.raises(DepthError):
-        cylinder_masses(em, 0)
+        CylinderProfile(corner, em, 0)
     with pytest.raises(DepthError):
-        cylinder_masses(em, 4)
+        CylinderProfile(corner, em, 4)
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -81,7 +97,7 @@ def test_cylinder_masses_depth_gate(corner):
 def test_entropy_of_uniform_measure_is_log_fan(corner, thirds):
     for rep, fan in ((corner, 4), (thirds, 2)):
         em = natural_measure(rep, 4)
-        hs = entropy_sequence(em, 4)
+        hs = entropy_rates(rep, em, 4)
         assert hs == pytest.approx([math.log(fan)] * 4, abs=1e-12)
 
 
@@ -91,18 +107,18 @@ def test_entropy_of_concentrated_measure_is_zero(corner):
         points=np.zeros(4, dtype=complex) + np.arange(4) * 1e-3,
         weights=np.full(4, 0.25),
     )
-    assert entropy_sequence(em, 3) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    assert entropy_rates(corner, em, 3) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_entropy_of_bernoulli_product_measure(thirds):
     h1 = 0.5623351446188083
     em = bernoulli_measure(thirds, 4, (0.25, 0.75))
-    hs = entropy_sequence(em, 4)
+    hs = entropy_rates(thirds, em, 4)
     assert hs == pytest.approx([h1] * 4, abs=1e-12)
 
 
-def test_entropy_bounds_on_sampled_measure(corner_em_100k):
-    hs = entropy_sequence(corner_em_100k, 5)
+def test_entropy_bounds_on_sampled_measure(corner, corner_em_100k):
+    hs = entropy_rates(corner, corner_em_100k, 5)
     for k, h in enumerate(hs, start=1):
         assert 0.0 <= h <= math.log(4.0) + 1.0 / k
 
@@ -110,9 +126,9 @@ def test_entropy_bounds_on_sampled_measure(corner_em_100k):
 def test_miller_madow_correction_term(corner):
     em = natural_measure(corner, 2)
     counted = dataclasses.replace(em, samples=1000)
-    plain = entropy_sequence(em, 2)
-    corrected = entropy_sequence(counted, 2)
-    uncorrected = entropy_sequence(counted, 2, correction=False)
+    plain = entropy_rates(corner, em, 2)
+    corrected = entropy_rates(corner, counted, 2)
+    uncorrected = entropy_rates(corner, counted, 2, correction=False)
     assert plain == pytest.approx([math.log(4.0)] * 2, abs=1e-12)
     assert uncorrected == pytest.approx(plain, abs=1e-15)
     assert corrected[0] == pytest.approx(math.log(4.0) + 3.0 / 2000.0, abs=1e-12)
@@ -124,11 +140,11 @@ def test_miller_madow_correction_term(corner):
 
 def test_lyapunov_equal_scales_is_constant(corner, thirds):
     em = natural_measure(thirds, 5)
-    assert lyapunov_exponent(thirds, em, 5) == pytest.approx(
+    assert lyapunov_rates(thirds, em, 5) == pytest.approx(
         [math.log(3.0)] * 5, abs=1e-12
     )
     em4 = natural_measure(corner, 3)
-    assert lyapunov_exponent(corner, em4, 3) == pytest.approx(
+    assert lyapunov_rates(corner, em4, 3) == pytest.approx(
         [math.log(4.0)] * 3, abs=1e-12
     )
 
@@ -137,23 +153,23 @@ def test_lyapunov_weights_unequal_scales():
     rep = golden_repeller()
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     em = natural_measure(rep, 4)
-    lam = lyapunov_exponent(rep, em, 4)
+    lam = lyapunov_rates(rep, em, 4)
     expected = (2.0 - golden) * math.log(2.0)
     assert lam == pytest.approx([expected] * 4, abs=1e-12)
     uniform = EmpiricalMeasure(
         codes=em.codes, points=em.points,
         weights=np.full(em.atom_count, 1.0 / em.atom_count),
     )
-    lam1 = lyapunov_exponent(rep, uniform, 1)[0]
+    lam1 = lyapunov_rates(rep, uniform, 1)[0]
     assert lam1 == pytest.approx(1.5 * math.log(2.0), abs=1e-12)
 
 
 def test_lyapunov_depth_gate(corner):
     em = natural_measure(corner, 3)
     with pytest.raises(DepthError):
-        lyapunov_exponent(corner, em, 4)
+        lyapunov_rates(corner, em, 4)
     with pytest.raises(DepthError):
-        lyapunov_exponent(corner, em, 0)
+        lyapunov_rates(corner, em, 0)
 
 
 # -- dimension ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from cantorlab import (
     Segment,
     SimilarityMap,
     SinglePoint,
-    build_ifs,
     covering_counts,
     parse_repeller_spec,
     preset,
@@ -27,6 +26,8 @@ from cantorlab import (
 )
 from cantorlab.geometry import CYLINDER_CAP
 from cantorlab.potential import rng_stream
+
+from _oracles import covering_components, distance_interval
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -63,8 +64,8 @@ def test_escaping_branch_image_rejected():
         Repeller(branches, 0j, 1.0)
 
 
-def test_build_ifs_matches_constructor():
-    rep = build_ifs(
+def test_repeller_keyword_constructor():
+    rep = Repeller(
         [SimilarityMap(0.25, 0.0, 0j), SimilarityMap(0.25, 0.0, 0.75 + 0j)],
         root_center=0.5 + 0j,
         root_radius=1.0,
@@ -93,7 +94,7 @@ def test_middle_alpha_preset_dimension():
 
 
 def test_two_scale_dimension_golden_ratio():
-    rep = build_ifs(
+    rep = Repeller(
         [SimilarityMap(0.5, 0.0, -0.5 + 0j), SimilarityMap(0.25, 0.0, 0.75 + 0j)],
         root_center=0j,
         root_radius=1.3,
@@ -172,7 +173,7 @@ def test_distance_interval_sound_against_brute_force(thirds):
     rng = rng_stream(7, 100)
     z = rng.uniform(-1.0, 2.0, 1000) + 1j * rng.uniform(-1.5, 1.5, 1000)
     for zi in z:
-        iv = thirds.distance_interval(complex(zi), tol=1e-6)
+        iv = distance_interval(thirds, complex(zi), tol=1e-6)
         brute = float(np.abs(zi - cs.centers).min())
         assert iv.lo <= iv.hi
         assert iv.hi - iv.lo <= 1e-6 + 1e-12
@@ -189,7 +190,7 @@ def test_leaf_field_brackets_distance(thirds):
     assert (hi - lo <= 2.0 * thirds.max_cylinder_radius(fld.depth) + 1e-12).all()
     assert leaf.min() >= 0 and leaf.max() < fld.leaf_count
     for zi, l, h in zip(z[:50], lo[:50], hi[:50]):
-        iv = thirds.distance_interval(complex(zi), tol=1e-9)
+        iv = distance_interval(thirds, complex(zi), tol=1e-9)
         assert l <= iv.mid + 1e-9
         assert h >= iv.mid - 1e-9
 
@@ -209,8 +210,8 @@ def test_scaling_equivariance(thirds):
     assert np.allclose(big.radii, lam * base.radii, rtol=1e-12)
     assert np.allclose(big.centers, lam * base.centers, rtol=1e-12, atol=1e-12)
     for z in [0.3 + 0.4j, -1.0 + 0.1j, 2.0 - 0.5j]:
-        iv = thirds.distance_interval(z, tol=1e-9)
-        siv = scaled.distance_interval(lam * z, tol=lam * 1e-9)
+        iv = distance_interval(thirds, z, tol=1e-9)
+        siv = distance_interval(scaled, lam * z, tol=lam * 1e-9)
         assert siv.lo == pytest.approx(lam * iv.lo, rel=1e-9, abs=1e-12)
         assert siv.hi == pytest.approx(lam * iv.hi, rel=1e-9, abs=1e-12)
 
@@ -218,14 +219,34 @@ def test_scaling_equivariance(thirds):
 # -- covering counts ---------------------------------------------------------------
 
 
-def test_covering_counts_middle_thirds_sequence(thirds):
-    cov = covering_counts(thirds, a=3.0, kmax=6)
+@pytest.mark.parametrize(
+    "name,a,counts,diam",
+    [
+        pytest.param("middle-thirds", 3.0, (1, 1, 2, 4, 8, 16, 32), 6.0, id="middle-thirds"),
+        # the 2-d case: parent discs of diameter 8 a^-k plus the 2 eps halo
+        pytest.param("corner4", 4.0, (1, 1, 4, 16, 64, 256, 1024), 10.0, id="corner4"),
+    ],
+)
+def test_covering_counts_middle_thirds_sequence(name, a, counts, diam):
+    rep = preset(name)
+    cov = covering_counts(rep, a=a, kmax=6)
     assert cov.counts[0] == 1
-    assert cov.counts[2] == 2
-    assert cov.counts == (1, 1, 2, 4, 8, 16, 32)
+    assert cov.counts[2] == rep.fan
+    assert cov.counts == counts
     # a component is a parent cylinder of the previous scale plus the eps halo
-    assert all(d <= 6.0 * 3.0 ** (-k) for k, d in enumerate(cov.diameters) if k >= 1)
+    assert all(d <= diam * a ** (-k) for k, d in enumerate(cov.diameters) if k >= 1)
     assert cov.diameters[0] <= 3.5
+
+
+@pytest.mark.parametrize(
+    "name,a,kmax",
+    [("corner4", 2.0, 4), ("middle-alpha:0.2", 5.0, 4), ("middle-thirds", 3.0, 5)],
+)
+def test_covering_counts_match_pairwise_union_find(name, a, kmax):
+    rep = preset(name)
+    cov = covering_counts(rep, a=a, kmax=kmax)
+    for k in range(kmax + 1):
+        assert (cov.counts[k], cov.diameters[k]) == covering_components(rep, a ** (-k))
 
 
 def test_covering_component_count_matches_flood_fill(thirds):

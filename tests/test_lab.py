@@ -212,6 +212,17 @@ def test_cli_run_subcommand_and_overrides(tmp_path, capsys):
     assert "config " in stdout
 
 
+def test_cli_default_valued_flags_override_config(tmp_path):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        "experiment = curvature-profile\nshape = middle-thirds\n"
+        "seed = 5\nthreads = 2\nkmax = 3\n"
+    )
+    out = tmp_path / "seed0"
+    assert main(["--out", str(out), "--seed", "0", "--threads", "1", "run", str(conf)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+
 def test_cli_surfaces_lab_errors(tmp_path, capsys):
     assert main(["curvature", "nosuchshape"]) == 2
     assert "no output directory" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from cantorlab import (
     comparability_fit,
     fit_holder_envelope,
     green_model,
-    green_value,
     log_potential,
     natural_measure,
     robin_constant,
@@ -160,9 +159,9 @@ def test_natural_measure_weights(corner, thirds):
 
 
 def test_natural_measure_moran_weights_unequal_scales():
-    from cantorlab import SimilarityMap, build_ifs
+    from cantorlab import Repeller, SimilarityMap
 
-    rep = build_ifs(
+    rep = Repeller(
         [SimilarityMap(0.5, 0.0, -0.5 + 0j), SimilarityMap(0.25, 0.0, 0.75 + 0j)],
         root_center=0j,
         root_radius=1.3,
@@ -206,7 +205,7 @@ def test_robin_constant_recovers_circle_capacity():
     assert model.capacity == pytest.approx(3.0, rel=0.02)
     assert model.robin == pytest.approx(-math.log(3.0), abs=0.02)
     outside = 3.0 * math.e
-    assert green_value(model, outside) == pytest.approx(1.0, abs=0.02)
+    assert model.green(outside) == pytest.approx(1.0, abs=0.02)
 
 
 def test_robin_constant_input_validation():
