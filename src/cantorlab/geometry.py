@@ -94,13 +94,18 @@ class _LeafField:
         self.rmax = float(cs.radii.max())
         self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
 
-    def query(self, z: np.ndarray):
+    def _nearest(self, z: np.ndarray):
         z = np.asarray(z)
-        pts = np.column_stack([z.real, z.imag])
-        d, idx = self._tree.query(pts)
+        return self._tree.query(np.column_stack([z.real, z.imag]))
+
+    def query(self, z: np.ndarray):
+        d, idx = self._nearest(z)
         lo = np.maximum(d - self.rmax, 0.0)
         hi = d + self.radii[idx]
-        return lo, hi, idx
+        return lo, hi
+
+    def leaf(self, z: np.ndarray) -> np.ndarray:
+        return self._nearest(z)[1]
 
 
 class Repeller:
@@ -494,13 +499,13 @@ def _shell_quadrature(
         h *= 0.5
         off = np.array([h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h])
         centers = (centers[:, None] + off[None, :]).ravel()
-        lo, hi, _ = fld.query(centers)
+        lo, hi = fld.query(centers)
         pad = h * sq2
         keep = (hi + pad >= r_in) & (lo - pad < r_out)
         centers = centers[keep]
         if len(centers) == 0:
             return 0.0
-    lo, hi, _ = fld.query(centers)
+    lo, hi = fld.query(centers)
     mid = 0.5 * (lo + hi)
     inside = (mid >= r_in) & (mid < r_out)
     if not np.any(inside):

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .curvature import cauchy_transform, cauchy_truncations, curvature_profile
+from .curvature import (
+    cauchy_transform,
+    cauchy_truncations,
+    curvature_profile,
+    default_r_grid,
+)
 from .dynamics import manning_dimension
 from .errors import ConfigError, OutputCollisionError
 from .geometry import (
@@ -372,16 +377,18 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
     n_eval = min(cfg.params.get("n_eval", 100), em1.atom_count)
     rng = rng_stream(cfg.seed, 7)
     zs = em1.points[np.sort(rng.choice(em1.atom_count, size=n_eval, replace=False))]
+    # the truncation grid depends on the measure only, not on z
+    grid1, grid2 = default_r_grid(em1), default_r_grid(em2)
     rows = []
     max1 = np.empty(n_eval)
     max2 = np.empty(n_eval)
     for i, z in enumerate(zs):
-        grid, vals = cauchy_truncations(em1, z)
+        grid, vals = cauchy_truncations(em1, z, r_grid=grid1)
         mx = float(np.max(np.abs(vals)))
         max1[i] = mx
         for r, v in zip(grid, vals):
             rows.append(f"{z.real!r},{z.imag!r},{r!r},{v.real!r},{v.imag!r},{mx!r}")
-        _, vals2 = cauchy_truncations(em2, z)
+        _, vals2 = cauchy_truncations(em2, z, r_grid=grid2)
         max2[i] = float(np.max(np.abs(vals2)))
     med1, med2 = float(np.median(max1)), float(np.median(max2))
     rel = abs(med2 - med1) / med1 if med1 > 0 else math.inf

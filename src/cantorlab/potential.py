@@ -1,14 +1,16 @@
 """Harmonic measure sampling and logarithmic potential theory.
 
 The sampler runs walk-on-spheres in the complement of a compact set J with
-the pole at infinity realized as a large launch circle: each walk starts
-uniformly on that circle, repeatedly jumps to a uniform point on a circle of
-radius shrink * (certified distance lower bound), and stops once the
-certified distance upper bound drops below stop_tol.  Stopped walks are
-binned into the cylinder piece of radius about stop_tol that contains them,
-which makes the result an atomic measure with exact integer provenance:
-reductions are integer counts per piece, so results are independent of chunk
-scheduling and thread count.
+the pole at infinity realized as a launch circle just outside the root disc:
+each walk starts uniformly on that circle, repeatedly jumps to a uniform
+point on a circle of radius shrink * (certified distance lower bound), and
+stops once the certified distance upper bound drops below stop_tol.  A walk
+that leaves the launch circle re-enters it by the exact exterior Poisson
+kernel, so any launch radius above the root radius samples the same law.
+Stopped walks are binned into the cylinder piece of radius about stop_tol
+that contains them, which makes the result an atomic measure with exact
+integer provenance: reductions are integer counts per piece, so results are
+independent of chunk scheduling and thread count.
 
 From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
@@ -60,7 +62,8 @@ class WalkConfig:
 
     stop_tol and launch_radius may be left as None and are then resolved
     against the shape: stop_tol = 1e-4 * bounding radius and launch_radius =
-    5 * bounding radius.
+    1.1 * bounding radius.  Walks start on, and re-enter onto, the launch
+    circle; its radius only has to exceed the bounding radius.
     """
 
     samples: int = 10_000
@@ -92,7 +95,7 @@ class WalkConfig:
         launch = (
             self.launch_radius
             if self.launch_radius is not None
-            else 5.0 * shape.bounding_radius
+            else 1.1 * shape.bounding_radius
         )
         return replace(self, stop_tol=stop, launch_radius=launch)
 
@@ -260,10 +263,10 @@ def _walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     z = center + cfg.launch_radius * np.exp(1j * theta)
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     for _ in range(cfg.max_steps):
-        lo, hi, leaf = fld.query(z)
+        lo, hi = fld.query(z)
         done = hi < cfg.stop_tol
         if done.any():
-            counts += np.bincount(leaf[done], minlength=fld.leaf_count)
+            counts += np.bincount(fld.leaf(z[done]), minlength=fld.leaf_count)
             keep = ~done
             z = z[keep]
             lo = lo[keep]
@@ -368,7 +371,7 @@ def boundary_probes(
         dist = np.exp(rng.uniform(math.log(lo_b), math.log(hi_b), m))
         ang = rng.uniform(0.0, TWO_PI, m)
         z = pick + dist * np.exp(1j * ang)
-        qlo, qhi, _ = fld.query(z)
+        qlo, qhi = fld.query(z)
         ok = (qlo >= lo_b) & (qhi <= hi_b) & shape.in_outer_domain(z)
         out.append(z[ok])
         have += int(ok.sum())
@@ -486,7 +489,7 @@ def comparability_fit(
         b_hi = min(hi_d, b_lo * 10.0)
         pts.append(boundary_probes(shape, per, (b_lo, b_hi), seed=seed + j))
     z = np.concatenate(pts)
-    qlo, qhi, _ = fld.query(z)
+    qlo, qhi = fld.query(z)
     dist = 0.5 * (qlo + qhi)
     g = np.atleast_1d(model.green(z))
     good = g > 0
@@ -621,7 +624,7 @@ def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
     hits = 0
     finished = 0
     for _ in range(cfg.max_steps):
-        lo, hi, _ = fld.query(z)
+        lo, hi = fld.query(z)
         dp = np.abs(z - pole) - pole_radius
         stop = np.minimum(hi, dp) < cfg.stop_tol
         if stop.any():
@@ -665,7 +668,7 @@ def bhp_holder_fit(
     R = shape.bounding_radius
 
     def pole_disc(pole):
-        plo, _, _ = fld.query(np.array([pole]))
+        plo, _ = fld.query(np.array([pole]))
         if plo[0] < 10.0 * cfg.stop_tol:
             raise ValueError(f"pole {pole} sits too close to J")
         return pole_radius if pole_radius is not None else plo[0] / 4.0
@@ -688,7 +691,7 @@ def bhp_holder_fit(
         )
         z2 = z1 + sep * np.exp(1j * rng.uniform(0.0, TWO_PI))
         both = np.array([z1, z2])
-        qlo, qhi, _ = fld.query(both)
+        qlo, qhi = fld.query(both)
         band = (depth_band[0] * R, depth_band[1] * R * 2.0)
         if (
             qlo.min() >= band[0]

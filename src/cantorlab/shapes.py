@@ -20,14 +20,16 @@ class DistanceField(Protocol):
     """Certified distance bounds from the leaf pieces of one generation.
 
     query(z) returns lower and upper bounds on dist(z, J), with gap at most
-    twice the resolution the field was built for, plus the index of the
-    nearest of the leaf_count leaf pieces.
+    twice the resolution the field was built for.  leaf(z) returns the index
+    of the nearest of the leaf_count leaf pieces; the sampler asks for it
+    only at the points where walks stop.
     """
 
     depth: int
     leaf_count: int
 
-    def query(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    def query(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+    def leaf(self, z: np.ndarray) -> np.ndarray: ...
 
 
 class Shape(Protocol):
@@ -75,8 +77,10 @@ class _ExactField:
 
     def query(self, z: np.ndarray):
         d = self.shape.distance(z)
-        leaf = self.shape.leaf_index(z, self.depth)
-        return d, d, leaf
+        return d, d
+
+    def leaf(self, z: np.ndarray) -> np.ndarray:
+        return self.shape.leaf_index(z, self.depth)
 
 
 class _ExactShape:

@@ -7,7 +7,6 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from cantorlab import (
@@ -17,7 +16,6 @@ from cantorlab import (
     comparability_fit,
     covering_counts,
     curvature_energy,
-    default_r_grid,
     green_model,
     manning_dimension,
     maximal_cauchy,

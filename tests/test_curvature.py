@@ -19,7 +19,6 @@ from cantorlab import (
     maximal_cauchy,
     menger_curvature,
     natural_measure,
-    preset,
 )
 from cantorlab.potential import rng_stream
 

@@ -12,7 +12,6 @@ from cantorlab import (
     ConfigError,
     EscapeError,
     OverlapError,
-    QuadratureError,
     Repeller,
     ResourceLimitError,
     Segment,
@@ -21,6 +20,7 @@ from cantorlab import (
     covering_counts,
     parse_repeller_spec,
     preset,
+    resolve_shape,
     shell_integral_sums,
     similarity_dimension,
 )
@@ -185,7 +185,8 @@ def test_leaf_field_brackets_distance(thirds):
     fld = thirds.field(1e-3)
     rng = rng_stream(8, 0)
     z = rng.uniform(-0.5, 1.5, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
-    lo, hi, leaf = fld.query(z)
+    lo, hi = fld.query(z)
+    leaf = fld.leaf(z)
     assert (lo <= hi).all()
     assert (hi - lo <= 2.0 * thirds.max_cylinder_radius(fld.depth) + 1e-12).all()
     assert leaf.min() >= 0 and leaf.max() < fld.leaf_count
@@ -193,6 +194,23 @@ def test_leaf_field_brackets_distance(thirds):
         iv = distance_interval(thirds, complex(zi), tol=1e-9)
         assert l <= iv.mid + 1e-9
         assert h >= iv.mid - 1e-9
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4"])
+def test_field_leaf_matches_nearest_piece(name):
+    shape = resolve_shape(name)
+    fld = shape.field(1e-2)
+    rng = rng_stream(9, 0)
+    r = 1.5 * shape.bounding_radius
+    z = shape.bounding_center + rng.uniform(-r, r, 500) + 1j * rng.uniform(-r, r, 500)
+    leaf = fld.leaf(z)
+    assert leaf.shape == z.shape
+    if hasattr(shape, "leaf_index"):
+        assert np.array_equal(leaf, shape.leaf_index(z, fld.depth))
+    # the leaf is the piece whose center lies nearest, by brute force
+    _, centers, _ = shape.atoms(fld.depth)
+    assert len(centers) == fld.leaf_count
+    assert np.array_equal(leaf, np.abs(z[:, None] - centers[None, :]).argmin(axis=1))
 
 
 def test_scaling_equivariance(thirds):
@@ -257,7 +275,7 @@ def test_covering_component_count_matches_flood_fill(thirds):
     ys = np.arange(-0.2, 0.2, h)
     grid = xs[None, :] + 1j * ys[:, None]
     fld = thirds.field(3.0**-7)
-    lo, hi, _ = fld.query(grid.ravel())
+    lo, hi = fld.query(grid.ravel())
     mask = (0.5 * (lo + hi) < eps).reshape(grid.shape)
     _, n_components = ndimage.label(mask)
     cov = covering_counts(thirds, a=3.0, kmax=2)

@@ -30,6 +30,8 @@ from cantorlab import (
 )
 from cantorlab.potential import _absorbed_fraction, rng_stream
 
+from _oracles import arcsine_cdf, weighted_ks_distance
+
 
 def uniform_circle_measure(depth: int, radius: float = 1.0) -> EmpiricalMeasure:
     shape = Circle(radius=radius)
@@ -68,7 +70,7 @@ def test_walk_config_validation(kwargs):
 def test_walk_config_resolve_defaults():
     cfg = WalkConfig().resolve(Circle(radius=2.0))
     assert cfg.stop_tol == pytest.approx(2e-4)
-    assert cfg.launch_radius == pytest.approx(10.0)
+    assert cfg.launch_radius == pytest.approx(2.2)
     explicit = WalkConfig(stop_tol=0.01, launch_radius=7.0).resolve(Circle(radius=2.0))
     assert explicit.stop_tol == 0.01 and explicit.launch_radius == 7.0
 
@@ -110,6 +112,18 @@ def test_sampled_measure_is_normalized(circle_em):
 def test_launch_circle_must_clear_the_set():
     with pytest.raises(LaunchDomainError):
         sample_harmonic_measure(Circle(), WalkConfig(samples=10, launch_radius=0.5))
+
+
+@pytest.mark.parametrize("launch_radius", [None, 5.0])
+def test_segment_arcsine_law_at_any_launch_radius(launch_radius):
+    # re-entry through the exterior Poisson kernel makes every launch circle
+    # outside the root disc sample the same law; 2^15 walks put criterion 2's
+    # KS bound of 0.01 at the 99.7th percentile of the KS null distribution
+    em = sample_harmonic_measure(
+        Segment(), WalkConfig(samples=1 << 15, seed=12, launch_radius=launch_radius)
+    )
+    assert em.discarded == 0
+    assert weighted_ks_distance(em.points.real, em.weights, arcsine_cdf) < 0.01
 
 
 def test_step_limit_discards_are_capped():
