@@ -19,7 +19,6 @@ from .errors import (
     GeometryError,
     InsufficientMassError,
     LabError,
-    LaunchDomainError,
     OutputCollisionError,
     OverlapError,
     QuadratureError,

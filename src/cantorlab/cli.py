@@ -19,22 +19,28 @@ from .lab import (
     run_experiment,
 )
 
-_SUBCOMMAND_EXPERIMENT = {
-    "sample": "measure-scaling",
-    "green": "green-comparability",
-    "curvature": "curvature-profile",
-    "cauchy": "cauchy",
-    "dimension": "dimension-gap",
-    "regularity": "regularity",
-    "lemma-l": "lemma-L",
-    "bhp": "bhp",
+#: subcommand -> (experiment, help line, config keys it takes as flags); each
+#: key becomes a --flag parsed by the key table's type
+_SUBCOMMANDS = {
+    "sample": ("measure-scaling", "harmonic measure + ball-mass scaling",
+               ("samples", "n_centers")),
+    "green": ("green-comparability", "Green function comparability fit",
+              ("samples", "n_points", "depth_lo", "depth_hi")),
+    "curvature": ("curvature-profile", "curvature energy profile over generations",
+                  ("kmax", "n_triples")),
+    "cauchy": ("cauchy", "truncated Cauchy transforms at boundary atoms",
+               ("samples", "n_eval")),
+    "dimension": ("dimension-gap", "entropy/Lyapunov dimension of the measure",
+                  ("samples", "n_boot", "kmax")),
+    "regularity": ("regularity", "covering component counts and growth fit",
+                   ("a", "kmax")),
+    "lemma-l": ("lemma-L", "shell integral sums of a distance power",
+                ("delta", "a", "kmax", "rtol")),
+    "bhp": ("bhp", "boundary Harnack Holder fit for two poles",
+            ("pole_p", "pole_q", "n_pairs", "walks_per_point")),
 }
 
-
-def _add_common(sub: argparse.ArgumentParser, with_samples: bool = True):
-    sub.add_argument("shape", help="preset (corner4, middle-thirds, middle-alpha:<r>, circle, segment) or IFS file")
-    if with_samples:
-        sub.add_argument("--samples", type=int, default=None, help="walk count")
+_SHAPE_HELP = "preset (corner4, middle-thirds, middle-alpha:<r>, circle, segment) or IFS file"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,51 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     b = subs.add_parser("build", help="construct a shape and list its atoms")
-    _add_common(b, with_samples=False)
+    b.add_argument("shape", help=_SHAPE_HELP)
     b.add_argument("--depth", type=int, default=4, help="generation to emit")
 
-    s = subs.add_parser("sample", help="harmonic measure + ball-mass scaling")
-    _add_common(s)
-    s.add_argument("--n-centers", type=int, default=None)
-
-    g = subs.add_parser("green", help="Green function comparability fit")
-    _add_common(g)
-    g.add_argument("--n-points", type=int, default=None)
-    g.add_argument("--depth-lo", type=float, default=None)
-    g.add_argument("--depth-hi", type=float, default=None)
-
-    c = subs.add_parser("curvature", help="curvature energy profile over generations")
-    _add_common(c, with_samples=False)
-    c.add_argument("--kmax", type=int, default=None)
-    c.add_argument("--n-triples", type=int, default=None)
-
-    y = subs.add_parser("cauchy", help="truncated Cauchy transforms at boundary atoms")
-    _add_common(y)
-    y.add_argument("--n-eval", type=int, default=None)
-
-    d = subs.add_parser("dimension", help="entropy/Lyapunov dimension of the measure")
-    _add_common(d)
-    d.add_argument("--n-boot", type=int, default=None)
-    d.add_argument("--kmax", type=int, default=None)
-
-    r = subs.add_parser("regularity", help="covering component counts and growth fit")
-    _add_common(r, with_samples=False)
-    r.add_argument("--a", type=float, default=None)
-    r.add_argument("--kmax", type=int, default=None)
-
-    l = subs.add_parser("lemma-l", help="shell integral sums of a distance power")
-    _add_common(l, with_samples=False)
-    l.add_argument("--delta", type=float, default=None)
-    l.add_argument("--a", type=float, default=None)
-    l.add_argument("--kmax", type=int, default=None)
-    l.add_argument("--rtol", type=float, default=None)
-
-    h = subs.add_parser("bhp", help="boundary Harnack Holder fit for two poles")
-    _add_common(h, with_samples=False)
-    h.add_argument("--pole-p", type=complex, default=None)
-    h.add_argument("--pole-q", type=complex, default=None)
-    h.add_argument("--n-pairs", type=int, default=None)
-    h.add_argument("--walks-per-point", type=int, default=None)
+    for command, (experiment, help_line, keys) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        sub.set_defaults(experiment=experiment)
+        sub.add_argument("shape", help=_SHAPE_HELP)
+        for key in keys:
+            sub.add_argument(
+                "--" + key.replace("_", "-"),
+                type=_KEY_TYPES[key],
+                default=None,
+                help="walk count" if key == "samples" else None,
+            )
 
     run = subs.add_parser("run", help="run an experiment described by a config file")
     run.add_argument("config", help="path to a key = value config file")
@@ -132,9 +107,7 @@ def _given(args, keys) -> dict:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    values = {"seed": 0, **_given(args, _KEY_TYPES)}
-    values["experiment"] = _SUBCOMMAND_EXPERIMENT[args.command]
-    return _config_from_keys(values)
+    return _config_from_keys({"seed": 0, **_given(args, _KEY_TYPES)})
 
 
 def _cmd_run(args) -> int:

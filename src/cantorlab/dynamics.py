@@ -38,21 +38,15 @@ class CylinderProfile:
     prefixes[k-1] lists the occupied length-k code words in lexicographic
     order and masses[k-1] their masses.  entropy[k-1] is the Shannon entropy
     H_k of that mass table in nats, plus the Miller-Madow bias term
-    (occupied - 1) / (2 * samples) for a sampled measure when correction is
-    on; stretching[k-1] is the total stretching L_k, the measure-weighted
-    sum of log(1/scale) along length-k words (exact for similarity systems,
-    so any probability measure on an equal-scale system gives the same
-    L_k / k).  H_k / k and L_k / k are the per-letter entropy and Lyapunov
-    exponent.  kmax outside 1..code_depth raises DepthError.
+    (occupied - 1) / (2 * samples) when the measure was sampled (samples is
+    not None); stretching[k-1] is the total stretching L_k, the
+    measure-weighted sum of log(1/scale) along length-k words (exact for
+    similarity systems, so any probability measure on an equal-scale system
+    gives the same L_k / k).  H_k / k and L_k / k are the per-letter entropy
+    and Lyapunov exponent.  kmax outside 1..code_depth raises DepthError.
     """
 
-    def __init__(
-        self,
-        rep: Repeller,
-        em: EmpiricalMeasure,
-        kmax: int | None = None,
-        correction: bool = True,
-    ):
+    def __init__(self, rep: Repeller, em: EmpiricalMeasure, kmax: int | None = None):
         if kmax is None:
             kmax = em.code_depth
         if not 1 <= kmax <= em.code_depth:
@@ -69,7 +63,7 @@ class CylinderProfile:
         log_inv = np.array([-math.log(b.scale) for b in rep.branches])
         codes = em.codes.astype(np.int64)
         self._word_sums = [log_inv[codes[:, :k]].sum(axis=1) for k in self.ks]
-        self._samples = em.samples if correction else None
+        self._samples = em.samples
         self.masses, self.entropy, self.stretching = self._evaluate(em.weights)
 
     def _evaluate(self, weights: np.ndarray):
@@ -114,25 +108,21 @@ def _slope_dimension(ks, H_tot, L_tot):
 def manning_dimension(
     rep: Repeller,
     em: EmpiricalMeasure,
-    kmax: int | None = None,
     n_boot: int = 200,
     seed: int = 0,
-    correction: bool = True,
 ) -> DimensionEstimate:
     """Dimension of a measure as entropy rate over Lyapunov exponent.
 
-    Fits total entropy and total stretching linearly in k over generations
-    k >= 2 whose occupied-cylinder count stays below samples / 50 (all
-    generations for exact measures), and takes the slope ratio.  Sampled
+    Fits total entropy and total stretching linearly in k over the coded
+    generations k >= 2 whose occupied-cylinder count stays below samples / 50
+    (all generations for exact measures), and takes the slope ratio.  Sampled
     measures get a 95% bootstrap interval (point estimate +- 1.96 times the
     spread of multinomial walk resamples); fewer than 10^4 walks raise
     BootstrapError.
     """
-    if kmax is None:
-        kmax = em.code_depth
-    if kmax < 2:
-        raise FitDegeneracyError("need kmax >= 2 to fit growth slopes")
-    prof = CylinderProfile(rep, em, kmax, correction)
+    if em.code_depth < 2:
+        raise FitDegeneracyError("need codes of depth >= 2 to fit growth slopes")
+    prof = CylinderProfile(rep, em)
     ks, H_tot, L_tot = prof.ks, prof.entropy, prof.stretching
     usable = [
         k

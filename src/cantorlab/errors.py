@@ -29,10 +29,6 @@ class SamplingError(LabError):
     pass
 
 
-class LaunchDomainError(SamplingError):
-    """Launch circle intersects the root disc of the target set."""
-
-
 class ExcessiveDiscardError(SamplingError):
     """More than the allowed fraction of walks hit the step limit."""
 

@@ -32,6 +32,11 @@ CYLINDER_CAP = 4**10
 #: required clearance between branch images, relative to the root radius
 SEPARATION_MARGIN = 1e-9
 
+#: shell quadrature starts from grids of SHELL_BASE_CELLS cells per inner
+#: radius and doubles that at most SHELL_MAX_REFINE times until two agree
+SHELL_BASE_CELLS = 8
+SHELL_MAX_REFINE = 3
+
 
 @dataclass(frozen=True)
 class SimilarityMap:
@@ -59,22 +64,15 @@ class CylinderSet:
     """All cylinders of one generation, in lexicographic code order.
 
     codes is a (d^k, k) uint8 array; centers and radii give the disc image of
-    the root disc under each length-k composition.  The complex coefficients
-    of those compositions are kept so deeper generations can be derived.
+    the root disc under each length-k composition.
     """
 
-    generation: int
     codes: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
-    coeffs: np.ndarray
-    offsets: np.ndarray
 
     def __len__(self) -> int:
         return len(self.centers)
-
-    def code(self, i: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.codes[i])
 
 
 class _LeafField:
@@ -88,7 +86,6 @@ class _LeafField:
     def __init__(self, rep: "Repeller", depth: int):
         cs = rep.cylinders(depth)
         self.depth = depth
-        self.fan = len(rep.branches)
         self.leaf_count = len(cs)
         self.radii = cs.radii
         self.rmax = float(cs.radii.max())
@@ -225,12 +222,9 @@ class Repeller:
             codes = np.column_stack([np.repeat(codes, self.fan, axis=0), letter])
             coeffs, offsets = new_coeffs, new_offsets
         cs = CylinderSet(
-            generation=k,
             codes=codes,
             centers=coeffs * self.root_center + offsets,
             radii=np.abs(coeffs) * self.root_radius,
-            coeffs=coeffs,
-            offsets=offsets,
         )
         if k <= 12:
             self._cyl_cache[k] = cs
@@ -383,7 +377,6 @@ class CoveringReport:
     counts: tuple[int, ...]
     diameters: tuple[float, ...]
     delta_reg: float
-    intercept: float
     c_count: float
     c_diam: float
 
@@ -443,7 +436,7 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     ks = np.arange(kmax + 1)
     x = ks * math.log(a)
     y = np.log(counts)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope = np.polyfit(x, y, 1)[0]
     c_count = float(np.max(np.array(counts) / np.exp(slope * x)))
     c_diam = float(np.max(np.array(diams) * np.asarray(a, dtype=float) ** ks))
     return CoveringReport(
@@ -451,7 +444,6 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
         counts=tuple(int(c) for c in counts),
         diameters=tuple(float(d) for d in diams),
         delta_reg=float(slope),
-        intercept=float(intercept),
         c_count=c_count,
         c_diam=c_diam,
     )
@@ -520,14 +512,12 @@ def shell_integral_sums(
     a: float,
     kmax: int,
     rtol: float = 0.02,
-    base_cells: int = 8,
-    max_refine: int = 3,
 ) -> ShellSumReport:
     """Integrate dist(z, J)^(-(1-delta)(2+delta)) over geometric shells.
 
     Each shell integral is computed on successively halved midpoint grids
     until two refinements agree to rtol; failure to converge within
-    max_refine doublings raises QuadratureError.
+    SHELL_MAX_REFINE doublings raises QuadratureError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -539,9 +529,9 @@ def shell_integral_sums(
     for k in range(kmax + 1):
         r_out = float(a) ** (-k)
         r_in = float(a) ** (-(k + 1))
-        cells = base_cells
+        cells = SHELL_BASE_CELLS
         prev = _shell_quadrature(shape, fld, power, r_in, r_out, cells)
-        for _ in range(max_refine):
+        for _ in range(SHELL_MAX_REFINE):
             cells *= 2
             cur = _shell_quadrature(shape, fld, power, r_in, r_out, cells)
             if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):

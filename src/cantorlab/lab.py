@@ -39,6 +39,7 @@ from .geometry import (
     similarity_dimension,
 )
 from .potential import (
+    ENVELOPE_QUANTILE,
     WalkConfig,
     ball_mass_scaling,
     bhp_holder_fit,
@@ -71,7 +72,6 @@ _KEY_TYPES = {
     "samples": int,
     "threads": int,
     "stop_tol": float,
-    "launch_radius": float,
     "kmax": int,
     "a": float,
     "delta": float,
@@ -105,7 +105,6 @@ class ExperimentConfig:
     samples: int = 100_000
     threads: int = 1
     stop_tol: float | None = None
-    launch_radius: float | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -121,7 +120,6 @@ class ExperimentConfig:
             seed=self.seed,
             threads=self.threads,
             stop_tol=self.stop_tol,
-            launch_radius=self.launch_radius,
         )
 
     def canonical_text(self) -> str:
@@ -138,8 +136,6 @@ class ExperimentConfig:
         }
         if self.stop_tol is not None:
             items["stop_tol"] = self.stop_tol
-        if self.launch_radius is not None:
-            items["launch_radius"] = self.launch_radius
         items.update(self.params)
         return "".join(f"{k} = {items[k]!r}\n" for k in sorted(items))
 
@@ -326,7 +322,7 @@ def _exp_bhp(shape, cfg: ExperimentConfig):
     st = "PASS" if fit.epsilon > 0 else "REFUTING"
     summary = [
         f"BHP: |log(u/v)(z1) - log(u/v)(z2)| <= C|z1-z2|^eps: eps_hat="
-        f"{fit.epsilon:.4f} C={fit.c:.4g} (quantile {fit.quantile:g}, "
+        f"{fit.epsilon:.4f} C={fit.c:.4g} (quantile {ENVELOPE_QUANTILE:g}, "
         f"{fit.n_pairs} pairs, poles {p:.4g} and {q:.4g})",
         f"BHP: holder exponent eps in (0, 1] -> {st}",
     ]

@@ -1,12 +1,12 @@
 """Harmonic measure sampling and logarithmic potential theory.
 
 The sampler runs walk-on-spheres in the complement of a compact set J with
-the pole at infinity realized as a launch circle just outside the root disc:
-each walk starts uniformly on that circle, repeatedly jumps to a uniform
-point on a circle of radius shrink * (certified distance lower bound), and
-stops once the certified distance upper bound drops below stop_tol.  A walk
-that leaves the launch circle re-enters it by the exact exterior Poisson
-kernel, so any launch radius above the root radius samples the same law.
+the pole at infinity realized as a launch circle of LAUNCH_FACTOR times the
+root radius: each walk starts uniformly on that circle, repeatedly jumps to a
+uniform point on a circle of radius shrink * (certified distance lower
+bound), and stops once the certified distance upper bound drops below
+stop_tol.  A walk that leaves the launch circle re-enters it by the exact
+exterior Poisson kernel, so the launch radius sets the cost, not the law.
 Stopped walks are binned into the cylinder piece of radius about stop_tol
 that contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
@@ -31,7 +31,6 @@ from .errors import (
     ExcessiveDiscardError,
     FitDegeneracyError,
     InsufficientMassError,
-    LaunchDomainError,
     SingularityError,
     VarianceError,
 )
@@ -47,6 +46,33 @@ CHUNK = 4096
 #: fraction of walks allowed to hit the step limit
 DISCARD_LIMIT = 0.01
 
+#: step limit of every walk, sampling and pole absorption alike
+MAX_STEPS = 10_000
+
+#: walks launch on, and re-enter onto, the circle of this many bounding
+#: radii; exterior Poisson re-entry makes every circle outside the root disc
+#: sample the same law, and a wider one only adds wandering in the annulus
+LAUNCH_FACTOR = 1.1
+
+#: Robin fits use this many probes at certified distance [2, 10] * stop_tol
+ROBIN_PROBES = 256
+
+#: fraction of probe potentials trimmed from each end of the Robin mean
+ROBIN_TRIM = 0.1
+
+#: largest 10%-90% quantile spread of probe potentials a Robin fit accepts
+DISPERSION_LIMIT = 0.5
+
+#: boundary Harnack points sit at distance DEPTH_BAND * R from an anchor
+#: piece (R the bounding radius) and pairs are SEP_BAND * R apart
+DEPTH_BAND = (0.05, 0.25)
+SEP_BAND = (0.05, 0.5)
+
+#: the Holder envelope fits this quantile of log deviation in each of
+#: ENVELOPE_BINS log-separation buckets
+ENVELOPE_QUANTILE = 0.9
+ENVELOPE_BINS = 6
+
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent deterministic generator for one labeled substream."""
@@ -60,18 +86,15 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 class WalkConfig:
     """Parameters of one sampling run.
 
-    stop_tol and launch_radius may be left as None and are then resolved
-    against the shape: stop_tol = 1e-4 * bounding radius and launch_radius =
-    1.1 * bounding radius.  Walks start on, and re-enter onto, the launch
-    circle; its radius only has to exceed the bounding radius.
+    stop_tol may be left as None and is then resolved against the shape as
+    1e-4 * bounding radius.  Walks start on, and re-enter onto, the circle of
+    LAUNCH_FACTOR * bounding radius, and each runs at most MAX_STEPS steps.
     """
 
     samples: int = 10_000
     seed: int = 0
     shrink: float = 0.9
     stop_tol: float | None = None
-    max_steps: int = 10_000
-    launch_radius: float | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -81,10 +104,6 @@ class WalkConfig:
             raise ValueError("shrink must lie in (0, 1)")
         if self.stop_tol is not None and self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.launch_radius is not None and self.launch_radius <= 0:
-            raise ValueError("launch_radius must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
@@ -92,12 +111,7 @@ class WalkConfig:
 
     def resolve(self, shape: Shape) -> "WalkConfig":
         stop = self.stop_tol if self.stop_tol is not None else 1e-4 * shape.bounding_radius
-        launch = (
-            self.launch_radius
-            if self.launch_radius is not None
-            else 1.1 * shape.bounding_radius
-        )
-        return replace(self, stop_tol=stop, launch_radius=launch)
+        return replace(self, stop_tol=stop)
 
 
 # -- empirical measures ---------------------------------------------------------
@@ -143,10 +157,6 @@ class EmpiricalMeasure:
     @property
     def code_depth(self) -> int:
         return self.codes.shape[1]
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
 
     @property
     def diameter(self) -> float:
@@ -259,10 +269,11 @@ def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
 def _walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     rng = rng_stream(cfg.seed, 0, chunk_index)
     center = shape.bounding_center
+    launch = LAUNCH_FACTOR * shape.bounding_radius
     theta = rng.uniform(0.0, TWO_PI, n)
-    z = center + cfg.launch_radius * np.exp(1j * theta)
+    z = center + launch * np.exp(1j * theta)
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
-    for _ in range(cfg.max_steps):
+    for _ in range(MAX_STEPS):
         lo, hi = fld.query(z)
         done = hi < cfg.stop_tol
         if done.any():
@@ -274,7 +285,7 @@ def _walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
             break
         ang = rng.uniform(0.0, TWO_PI, z.size)
         z = z + cfg.shrink * lo * np.exp(1j * ang)
-        z = _reenter(z, center, cfg.launch_radius, rng)
+        z = _reenter(z, center, launch, rng)
     return counts, z.size
 
 
@@ -283,15 +294,9 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
 
     Returns an EmpiricalMeasure whose atoms sit at the centers of the pieces
     of radius about stop_tol, weighted by stopped-walk counts.  Raises
-    LaunchDomainError when the launch circle does not enclose the root disc
-    and ExcessiveDiscardError when over 1% of walks exhaust max_steps.
+    ExcessiveDiscardError when over 1% of walks exhaust MAX_STEPS.
     """
     cfg = cfg.resolve(shape)
-    if cfg.launch_radius <= shape.bounding_radius:
-        raise LaunchDomainError(
-            f"launch radius {cfg.launch_radius} does not clear the root disc "
-            f"(radius {shape.bounding_radius})"
-        )
     fld = shape.field(cfg.stop_tol / 4.0)
     sizes = [CHUNK] * (cfg.samples // CHUNK)
     if cfg.samples % CHUNK:
@@ -312,7 +317,7 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
     if discarded > DISCARD_LIMIT * cfg.samples:
         raise ExcessiveDiscardError(
             f"{discarded} of {cfg.samples} walks hit the step limit "
-            f"{cfg.max_steps} (allowed {DISCARD_LIMIT:.0%})"
+            f"{MAX_STEPS} (allowed {DISCARD_LIMIT:.0%})"
         )
     atom_k = shape.atom_depth(cfg.stop_tol)
     codes, centers, _ = shape.atoms(atom_k)
@@ -384,13 +389,7 @@ def boundary_probes(
     return np.concatenate(out)[:n]
 
 
-def robin_constant(
-    em: EmpiricalMeasure,
-    shape: Shape,
-    probes: np.ndarray,
-    trim: float = 0.1,
-    dispersion_tol: float = 0.5,
-) -> float:
+def robin_constant(em: EmpiricalMeasure, shape: Shape, probes: np.ndarray) -> float:
     """Robin constant as minus the trimmed mean of near-boundary potentials.
 
     The potential of the equilibrium measure is constant (= -Robin) on the
@@ -402,11 +401,11 @@ def robin_constant(
         raise ValueError("need at least 8 probes")
     vals = np.sort(log_potential(em, probes))
     spread = float(np.quantile(vals, 0.9) - np.quantile(vals, 0.1))
-    if spread > dispersion_tol:
+    if spread > DISPERSION_LIMIT:
         raise DispersionError(
-            f"probe potential spread {spread:.3g} exceeds {dispersion_tol}"
+            f"probe potential spread {spread:.3g} exceeds {DISPERSION_LIMIT}"
         )
-    t = int(len(vals) * trim)
+    t = int(len(vals) * ROBIN_TRIM)
     core = vals[t : len(vals) - t] if t > 0 else vals
     return -float(core.mean())
 
@@ -426,9 +425,7 @@ class GreenModel:
         return log_potential(self.measure, z) + self.robin
 
 
-def green_model(
-    em: EmpiricalMeasure, shape: Shape, n_probes: int = 256, seed: int = 0
-) -> GreenModel:
+def green_model(em: EmpiricalMeasure, shape: Shape, seed: int = 0) -> GreenModel:
     """Fit the Robin constant from certified near-boundary probes.
 
     Probes sit just above the walk resolution, at certified distance in
@@ -439,7 +436,7 @@ def green_model(
     if em.stop_tol is None:
         raise ValueError("measure lacks stop_tol metadata")
     probes = boundary_probes(
-        shape, n_probes, (2.0 * em.stop_tol, 10.0 * em.stop_tol), seed=seed
+        shape, ROBIN_PROBES, (2.0 * em.stop_tol, 10.0 * em.stop_tol), seed=seed
     )
     return GreenModel(measure=em, robin=robin_constant(em, shape, probes))
 
@@ -576,21 +573,17 @@ class HolderFit:
     epsilon: float
     c: float
     n_pairs: int
-    quantile: float
     separations: tuple[float, ...] = ()
     deviations: tuple[float, ...] = ()
 
 
 def fit_holder_envelope(
-    separations: np.ndarray,
-    deviations: np.ndarray,
-    quantile: float = 0.9,
-    bins: int = 6,
+    separations: np.ndarray, deviations: np.ndarray
 ) -> tuple[float, float]:
     """Fit a quantile power-law envelope deviation <= c * separation^eps.
 
-    Pairs are bucketed by log separation, the requested quantile of log
-    deviation is taken per bucket, and a least-squares line through the
+    Pairs are bucketed by log separation, the ENVELOPE_QUANTILE quantile of
+    log deviation is taken per bucket, and a least-squares line through the
     bucket quantiles gives the exponent and constant.
     """
     seps = np.asarray(separations, dtype=float)
@@ -601,13 +594,13 @@ def fit_holder_envelope(
         return 1.0, 0.0
     pos = devs > 0
     lx, ly = np.log(seps[pos]), np.log(devs[pos])
-    edges = np.linspace(lx.min(), lx.max() + 1e-12, bins + 1)
+    edges = np.linspace(lx.min(), lx.max() + 1e-12, ENVELOPE_BINS + 1)
     xs, ys = [], []
-    for b in range(bins):
+    for b in range(ENVELOPE_BINS):
         in_bin = (lx >= edges[b]) & (lx < edges[b + 1])
         if in_bin.sum() >= 3:
             xs.append(0.5 * (edges[b] + edges[b + 1]))
-            ys.append(float(np.quantile(ly[in_bin], quantile)))
+            ys.append(float(np.quantile(ly[in_bin], ENVELOPE_QUANTILE)))
     if len(xs) < 3:
         raise FitDegeneracyError("fewer than 3 populated separation buckets")
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -623,7 +616,7 @@ def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
     )
     hits = 0
     finished = 0
-    for _ in range(cfg.max_steps):
+    for _ in range(MAX_STEPS):
         lo, hi = fld.query(z)
         dp = np.abs(z - pole) - pole_radius
         stop = np.minimum(hi, dp) < cfg.stop_tol
@@ -648,18 +641,14 @@ def bhp_holder_fit(
     q: complex,
     cfg: WalkConfig,
     n_pairs: int = 32,
-    pole_radius: float | None = None,
     walks_per_point: int = 50_000,
-    depth_band: tuple[float, float] = (0.05, 0.25),
-    sep_band: tuple[float, float] = (0.05, 0.5),
-    quantile: float = 0.9,
 ) -> HolderFit:
     """Holder fit for log(u/v) near J, with u, v vanishing on J.
 
     u(z) and v(z) are the probabilities that a walk from z reaches a small
     absorption disc around p (resp. q) before J; both are positive harmonic
-    away from the poles and vanish on J.  The default absorption radius is a
-    quarter of the pole's distance to J, which keeps hit probabilities large
+    away from the poles and vanish on J.  The absorption radius is a quarter
+    of the pole's distance to J, which keeps hit probabilities large
     enough that the 10% relative-error gate is reachable at desk-scale walk
     counts.  VarianceError is raised when any estimate misses that gate.
     """
@@ -671,11 +660,11 @@ def bhp_holder_fit(
         plo, _ = fld.query(np.array([pole]))
         if plo[0] < 10.0 * cfg.stop_tol:
             raise ValueError(f"pole {pole} sits too close to J")
-        return pole_radius if pole_radius is not None else plo[0] / 4.0
+        return plo[0] / 4.0
 
     prad = {p: pole_disc(p), q: pole_disc(q)}
     rng = rng_stream(cfg.seed, 5)
-    anchor_k = shape.atom_depth(depth_band[0] * R)
+    anchor_k = shape.atom_depth(DEPTH_BAND[0] * R)
     _, anchors, _ = shape.atoms(anchor_k)
     pairs = []
     guard = 0
@@ -684,15 +673,15 @@ def bhp_holder_fit(
         if guard > 100 * n_pairs:
             raise FitDegeneracyError("could not place valid point pairs near J")
         z1 = anchors[rng.integers(0, len(anchors))] + np.exp(
-            rng.uniform(math.log(depth_band[0] * R), math.log(depth_band[1] * R))
+            rng.uniform(math.log(DEPTH_BAND[0] * R), math.log(DEPTH_BAND[1] * R))
         ) * np.exp(1j * rng.uniform(0.0, TWO_PI))
         sep = math.exp(
-            rng.uniform(math.log(sep_band[0] * R), math.log(sep_band[1] * R))
+            rng.uniform(math.log(SEP_BAND[0] * R), math.log(SEP_BAND[1] * R))
         )
         z2 = z1 + sep * np.exp(1j * rng.uniform(0.0, TWO_PI))
         both = np.array([z1, z2])
         qlo, qhi = fld.query(both)
-        band = (depth_band[0] * R, depth_band[1] * R * 2.0)
+        band = (DEPTH_BAND[0] * R, DEPTH_BAND[1] * R * 2.0)
         if (
             qlo.min() >= band[0]
             and qhi.max() <= band[1]
@@ -725,14 +714,11 @@ def bhp_holder_fit(
         v2 = estimate(z2, q, 4 * i + 3)
         seps.append(abs(z1 - z2))
         devs.append(abs(math.log(u1 / v1) - math.log(u2 / v2)))
-    eps, c = fit_holder_envelope(
-        np.array(seps), np.array(devs), quantile=quantile
-    )
+    eps, c = fit_holder_envelope(np.array(seps), np.array(devs))
     return HolderFit(
         epsilon=eps,
         c=c,
         n_pairs=n_pairs,
-        quantile=quantile,
         separations=tuple(seps),
         deviations=tuple(devs),
     )

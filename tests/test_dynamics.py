@@ -39,9 +39,9 @@ def mass_table(rep, em, k: int) -> dict:
             for word, m in zip(prof.prefixes[k - 1], prof.masses[k - 1])}
 
 
-def entropy_rates(rep, em, kmax: int, correction: bool = True) -> list:
+def entropy_rates(rep, em, kmax: int) -> list:
     """Per-letter entropies H_k / k for k = 1..kmax."""
-    prof = CylinderProfile(rep, em, kmax, correction)
+    prof = CylinderProfile(rep, em, kmax)
     return list(prof.entropy / np.array(prof.ks))
 
 
@@ -128,7 +128,7 @@ def test_miller_madow_correction_term(corner):
     counted = dataclasses.replace(em, samples=1000)
     plain = entropy_rates(corner, em, 2)
     corrected = entropy_rates(corner, counted, 2)
-    uncorrected = entropy_rates(corner, counted, 2, correction=False)
+    uncorrected = entropy_rates(corner, dataclasses.replace(counted, samples=None), 2)
     assert plain == pytest.approx([math.log(4.0)] * 2, abs=1e-12)
     assert uncorrected == pytest.approx(plain, abs=1e-15)
     assert corrected[0] == pytest.approx(math.log(4.0) + 3.0 / 2000.0, abs=1e-12)
@@ -217,7 +217,7 @@ def test_dimension_bootstrap_needs_enough_walks(corner):
 
 def test_dimension_fit_needs_two_usable_generations(corner, thirds):
     with pytest.raises(FitDegeneracyError):
-        manning_dimension(corner, natural_measure(corner, 3), kmax=1)
+        manning_dimension(corner, natural_measure(corner, 1))
     em = sample_harmonic_measure(thirds, WalkConfig(samples=300, seed=1))
     with pytest.raises(FitDegeneracyError):
         manning_dimension(thirds, em)

@@ -129,7 +129,7 @@ def test_cylinder_cardinality(corner, k):
 def test_cylinder_codes_lexicographic(thirds):
     cs = thirds.cylinders(3)
     expected = list(itertools.product(range(2), repeat=3))
-    assert [cs.code(i) for i in range(len(cs))] == expected
+    assert [tuple(cs.codes[i]) for i in range(len(cs))] == expected
 
 
 def test_cylinder_radii_exact(corner):
@@ -147,7 +147,7 @@ def test_cylinder_nesting(thirds):
             for j in range(i * fan, (i + 1) * fan):
                 cc, cr = children.centers[j], children.radii[j]
                 assert abs(cc - pc) + cr <= pr + 1e-12
-                assert tuple(children.codes[j][:k]) == parents.code(i)
+                assert tuple(children.codes[j][:k]) == tuple(parents.codes[i])
 
 
 def test_cylinder_cap_enforced(corner):

@@ -1,5 +1,7 @@
 """Experiment configs, shape resolution, the runner, and the CLI."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,8 +16,9 @@ from cantorlab import (
     Segment,
     SinglePoint,
 )
-from cantorlab.cli import main
+from cantorlab.cli import _experiment_config, build_parser, main
 from cantorlab.lab import (
+    _KEY_TYPES,
     EXPERIMENT_NAMES,
     ExperimentConfig,
     parse_experiment_config,
@@ -67,6 +70,13 @@ def test_parse_config_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_experiment_config(text)
     assert fragment in str(err.value)
+
+
+def test_config_rejects_launch_radius():
+    # the launch circle is fixed at 1.1 bounding radii; the key is gone
+    text = "experiment = cauchy\nshape = circle\nseed = 1\nlaunch_radius = 5.0\n"
+    with pytest.raises(ConfigError, match="unknown key 'launch_radius'"):
+        parse_experiment_config(text)
 
 
 def test_unknown_experiment_is_rejected():
@@ -240,3 +250,39 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
     assert "lemma-L" in stdout
     table = (out / "lemma_l.csv").read_text()
     assert table.splitlines()[1] == "k,s_k,ratio"
+
+
+
+#: a value of each key type to pass on the command line
+_FLAG_VALUES = {int: "3", float: "0.5", complex: "2+1j", str: "x"}
+
+
+def test_cli_flags_follow_the_config_key_table():
+    parser = build_parser()
+    (subs,) = [a.choices for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    assert set(subs) == {"build", "run", "sample", "green", "curvature", "cauchy",
+                         "dimension", "regularity", "lemma-l", "bhp"}
+    core = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    global_flags = [a for a in parser._actions
+                    if a.option_strings and a.dest not in ("help", "force")]
+    experiments = set()
+    for command, sub in subs.items():
+        if command in ("build", "run"):
+            continue
+        flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        assert flags, command
+        for action in global_flags + flags:
+            key = action.dest
+            assert key in _KEY_TYPES, (command, key)
+            key_type = _KEY_TYPES[key]
+            assert (action.type or str) is key_type, (command, key)
+            raw = _FLAG_VALUES[key_type]
+            flag = [action.option_strings[0], raw]
+            argv = ([*flag, command, "corner4"] if action in global_flags
+                    else [command, "corner4", *flag])
+            cfg = _experiment_config(parser.parse_args(argv))
+            got = getattr(cfg, key) if key in core else cfg.params[key]
+            assert type(got) is key_type and got == key_type(raw), (command, key)
+            experiments.add(cfg.experiment)
+    assert experiments == set(EXPERIMENT_NAMES)

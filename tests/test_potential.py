@@ -12,7 +12,6 @@ from cantorlab import (
     ExcessiveDiscardError,
     FitDegeneracyError,
     InsufficientMassError,
-    LaunchDomainError,
     Segment,
     SingularityError,
     VarianceError,
@@ -28,6 +27,7 @@ from cantorlab import (
     robin_constant,
     sample_harmonic_measure,
 )
+from cantorlab import potential
 from cantorlab.potential import _absorbed_fraction, rng_stream
 
 from _oracles import arcsine_cdf, weighted_ks_distance
@@ -56,8 +56,8 @@ def uniform_circle_measure(depth: int, radius: float = 1.0) -> EmpiricalMeasure:
         {"shrink": 0.0},
         {"shrink": 1.0},
         {"stop_tol": -1.0},
-        {"max_steps": 0},
-        {"launch_radius": 0.0},
+        {"stop_tol": 0.0},
+        {"shrink": 1.5},
         {"threads": 0},
         {"seed": -1},
     ],
@@ -70,9 +70,8 @@ def test_walk_config_validation(kwargs):
 def test_walk_config_resolve_defaults():
     cfg = WalkConfig().resolve(Circle(radius=2.0))
     assert cfg.stop_tol == pytest.approx(2e-4)
-    assert cfg.launch_radius == pytest.approx(2.2)
-    explicit = WalkConfig(stop_tol=0.01, launch_radius=7.0).resolve(Circle(radius=2.0))
-    assert explicit.stop_tol == 0.01 and explicit.launch_radius == 7.0
+    explicit = WalkConfig(stop_tol=0.01).resolve(Circle(radius=2.0))
+    assert explicit.stop_tol == 0.01
 
 
 def test_rng_stream_is_keyed():
@@ -101,7 +100,7 @@ def test_sampling_deterministic_across_threads_and_reruns():
 
 
 def test_sampled_measure_is_normalized(circle_em):
-    assert circle_em.total == pytest.approx(1.0, abs=1e-12)
+    assert circle_em.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (circle_em.weights > 0).all()
     assert circle_em.samples == 100_000
     assert circle_em.shape_name == "circle"
@@ -109,26 +108,19 @@ def test_sampled_measure_is_normalized(circle_em):
     assert circle_em.discarded == 0
 
 
-def test_launch_circle_must_clear_the_set():
-    with pytest.raises(LaunchDomainError):
-        sample_harmonic_measure(Circle(), WalkConfig(samples=10, launch_radius=0.5))
-
-
-@pytest.mark.parametrize("launch_radius", [None, 5.0])
-def test_segment_arcsine_law_at_any_launch_radius(launch_radius):
-    # re-entry through the exterior Poisson kernel makes every launch circle
-    # outside the root disc sample the same law; 2^15 walks put criterion 2's
+def test_segment_arcsine_law():
+    # walks launch just outside the root disc, so only exact re-entry through
+    # the exterior Poisson kernel keeps the law; 2^15 walks put criterion 2's
     # KS bound of 0.01 at the 99.7th percentile of the KS null distribution
-    em = sample_harmonic_measure(
-        Segment(), WalkConfig(samples=1 << 15, seed=12, launch_radius=launch_radius)
-    )
+    em = sample_harmonic_measure(Segment(), WalkConfig(samples=1 << 15, seed=12))
     assert em.discarded == 0
     assert weighted_ks_distance(em.points.real, em.weights, arcsine_cdf) < 0.01
 
 
-def test_step_limit_discards_are_capped():
+def test_step_limit_discards_are_capped(monkeypatch):
+    monkeypatch.setattr(potential, "MAX_STEPS", 2)
     with pytest.raises(ExcessiveDiscardError):
-        sample_harmonic_measure(Circle(), WalkConfig(samples=4096, max_steps=2))
+        sample_harmonic_measure(Circle(), WalkConfig(samples=4096))
 
 
 # -- empirical measures --------------------------------------------------------------
