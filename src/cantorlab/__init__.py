@@ -16,14 +16,12 @@ from .errors import (
     EscapeError,
     ExcessiveDiscardError,
     FitDegeneracyError,
-    GeometryError,
     InsufficientMassError,
     LabError,
     OutputCollisionError,
     OverlapError,
     QuadratureError,
     ResourceLimitError,
-    SamplingError,
     SingularityError,
     VarianceError,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError, SingularityError
-from .potential import EmpiricalMeasure, natural_measure, rng_stream
+from .potential import EmpiricalMeasure, _atom_sum, natural_measure, rng_stream
 
 #: largest atom count accepted in exact mode (about 1.3e9 triples)
 EXACT_CAP = 2000
@@ -98,13 +98,8 @@ def curvature_energy(
             raise ResourceLimitError(
                 f"{n} atoms exceed the exact-mode cap {EXACT_CAP}; use sampled mode"
             )
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(
-                    pool.map(lambda j: _middle_slice_sum(z, w, j), range(n))
-                )
-        else:
-            parts = [_middle_slice_sum(z, w, j) for j in range(n)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda j: _middle_slice_sum(z, w, j), range(n)))
         total = 6.0 * math.fsum(parts)
         return CurvatureEstimate(
             value=total, stderr=0.0, mode="exact", triples=n * (n - 1) * (n - 2) // 6
@@ -140,11 +135,6 @@ class CurvatureProfile:
     def values(self) -> tuple[float, ...]:
         return tuple(e.value for e in self.estimates)
 
-    @property
-    def increments(self) -> tuple[float, ...]:
-        v = self.values
-        return tuple(v[i + 1] - v[i] for i in range(len(v) - 1))
-
 
 def curvature_profile(
     rep,
@@ -179,15 +169,7 @@ def curvature_profile(
 
 def cauchy_transform(em: EmpiricalMeasure, z):
     """Sum of w / (z - atom) over all atoms."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(len(zs), dtype=complex)
-    block = max(1, int(2e6) // max(em.atom_count, 1))
-    for start in range(0, len(zs), block):
-        diff = zs[start : start + block, None] - em.points[None, :]
-        if np.abs(diff).min() < 1e-14:
-            raise SingularityError("evaluation point coincides with an atom")
-        out[start : start + block] = (1.0 / diff) @ em.weights
-    return complex(out[0]) if np.ndim(z) == 0 else out
+    return _atom_sum(em, z, lambda diff, dist: np.divide(1.0, diff, out=diff), complex)
 
 
 def default_r_grid(em: EmpiricalMeasure) -> np.ndarray:

@@ -9,15 +9,11 @@ class ConfigError(LabError):
     """Malformed experiment configuration. Message names the offending field."""
 
 
-class GeometryError(LabError, ValueError):
-    pass
-
-
-class OverlapError(GeometryError):
+class OverlapError(LabError, ValueError):
     """Branch images of the root disc have intersecting closures."""
 
 
-class EscapeError(GeometryError):
+class EscapeError(LabError, ValueError):
     """A branch image is not strictly inside the root disc."""
 
 
@@ -25,11 +21,7 @@ class ResourceLimitError(LabError):
     """A requested computation exceeds a hard size cap."""
 
 
-class SamplingError(LabError):
-    pass
-
-
-class ExcessiveDiscardError(SamplingError):
+class ExcessiveDiscardError(LabError):
     """More than the allowed fraction of walks hit the step limit."""
 
 

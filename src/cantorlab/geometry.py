@@ -175,14 +175,11 @@ class Repeller:
     def diameter(self) -> float:
         # conservative: J sits inside the union of first-generation discs
         cs = self.cylinders(1)
-        span = 0.0
-        for i in range(len(cs)):
-            for j in range(len(cs)):
-                span = max(
-                    span,
-                    abs(cs.centers[i] - cs.centers[j]) + cs.radii[i] + cs.radii[j],
-                )
-        return min(span, 2.0 * self.root_radius)
+        c, r = cs.centers, cs.radii
+        d = c[:, None] - c[None, :]
+        # hypot, not np.abs: it rounds like abs(complex), np.abs can differ by an ulp
+        span = np.hypot(d.real, d.imag) + r[:, None] + r[None, :]
+        return min(float(span.max()), 2.0 * self.root_radius)
 
     def max_cylinder_radius(self, k: int) -> float:
         return self.root_radius * self.max_scale**k

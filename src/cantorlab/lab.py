@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,17 +50,6 @@ from .potential import (
     sample_harmonic_measure,
 )
 from .shapes import Circle, Segment, Shape, SinglePoint
-
-EXPERIMENT_NAMES = (
-    "regularity",
-    "measure-scaling",
-    "green-comparability",
-    "bhp",
-    "curvature-profile",
-    "cauchy",
-    "dimension-gap",
-    "lemma-L",
-)
 
 # every key a config may contain, with its parser: keys naming an
 # ExperimentConfig field set that field, the rest become params
@@ -113,6 +102,8 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENT_NAMES)}"
             )
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
 
     def walk_config(self) -> WalkConfig:
         return WalkConfig(
@@ -388,12 +379,7 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
         max2[i] = float(np.max(np.abs(vals2)))
     med1, med2 = float(np.median(max1)), float(np.median(max2))
     rel = abs(med2 - med1) / med1 if med1 > 0 else math.inf
-    if rel < 0.1:
-        st = "PASS"
-    elif rel > 0.3:
-        st = "REFUTING"
-    else:
-        st = "INCONCLUSIVE"
+    st = _grade(rel, 0.1)
     # far-field law: z*C(z) -> 1 with error bounded by 2*diam/|z|
     diam = em1.diameter
     c0 = shape.bounding_center
@@ -499,6 +485,7 @@ _EXPERIMENTS = {
     "dimension-gap": _exp_dimension,
     "lemma-L": _exp_lemma_l,
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 # -- manifest and orchestration ---------------------------------------------------
@@ -515,17 +502,7 @@ class RunManifest:
     files: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "version": self.version,
-                "seed": self.seed,
-                "wall_clock": self.wall_clock,
-                "files": dict(sorted(self.files.items())),
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig, force: bool = False) -> RunManifest:

@@ -1,16 +1,19 @@
 """Harmonic measure sampling and logarithmic potential theory.
 
-The sampler runs walk-on-spheres in the complement of a compact set J with
-the pole at infinity realized as a launch circle of LAUNCH_FACTOR times the
-root radius: each walk starts uniformly on that circle, repeatedly jumps to a
-uniform point on a circle of radius shrink * (certified distance lower
-bound), and stops once the certified distance upper bound drops below
-stop_tol.  A walk that leaves the launch circle re-enters it by the exact
-exterior Poisson kernel, so the launch radius sets the cost, not the law.
-Stopped walks are binned into the cylinder piece of radius about stop_tol
+Every walk-on-spheres estimate goes through one loop, _walk: each live walk
+repeatedly jumps to a uniform point on a circle of radius shrink * (certified
+distance lower bound) and stops once the certified distance upper bound drops
+below stop_tol.  A walk that leaves its enclosing circle re-enters it by the
+exact exterior Poisson kernel, so that circle sets the cost, not the law.
+
+The sampler realizes the pole at infinity as a launch circle of
+LAUNCH_FACTOR times the root radius: walks start uniformly on it, and the
+stopped walks are binned into the cylinder piece of radius about stop_tol
 that contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
-independent of chunk scheduling and thread count.
+independent of chunk scheduling and thread count.  Pole absorption runs the
+same loop with the pole disc folded into the distance bounds, so a walk
+stops at J or at the disc, whichever it reaches first.
 
 From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
@@ -183,38 +186,6 @@ class EmpiricalMeasure:
             )
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
-    @classmethod
-    def from_csv(cls, path) -> "EmpiricalMeasure":
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError(f"{path}: missing measure header")
-        meta = dict(tok.split("=", 1) for tok in lines[0][1:].split())
-        rows = [ln.split(",") for ln in lines[2:] if ln]
-        codes = [tuple(int(c) for c in r[0]) for r in rows]
-        depth = max((len(c) for c in codes), default=0)
-        if any(len(c) != depth for c in codes):
-            raise ValueError(f"{path}: ragged atom codes")
-        code_arr = np.array(codes, dtype=np.uint8).reshape(len(rows), depth)
-        pts = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-        w = np.array([float(r[3]) for r in rows])
-        seed = meta.get("seed")
-        samples = meta.get("samples")
-        stop = meta.get("stop_tol")
-        return cls(
-            codes=code_arr,
-            points=pts,
-            weights=w,
-            shape_name=meta.get("shape", "custom"),
-            seed=None if seed in (None, "none") else int(seed),
-            stop_tol=None if stop in (None, "none") else float(stop),
-            samples=None if samples in (None, "none") else int(samples),
-        )
-
 
 def _fmt_meta(v):
     if v is None:
@@ -266,27 +237,42 @@ def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
     return z
 
 
+def _walk(
+    query, z: np.ndarray, cfg: WalkConfig, center: complex, radius: float, rng
+):
+    """Run walk-on-spheres from the points z until each one stops.
+
+    query(z) returns certified lower and upper bounds on the distance to
+    the absorbing set; a walk stops where the upper bound drops below
+    stop_tol and otherwise jumps shrink * (lower bound) in a uniform
+    direction, re-entering the circle |z - center| = radius when it leaves
+    it.  Returns the stopped positions, in the order the walks stopped, and
+    the number of walks still live after MAX_STEPS steps.
+    """
+    stopped = [z[:0]]
+    for _ in range(MAX_STEPS):
+        lo, hi = query(z)
+        done = hi < cfg.stop_tol
+        if done.any():
+            stopped.append(z[done])
+            keep = ~done
+            z, lo = z[keep], lo[keep]
+        if z.size == 0:
+            break
+        ang = rng.uniform(0.0, TWO_PI, z.size)
+        z = z + cfg.shrink * lo * np.exp(1j * ang)
+        z = _reenter(z, center, radius, rng)
+    return np.concatenate(stopped), z.size
+
+
 def _walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     rng = rng_stream(cfg.seed, 0, chunk_index)
     center = shape.bounding_center
     launch = LAUNCH_FACTOR * shape.bounding_radius
     theta = rng.uniform(0.0, TWO_PI, n)
     z = center + launch * np.exp(1j * theta)
-    counts = np.zeros(fld.leaf_count, dtype=np.int64)
-    for _ in range(MAX_STEPS):
-        lo, hi = fld.query(z)
-        done = hi < cfg.stop_tol
-        if done.any():
-            counts += np.bincount(fld.leaf(z[done]), minlength=fld.leaf_count)
-            keep = ~done
-            z = z[keep]
-            lo = lo[keep]
-        if z.size == 0:
-            break
-        ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + cfg.shrink * lo * np.exp(1j * ang)
-        z = _reenter(z, center, launch, rng)
-    return counts, z.size
+    stopped, live = _walk(fld.query, z, cfg, center, launch, rng)
+    return np.bincount(fld.leaf(stopped), minlength=fld.leaf_count), live
 
 
 def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
@@ -301,14 +287,10 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
     sizes = [CHUNK] * (cfg.samples // CHUNK)
     if cfg.samples % CHUNK:
         sizes.append(cfg.samples % CHUNK)
-    jobs = list(enumerate(sizes))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(lambda job: _walk_chunk(shape, fld, cfg, *job), jobs)
-            )
-    else:
-        results = [_walk_chunk(shape, fld, cfg, ci, n) for ci, n in jobs]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = list(
+            pool.map(lambda job: _walk_chunk(shape, fld, cfg, *job), enumerate(sizes))
+        )
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     discarded = 0
     for c, d in results:
@@ -340,17 +322,30 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
 # -- logarithmic potential and the Green model ----------------------------------
 
 
-def log_potential(em: EmpiricalMeasure, z) -> float | np.ndarray:
-    """Integral of log|z - w| against the measure, atom by atom."""
+def _atom_sum(em: EmpiricalMeasure, z, kernel, dtype):
+    """Sum of w * kernel(z - atom, |z - atom|) over the atoms, at each z.
+
+    Points are taken in blocks of about 2e6 point-atom pairs; a point within
+    1e-14 of an atom raises SingularityError.  The kernel may overwrite its
+    arguments, so a block holds at most one complex and one real array.  A
+    scalar z gives a scalar of type dtype, an array z an array of that dtype.
+    """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(len(zs))
+    out = np.empty(len(zs), dtype=dtype)
     block = max(1, int(2e6) // max(em.atom_count, 1))
     for start in range(0, len(zs), block):
-        diff = np.abs(zs[start : start + block, None] - em.points[None, :])
-        if diff.min() < 1e-14:
+        diff = zs[start : start + block, None] - em.points[None, :]
+        dist = np.abs(diff)
+        if dist.min() < 1e-14:
             raise SingularityError("evaluation point coincides with an atom")
-        out[start : start + block] = np.log(diff) @ em.weights
-    return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
+        out[start : start + block] = kernel(diff, dist) @ em.weights
+        del diff, dist  # free this block before the next one is built
+    return dtype(out[0]) if np.ndim(z) == 0 else out
+
+
+def log_potential(em: EmpiricalMeasure, z) -> float | np.ndarray:
+    """Integral of log|z - w| against the measure, atom by atom."""
+    return _atom_sum(em, z, lambda diff, dist: np.log(dist, out=dist), float)
 
 
 def boundary_probes(
@@ -389,7 +384,7 @@ def boundary_probes(
     return np.concatenate(out)[:n]
 
 
-def robin_constant(em: EmpiricalMeasure, shape: Shape, probes: np.ndarray) -> float:
+def robin_constant(em: EmpiricalMeasure, probes: np.ndarray) -> float:
     """Robin constant as minus the trimmed mean of near-boundary potentials.
 
     The potential of the equilibrium measure is constant (= -Robin) on the
@@ -438,7 +433,7 @@ def green_model(em: EmpiricalMeasure, shape: Shape, seed: int = 0) -> GreenModel
     probes = boundary_probes(
         shape, ROBIN_PROBES, (2.0 * em.stop_tol, 10.0 * em.stop_tol), seed=seed
     )
-    return GreenModel(measure=em, robin=robin_constant(em, shape, probes))
+    return GreenModel(measure=em, robin=robin_constant(em, probes))
 
 
 # -- comparability of G with dist^delta ------------------------------------------
@@ -609,29 +604,22 @@ def fit_holder_envelope(
 
 def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
     """Fraction of walks from z0 hitting the pole disc before J."""
-    z = np.full(n, complex(z0))
     center = shape.bounding_center
     enclose = 2.0 * max(
         shape.bounding_radius, abs(pole - center) + pole_radius, abs(z0 - center)
     )
-    hits = 0
-    finished = 0
-    for _ in range(MAX_STEPS):
+
+    def query(z):
+        # the pole disc joins J as a second absorbing set
         lo, hi = fld.query(z)
         dp = np.abs(z - pole) - pole_radius
-        stop = np.minimum(hi, dp) < cfg.stop_tol
-        if stop.any():
-            hits += int(np.sum(dp[stop] < hi[stop]))
-            finished += int(stop.sum())
-            keep = ~stop
-            z, lo, dp = z[keep], lo[keep], dp[keep]
-        if z.size == 0:
-            break
-        ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + cfg.shrink * np.minimum(lo, dp) * np.exp(1j * ang)
-        z = _reenter(z, center, enclose, rng)
+        return np.minimum(lo, dp), np.minimum(hi, dp)
+
+    stopped, _ = _walk(query, np.full(n, complex(z0)), cfg, center, enclose, rng)
+    finished = stopped.size
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
+    hits = int(np.sum(np.abs(stopped - pole) - pole_radius < fld.query(stopped)[1]))
     return hits / finished, finished
 
 

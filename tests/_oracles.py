@@ -12,6 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cantorlab.errors import ExcessiveDiscardError
+from cantorlab.potential import (
+    LAUNCH_FACTOR,
+    MAX_STEPS,
+    TWO_PI,
+    EmpiricalMeasure,
+    WalkConfig,
+    _reenter,
+    rng_stream,
+)
+
 
 def curvature_squared(u: complex, v: complex, w: complex) -> float:
     """Squared inverse circumradius via (4 * area / (a * b * c))^2."""
@@ -175,3 +186,88 @@ def covering_components(rep, eps: float) -> tuple[int, float]:
         for zs in clusters.values()
     )
     return len(clusters), diam
+
+
+def measure_from_csv(text: str) -> EmpiricalMeasure:
+    """Read back the text EmpiricalMeasure.csv_text writes."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError("missing measure header")
+    meta = dict(tok.split("=", 1) for tok in lines[0][1:].split())
+    rows = [ln.split(",") for ln in lines[2:] if ln]
+    codes = [tuple(int(c) for c in r[0]) for r in rows]
+    depth = max((len(c) for c in codes), default=0)
+    if any(len(c) != depth for c in codes):
+        raise ValueError("ragged atom codes")
+    code_arr = np.array(codes, dtype=np.uint8).reshape(len(rows), depth)
+    pts = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    w = np.array([float(r[3]) for r in rows])
+    seed = meta.get("seed")
+    samples = meta.get("samples")
+    stop = meta.get("stop_tol")
+    return EmpiricalMeasure(
+        codes=code_arr,
+        points=pts,
+        weights=w,
+        shape_name=meta.get("shape", "custom"),
+        seed=None if seed in (None, "none") else int(seed),
+        stop_tol=None if stop in (None, "none") else float(stop),
+        samples=None if samples in (None, "none") else int(samples),
+    )
+
+
+# The two walk loops below are the sampler chunk and the pole-absorption
+# estimate as they were written before both became calls of one loop,
+# potential._walk.  They bin and count stopped walks inside the loop, step by
+# step, so equal results pin the merged loop to the same draws and stops.
+
+
+def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
+    rng = rng_stream(cfg.seed, 0, chunk_index)
+    center = shape.bounding_center
+    launch = LAUNCH_FACTOR * shape.bounding_radius
+    theta = rng.uniform(0.0, TWO_PI, n)
+    z = center + launch * np.exp(1j * theta)
+    counts = np.zeros(fld.leaf_count, dtype=np.int64)
+    for _ in range(MAX_STEPS):
+        lo, hi = fld.query(z)
+        done = hi < cfg.stop_tol
+        if done.any():
+            counts += np.bincount(fld.leaf(z[done]), minlength=fld.leaf_count)
+            keep = ~done
+            z = z[keep]
+            lo = lo[keep]
+        if z.size == 0:
+            break
+        ang = rng.uniform(0.0, TWO_PI, z.size)
+        z = z + cfg.shrink * lo * np.exp(1j * ang)
+        z = _reenter(z, center, launch, rng)
+    return counts, z.size
+
+
+def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
+    """Fraction of walks from z0 hitting the pole disc before J."""
+    z = np.full(n, complex(z0))
+    center = shape.bounding_center
+    enclose = 2.0 * max(
+        shape.bounding_radius, abs(pole - center) + pole_radius, abs(z0 - center)
+    )
+    hits = 0
+    finished = 0
+    for _ in range(MAX_STEPS):
+        lo, hi = fld.query(z)
+        dp = np.abs(z - pole) - pole_radius
+        stop = np.minimum(hi, dp) < cfg.stop_tol
+        if stop.any():
+            hits += int(np.sum(dp[stop] < hi[stop]))
+            finished += int(stop.sum())
+            keep = ~stop
+            z, lo, dp = z[keep], lo[keep], dp[keep]
+        if z.size == 0:
+            break
+        ang = rng.uniform(0.0, TWO_PI, z.size)
+        z = z + cfg.shrink * np.minimum(lo, dp) * np.exp(1j * ang)
+        z = _reenter(z, center, enclose, rng)
+    if finished < 0.99 * n:
+        raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
+    return hits / finished, finished

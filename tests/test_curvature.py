@@ -168,7 +168,7 @@ def test_profile_grows_on_plane_filling_corners(corner):
     assert prof.ks == (1, 2, 3)
     assert all(e.mode == "exact" for e in prof.estimates)
     assert prof.values[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert all(d > 0 for d in prof.increments)
+    assert all(d > 0 for d in np.diff(prof.values))
 
 
 def test_profile_stays_zero_on_a_line(thirds):

@@ -85,6 +85,18 @@ def test_unknown_experiment_is_rejected():
     assert len(EXPERIMENT_NAMES) == 8
 
 
+def test_config_rejects_threads_below_one(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        parse_experiment_config(
+            "experiment = curvature-profile\nshape = corner4\nseed = 1\nthreads = 0\n"
+        )
+    out = tmp_path / "t0"
+    argv = ["--out", str(out), "--threads", "0", "curvature", "corner4", "--kmax", "2"]
+    assert main(argv) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_hash_ignores_threads_and_out():
     a = ExperimentConfig(experiment="cauchy", shape="circle", seed=3,
                          threads=1, out="x")

@@ -30,7 +30,8 @@ from cantorlab import (
 from cantorlab import potential
 from cantorlab.potential import _absorbed_fraction, rng_stream
 
-from _oracles import arcsine_cdf, weighted_ks_distance
+import _oracles
+from _oracles import arcsine_cdf, measure_from_csv, weighted_ks_distance
 
 
 def uniform_circle_measure(depth: int, radius: float = 1.0) -> EmpiricalMeasure:
@@ -142,11 +143,9 @@ def test_measure_validation_errors():
                          weights=np.array([]))
 
 
-def test_measure_csv_round_trip(tmp_path, corner):
+def test_measure_csv_round_trip(corner):
     em = natural_measure(corner, 3)
-    path = tmp_path / "measure.csv"
-    em.to_csv(path)
-    back = EmpiricalMeasure.from_csv(path)
+    back = measure_from_csv(em.csv_text())
     assert np.array_equal(back.codes, em.codes)
     assert np.array_equal(back.points, em.points)
     assert np.array_equal(back.weights, em.weights)
@@ -217,12 +216,12 @@ def test_robin_constant_recovers_circle_capacity():
 def test_robin_constant_input_validation():
     em = uniform_circle_measure(8)
     with pytest.raises(ValueError):
-        robin_constant(em, Circle(), np.array([1.2 + 0j] * 4))
+        robin_constant(em, np.array([1.2 + 0j] * 4))
     spread = np.concatenate(
         [1.001 * np.exp(1j * np.arange(7) / 2.0), [4.0 + 0j, 4.0j, -4.0 + 0j]]
     )
     with pytest.raises(DispersionError):
-        robin_constant(em, Circle(), spread)
+        robin_constant(em, spread)
 
 
 # -- comparability fit -------------------------------------------------------------------
@@ -317,6 +316,46 @@ def test_absorbed_fraction_matches_exterior_green_ratio():
         w = math.log(1.0 / rho) + math.log(abs(pole) ** 2 - 1.0)
         assert n_eff == 40_000
         assert u == pytest.approx(g / w, rel=0.03)
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4"])
+def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
+    """The one walk loop gives the old loops' counts, live walks and hits.
+
+    The references bin and count stopped walks inside the loop, step by
+    step; the merged loop returns stopped positions and bins them once.
+    """
+    shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
+    cfg = WalkConfig(samples=1, seed=11).resolve(shape)
+    fld = shape.field(cfg.stop_tol / 4.0)
+    for chunk_index, n in [(0, potential.CHUNK), (1, 1000)]:
+        counts, live = potential._walk_chunk(shape, fld, cfg, chunk_index, n)
+        ref_counts, ref_live = _oracles.walk_chunk(shape, fld, cfg, chunk_index, n)
+        assert np.array_equal(counts, ref_counts)
+        assert live == ref_live == 0
+        assert counts.sum() == n
+    if name == "circle":
+        cases = [(2.0 + 0j, 3.0 + 0j, 0.1, 40_000), (1.5 + 0j, 2.0 + 2.0j, 0.2, 40_000)]
+    elif name == "corner4":
+        cases = [(0.5 + 0.5j, 2.5 + 0.5j, 0.25, 5_000)]
+    else:
+        cases = []
+    for z0, pole, rho, n in cases:
+        got = _absorbed_fraction(shape, fld, z0, pole, rho, cfg, rng_stream(9, 0), n)
+        ref = _oracles.absorbed_fraction(
+            shape, fld, z0, pole, rho, cfg, rng_stream(9, 0), n
+        )
+        assert got == ref
+        assert 0.0 < got[0] < 1.0
+
+    # a step limit that leaves walks live
+    monkeypatch.setattr(potential, "MAX_STEPS", 12)
+    monkeypatch.setattr(_oracles, "MAX_STEPS", 12)
+    counts, live = potential._walk_chunk(shape, fld, cfg, 2, 1000)
+    ref_counts, ref_live = _oracles.walk_chunk(shape, fld, cfg, 2, 1000)
+    assert np.array_equal(counts, ref_counts)
+    assert live == ref_live > 0
+    assert counts.sum() + live == 1000
 
 
 def test_bhp_fit_identical_poles_has_zero_envelope():
