@@ -64,7 +64,6 @@ from .curvature import (
     curvature_energy,
     curvature_profile,
     default_r_grid,
-    maximal_cauchy,
     menger_curvature,
 )
 from .dynamics import (

@@ -208,13 +208,3 @@ def cauchy_truncations(em: EmpiricalMeasure, z: complex, r_grid=None):
     idx = np.searchsorted(dist, r_grid, side="right")
     return r_grid, suffix[idx]
 
-
-def maximal_cauchy(em: EmpiricalMeasure, z: complex, r_grid=None) -> float:
-    """Largest modulus of the truncated Cauchy transform over the grid.
-
-    The modulus sits outside the truncated sum; the variant with the modulus
-    inside the sum grows without bound as the truncation shrinks whenever
-    ball masses scale linearly, so it is not a useful statistic here.
-    """
-    _, vals = cauchy_truncations(em, z, r_grid)
-    return float(np.max(np.abs(vals)))

@@ -37,6 +37,10 @@ SEPARATION_MARGIN = 1e-9
 SHELL_BASE_CELLS = 8
 SHELL_MAX_REFINE = 3
 
+#: the grid nearest-center search takes at most GRID_BLOCK points at a time,
+#: so its temporaries stay a few MB even for shell grids of millions of cells
+GRID_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimilarityMap:
@@ -75,12 +79,32 @@ class CylinderSet:
         return len(self.centers)
 
 
+def _axis_nearest(u: np.ndarray, x: np.ndarray):
+    """Nearest value of the sorted axis u to each x: its index and x minus it.
+
+    Exact ties go to the smaller value.
+    """
+    i = np.searchsorted(u, x)
+    lo = np.maximum(i - 1, 0)
+    hi = np.minimum(i, len(u) - 1)
+    j = np.where(u[hi] - x < x - u[lo], hi, lo)
+    return j, x - u[j]
+
+
 class _LeafField:
     """Vectorized certified distance bounds from one cylinder generation.
 
     For any z, min_i |z - c_i| - max_r is a lower bound for dist(z, J) and
     |z - c_n| + r_n (n the nearest center) an upper bound, since every
     cylinder disc contains points of J.  The bound gap is at most 2 * max_r.
+
+    Two searches find the nearest center and feed the same bounds.  When
+    the distinct real and imaginary parts of the centers span a grid with
+    exactly one center per cell (every preset: corner4 is C x C, the middle
+    sets C x {0}), the nearest center pairs the nearest value on each axis,
+    found by binary search; its distance has the same bits as a KD-tree's,
+    and exact ties go to the smaller coordinate.  Any other center set, say
+    one from rotated maps, is searched with a cKDTree.
     """
 
     def __init__(self, rep: "Repeller", depth: int):
@@ -89,11 +113,31 @@ class _LeafField:
         self.leaf_count = len(cs)
         self.radii = cs.radii
         self.rmax = float(cs.radii.max())
-        self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
+        ux, ix = np.unique(cs.centers.real, return_inverse=True)
+        uy, iy = np.unique(cs.centers.imag, return_inverse=True)
+        self._tree = None
+        if len(ux) * len(uy) == len(cs):
+            # the centers are distinct, so they fill every cell once
+            self._axes = (ux, uy)
+            self._table = np.empty((len(ux), len(uy)), dtype=np.intp)
+            self._table[ix, iy] = np.arange(len(cs))
+        else:
+            self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
 
     def _nearest(self, z: np.ndarray):
         z = np.asarray(z)
-        return self._tree.query(np.column_stack([z.real, z.imag]))
+        if self._tree is not None:
+            return self._tree.query(np.column_stack([z.real, z.imag]))
+        d = np.empty(z.shape)
+        idx = np.empty(z.shape, dtype=np.intp)
+        for start in range(0, len(z), GRID_BLOCK):
+            part = slice(start, start + GRID_BLOCK)
+            jx, dx = _axis_nearest(self._axes[0], z.real[part])
+            jy, dy = _axis_nearest(self._axes[1], z.imag[part])
+            # not hypot: the tree also takes the root of the sum of squares
+            d[part] = np.sqrt(dx * dx + dy * dy)
+            idx[part] = self._table[jx, jy]
+        return d, idx
 
     def query(self, z: np.ndarray):
         d, idx = self._nearest(z)

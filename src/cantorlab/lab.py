@@ -310,7 +310,14 @@ def _exp_bhp(shape, cfg: ExperimentConfig):
         walks_per_point=cfg.params.get("walks_per_point", 50_000),
     )
     rows = [f"{s!r},{d!r}" for s, d in zip(fit.separations, fit.deviations)]
-    st = "PASS" if fit.epsilon > 0 else "REFUTING"
+    # an exponent above 1 is outside the claimed range but can come from
+    # sampling noise at few pairs; a non-positive one contradicts the claim
+    if fit.epsilon <= 0:
+        st = "REFUTING"
+    elif fit.epsilon <= 1:
+        st = "PASS"
+    else:
+        st = "INCONCLUSIVE"
     summary = [
         f"BHP: |log(u/v)(z1) - log(u/v)(z2)| <= C|z1-z2|^eps: eps_hat="
         f"{fit.epsilon:.4f} C={fit.c:.4g} (quantile {ENVELOPE_QUANTILE:g}, "

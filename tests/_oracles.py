@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cantorlab.curvature import cauchy_truncations
 from cantorlab.errors import ExcessiveDiscardError
 from cantorlab.potential import (
     LAUNCH_FACTOR,
@@ -90,6 +91,17 @@ def weighted_ks_distance(positions, weights, cdf) -> float:
     return float(max(below.max(), above.max()))
 
 
+def maximal_cauchy(em: EmpiricalMeasure, z: complex, r_grid=None) -> float:
+    """Largest modulus of the truncated Cauchy transform over the grid.
+
+    The modulus sits outside the truncated sum; the variant with the modulus
+    inside the sum grows without bound as the truncation shrinks whenever
+    ball masses scale linearly, so it is not a useful statistic here.
+    """
+    _, vals = cauchy_truncations(em, z, r_grid)
+    return float(np.max(np.abs(vals)))
+
+
 def segment_green_exact(z: complex) -> float:
     """Green's function of the complement of [-1, 1] with pole at infinity."""
     val = z + np.sqrt(z - 1) * np.sqrt(z + 1)
@@ -118,7 +130,8 @@ def distance_interval(rep, z: complex, tol: float) -> DistanceInterval:
     Keeps a priority queue of cylinder discs ordered by their lower bound
     |z - c| - r, prunes branches that cannot beat the best upper bound, and
     stops once the enclosure width drops to tol.  Independent of the
-    KD-tree field over one flat cylinder generation that the package uses.
+    nearest-center field over one flat cylinder generation that the package
+    uses.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

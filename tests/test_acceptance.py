@@ -18,7 +18,6 @@ from cantorlab import (
     curvature_energy,
     green_model,
     manning_dimension,
-    maximal_cauchy,
     menger_curvature,
     natural_measure,
     cauchy_transform,
@@ -27,7 +26,12 @@ from cantorlab import (
 from cantorlab.lab import ExperimentConfig, run_experiment
 from cantorlab.potential import rng_stream
 
-from _oracles import arcsine_cdf, energy_numpy_loop, weighted_ks_distance
+from _oracles import (
+    arcsine_cdf,
+    energy_numpy_loop,
+    maximal_cauchy,
+    weighted_ks_distance,
+)
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 

@@ -16,13 +16,17 @@ from cantorlab import (
     curvature_energy,
     curvature_profile,
     default_r_grid,
-    maximal_cauchy,
     menger_curvature,
     natural_measure,
 )
 from cantorlab.potential import rng_stream
 
-from _oracles import curvature_squared, energy_numpy_loop, energy_python_loop
+from _oracles import (
+    curvature_squared,
+    energy_numpy_loop,
+    energy_python_loop,
+    maximal_cauchy,
+)
 from test_potential import uniform_circle_measure
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from cantorlab import (
     Circle,
@@ -24,12 +25,26 @@ from cantorlab import (
     shell_integral_sums,
     similarity_dimension,
 )
-from cantorlab.geometry import CYLINDER_CAP
+from cantorlab.geometry import CYLINDER_CAP, _shell_quadrature
 from cantorlab.potential import rng_stream
 
 from _oracles import covering_components, distance_interval
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
+
+
+def rotated_pair():
+    """Two maps turned by pi/3: their cylinder centers fill no axis grid, so
+    its distance fields keep the KD-tree search."""
+    return Repeller(
+        [
+            SimilarityMap(0.3, math.pi / 3.0, -0.5 + 0j),
+            SimilarityMap(0.3, math.pi / 3.0, 0.5 + 0j),
+        ],
+        root_center=0j,
+        root_radius=1.0,
+        name="rotated",
+    )
 
 
 # -- maps and construction ----------------------------------------------------
@@ -182,24 +197,28 @@ def test_distance_interval_sound_against_brute_force(thirds):
 
 
 def test_leaf_field_brackets_distance(thirds):
-    fld = thirds.field(1e-3)
-    rng = rng_stream(8, 0)
-    z = rng.uniform(-0.5, 1.5, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
-    lo, hi = fld.query(z)
-    leaf = fld.leaf(z)
-    assert (lo <= hi).all()
-    assert (hi - lo <= 2.0 * thirds.max_cylinder_radius(fld.depth) + 1e-12).all()
-    assert leaf.min() >= 0 and leaf.max() < fld.leaf_count
-    for zi, l, h in zip(z[:50], lo[:50], hi[:50]):
-        iv = distance_interval(thirds, complex(zi), tol=1e-9)
-        assert l <= iv.mid + 1e-9
-        assert h >= iv.mid - 1e-9
+    # middle-thirds takes the grid search, the rotated pair the KD-tree
+    for rep in (thirds, rotated_pair()):
+        fld = rep.field(1e-3)
+        rng = rng_stream(8, 0)
+        z = rep.root_center + rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
+        lo, hi = fld.query(z)
+        leaf = fld.leaf(z)
+        assert (lo <= hi).all()
+        assert (hi - lo <= 2.0 * rep.max_cylinder_radius(fld.depth) + 1e-12).all()
+        assert leaf.min() >= 0 and leaf.max() < fld.leaf_count
+        for zi, l, h in zip(z[:50], lo[:50], hi[:50]):
+            iv = distance_interval(rep, complex(zi), tol=1e-9)
+            assert l <= iv.mid + 1e-9
+            assert h >= iv.mid - 1e-9
 
 
-@pytest.mark.parametrize("name", ["circle", "segment", "corner4"])
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "middle-thirds", "rotated"])
 def test_field_leaf_matches_nearest_piece(name):
-    shape = resolve_shape(name)
+    shape = rotated_pair() if name == "rotated" else resolve_shape(name)
     fld = shape.field(1e-2)
+    if name == "rotated":
+        assert fld._tree is not None
     rng = rng_stream(9, 0)
     r = 1.5 * shape.bounding_radius
     z = shape.bounding_center + rng.uniform(-r, r, 500) + 1j * rng.uniform(-r, r, 500)
@@ -211,6 +230,49 @@ def test_field_leaf_matches_nearest_piece(name):
     _, centers, _ = shape.atoms(fld.depth)
     assert len(centers) == fld.leaf_count
     assert np.array_equal(leaf, np.abs(z[:, None] - centers[None, :]).argmin(axis=1))
+
+
+class _RecordingField:
+    """Passes queries to a field and keeps every point asked about."""
+
+    def __init__(self, fld):
+        self.fld = fld
+        self.points = []
+
+    def query(self, z):
+        self.points.append(z)
+        return self.fld.query(z)
+
+
+@pytest.mark.parametrize("name", ["corner4", "middle-thirds"])
+def test_grid_field_matches_kd_tree(name):
+    rep = preset(name)
+    fld = rep.field(1e-3)
+    assert fld._tree is None
+    centers = rep.cylinders(fld.depth).centers
+    tree = cKDTree(np.column_stack([centers.real, centers.imag]))
+    rng = rng_stream(10, 0)
+    # three bounding radii out: points beyond the bounding square on every side
+    r = 3.0 * rep.root_radius
+    scattered = rep.root_center + rng.uniform(-r, r, 20_000) + 1j * rng.uniform(-r, r, 20_000)
+    # the dyadic midpoints of shell quadrature, where exact distance ties occur
+    rec = _RecordingField(fld)
+    a = 1.0 / rep.max_scale
+    for k in range(3):
+        _shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
+    z = np.concatenate([scattered, *rec.points])
+    d, idx = fld._nearest(z)
+    xy = np.column_stack([z.real, z.imag])
+    d_tree, idx_tree = tree.query(xy)
+    assert np.array_equal(d, d_tree)
+    unique = tree.query(xy, k=2)[0][:, 1] > d_tree
+    assert np.array_equal(idx[unique], idx_tree[unique])
+    # at an exact tie the tree keeps whichever center its traversal meets
+    # first; the grid's center must lie at the same distance, to the bit
+    dx, dy = z.real - centers.real[idx], z.imag - centers.imag[idx]
+    assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
+    if name == "corner4":
+        assert not unique.all()
 
 
 def test_scaling_equivariance(thirds):

@@ -11,11 +11,13 @@ import pytest
 from cantorlab import (
     Circle,
     ConfigError,
+    HolderFit,
     OutputCollisionError,
     Repeller,
     Segment,
     SinglePoint,
 )
+from cantorlab import lab
 from cantorlab.cli import _experiment_config, build_parser, main
 from cantorlab.lab import (
     _KEY_TYPES,
@@ -200,6 +202,21 @@ def test_dimension_run_reports_gap(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "dimension" in summary
     assert any(name.endswith(".csv") for name in manifest.files)
+
+
+@pytest.mark.parametrize(
+    "epsilon,grade", [(1.6, "INCONCLUSIVE"), (1.0, "PASS"), (0.4, "PASS"), (0.0, "REFUTING")]
+)
+def test_bhp_grades_the_claimed_exponent_range(tmp_path, monkeypatch, epsilon, grade):
+    fit = HolderFit(epsilon=epsilon, c=1.0, n_pairs=2,
+                    separations=(0.1, 0.2), deviations=(0.01, 0.02))
+    monkeypatch.setattr(lab, "bhp_holder_fit", lambda *args, **kwargs: fit)
+    out = tmp_path / "bhp"
+    run_experiment(ExperimentConfig(experiment="bhp", shape="corner4", seed=3,
+                                    out=str(out)))
+    verdict = (out / "summary.txt").read_text().splitlines()[-1]
+    assert verdict.startswith("BHP: holder exponent eps in (0, 1] -> ")
+    assert verdict.endswith(f"-> {grade}")
 
 
 # -- command line -----------------------------------------------------------------------
