@@ -335,7 +335,6 @@ def _exp_curvature(shape, cfg: ExperimentConfig):
         kmax=kmax,
         n_triples=cfg.params.get("n_triples", 200_000),
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     rows = [
         f"{k},{e.value!r},{e.stderr!r},{e.triples}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cantorlab.curvature import cauchy_truncations
-from cantorlab.errors import ExcessiveDiscardError
+from cantorlab.errors import ExcessiveDiscardError, SingularityError
 from cantorlab.potential import (
     LAUNCH_FACTOR,
     MAX_STEPS,
@@ -73,6 +73,37 @@ def energy_numpy_loop(points, weights) -> float:
         # is twice the sum over unordered pairs beyond index i
         totals.append(float(w[i] * np.sum(num / den) / 2.0))
     return 6.0 * math.fsum(totals)
+
+
+def _middle_slice_sum(z: np.ndarray, w: np.ndarray, j: int) -> float:
+    """Weighted sum of c^2 over triples (i, j, k) with i < j < k."""
+    if j == 0 or j == len(z) - 1:
+        return 0.0
+    a = z[:j] - z[j]
+    b = z[j + 1 :] - z[j]
+    na = a.real**2 + a.imag**2
+    nb = b.real**2 + b.imag**2
+    cross = a.real[:, None] * b.imag[None, :] - a.imag[:, None] * b.real[None, :]
+    dot = a.real[:, None] * b.real[None, :] + a.imag[:, None] * b.imag[None, :]
+    nab = na[:, None] + nb[None, :] - 2.0 * dot
+    den = na[:, None] * nb[None, :] * nab
+    if np.any(den == 0.0):
+        raise SingularityError("measure has coincident atoms")
+    c2 = 4.0 * cross**2 / den
+    return float(w[j] * (w[:j] @ c2 @ w[j + 1 :]))
+
+
+def triple_slice_energy(z, w) -> float:
+    """Ordered-convention energy by the O(n^3) middle-index triple sum.
+
+    Each middle index j reduces its triples (i, j, k), i < j < k, with the
+    cross-product kernel; the slices are combined by compensated summation.
+    This is the exact-mode sum the package used before the pair form.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=float)
+    parts = [_middle_slice_sum(z, w, j) for j in range(len(z))]
+    return 6.0 * math.fsum(parts)
 
 
 def arcsine_cdf(x: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_criterion_4_curvature_divergence(corner):
     values, max_rel = [], 0.0
     for k in range(2, 6):
         em = natural_measure(corner, k)
-        main = curvature_energy(em, threads=4).value
+        main = curvature_energy(em).value
         check = energy_numpy_loop(em.points, em.weights)
         max_rel = max(max_rel, abs(main - check) / check)
         values.append(main)

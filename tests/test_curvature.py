@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cantorlab import (
+    ExperimentConfig,
     Repeller,
     ResourceLimitError,
     SingularityError,
@@ -18,14 +19,16 @@ from cantorlab import (
     default_r_grid,
     menger_curvature,
     natural_measure,
+    run_experiment,
 )
-from cantorlab.potential import rng_stream
+from cantorlab.potential import EmpiricalMeasure, rng_stream
 
 from _oracles import (
     curvature_squared,
     energy_numpy_loop,
     energy_python_loop,
     maximal_cauchy,
+    triple_slice_energy,
 )
 from test_potential import uniform_circle_measure
 
@@ -35,6 +38,28 @@ def golden_repeller():
         [SimilarityMap(0.5, 0.0, -0.5 + 0j), SimilarityMap(0.25, 0.0, 0.75 + 0j)],
         root_center=0j,
         root_radius=1.3,
+    )
+
+
+def rotated_repeller():
+    """Three maps with unequal scales and rotations: no line and no symmetry."""
+    return Repeller(
+        [
+            SimilarityMap(0.3, 0.4, 0.6 + 0j),
+            SimilarityMap(0.3, -0.2, -0.3 + 0.5j),
+            SimilarityMap(0.25, 1.0, -0.3 - 0.5j),
+        ],
+        root_center=0j,
+        root_radius=1.0,
+    )
+
+
+def atoms(points, weights):
+    return EmpiricalMeasure(
+        codes=np.zeros((len(points), 1), dtype=np.uint8),
+        points=np.asarray(points, dtype=complex),
+        weights=np.asarray(weights, dtype=float),
+        shape_name="atoms",
     )
 
 
@@ -123,11 +148,55 @@ def test_exact_energy_agrees_with_independent_loops(corner):
     )
 
 
-def test_exact_energy_thread_count_is_invisible(corner):
-    em = natural_measure(corner, 3)
-    one = curvature_energy(em, threads=1)
-    four = curvature_energy(em, threads=4)
-    assert one.value == four.value
+def test_exact_energy_matches_the_triple_sum_it_replaced(corner, thirds):
+    cases = [natural_measure(corner, k) for k in range(1, 6)]
+    cases += [natural_measure(golden_repeller(), k) for k in range(2, 9)]
+    cases += [natural_measure(rotated_repeller(), k) for k in range(1, 7)]
+    rng = rng_stream(31, 0)
+    for n in (50, 300):
+        w = rng.uniform(0.1, 1.0, size=n)
+        cases.append(atoms(rng.normal(size=n) + 1j * rng.normal(size=n), w / w.sum()))
+    for em in cases:
+        value = curvature_energy(em).value
+        oracle = triple_slice_energy(em.points, em.weights)
+        assert abs(value - oracle) <= 1e-12 * oracle
+    for k in range(2, 11):
+        assert curvature_energy(natural_measure(thirds, k)).value == 0.0
+    vertical = 0.3 + 1j * np.linspace(-1.0, 1.0, 200)
+    assert curvature_energy(atoms(vertical, np.full(200, 1 / 200))).value == 0.0
+
+
+@pytest.mark.parametrize("name", ["corner4", "rotated"])
+def test_branch_energy_is_the_parent_energy_over_the_squared_ratio(name, corner):
+    rep = corner if name == "corner4" else rotated_repeller()
+    for k in range(2, 6):
+        parent = curvature_energy(natural_measure(rep, k - 1)).value
+        em = natural_measure(rep, k)
+        for i, branch in enumerate(rep.branches):
+            keep = em.codes[:, 0] == i
+            w = em.weights[keep]
+            part = curvature_energy(atoms(em.points[keep], w / w.sum())).value
+            assert part == pytest.approx(parent / branch.scale**2, rel=1e-12)
+
+
+def test_exact_energy_rejects_coincident_atoms(corner):
+    em = natural_measure(corner, 2)
+    w = np.append(em.weights, em.weights[5])
+    with pytest.raises(SingularityError):
+        curvature_energy(atoms(np.append(em.points, em.points[5]), w / w.sum()))
+
+
+def test_exact_energy_thread_count_is_invisible(tmp_path):
+    files = {}
+    for threads in (1, 4):
+        out = tmp_path / f"t{threads}"
+        manifest = run_experiment(ExperimentConfig(
+            experiment="curvature-profile", shape="corner4", seed=1,
+            threads=threads, out=str(out), params={"kmax": 4},
+        ))
+        files[threads] = {name: (out / name).read_bytes() for name in manifest.files}
+    assert "curvature.csv" in files[1]
+    assert files[1] == files[4]
 
 
 def test_exact_mode_atom_cap(corner):
