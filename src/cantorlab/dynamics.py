@@ -64,19 +64,25 @@ class CylinderProfile:
         codes = em.codes.astype(np.int64)
         self._word_sums = [log_inv[codes[:, :k]].sum(axis=1) for k in self.ks]
         self._samples = em.samples
-        self.masses, self.entropy, self.stretching = self._evaluate(em.weights)
+        self.masses, self.entropy, self.stretching = self._evaluate(
+            em.weights, range(len(self.ks))
+        )
 
-    def _evaluate(self, weights: np.ndarray):
-        """Masses, entropies H_k and stretchings L_k with the atoms reweighted."""
+    def _evaluate(self, weights: np.ndarray, gens):
+        """Masses, entropies H_k and stretchings L_k with the atoms reweighted.
+
+        Only the generations at the indices gens (k - 1) are evaluated; each
+        one's sums are independent of the others.
+        """
         masses, hs, ls = [], [], []
-        for inverse, word_sum in zip(self._inverses, self._word_sums):
-            m = np.bincount(inverse, weights=weights)
+        for g in gens:
+            m = np.bincount(self._inverses[g], weights=weights)
             h = _plugin_entropy(m)
             if self._samples:
                 h += (np.count_nonzero(m) - 1) / (2.0 * self._samples)
             masses.append(m)
             hs.append(h)
-            ls.append(float(np.dot(weights, word_sum)))
+            ls.append(float(np.dot(weights, self._word_sums[g])))
         return tuple(masses), np.array(hs), np.array(ls)
 
 
@@ -156,8 +162,8 @@ def manning_dimension(
         for b in range(n_boot):
             counts = rng.multinomial(em.samples, em.weights)
             wb = counts / em.samples
-            _, Hb, Lb = prof._evaluate(wb)
-            dims[b] = _slope_dimension(usable, Hb[sel], Lb[sel])
+            _, Hb, Lb = prof._evaluate(wb, sel)
+            dims[b] = _slope_dimension(usable, Hb, Lb)
         # normal-approximation interval: resampling adds a second layer of
         # plug-in entropy bias, so the replicate spread is trustworthy but
         # the replicate location is not; center on the point estimate

@@ -11,9 +11,13 @@ LAUNCH_FACTOR times the root radius: walks start uniformly on it, and the
 stopped walks are binned into the cylinder piece of radius about stop_tol
 that contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
-independent of chunk scheduling and thread count.  Pole absorption runs the
-same loop with the pole disc folded into the distance bounds, so a walk
-stops at J or at the disc, whichever it reaches first.
+independent of chunk scheduling and thread count.  Each chunk of CHUNK walks
+draws from its own random stream; a pool task walks a batch of up to BATCH
+chunks as one array, each walk tagged with the chunk that owns it, and every
+stream draws for its own walks in walk order, so each chunk sees the draws it
+would see alone.  Pole absorption runs the same loop with one stream and the
+pole disc folded into the distance bounds, so a walk stops at J or at the
+disc, whichever it reaches first.
 
 From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
@@ -42,9 +46,13 @@ from .shapes import Shape
 
 TWO_PI = 2.0 * np.pi
 
-#: walks are processed in fixed-size chunks so the random stream of each
-#: chunk never depends on thread count
+#: walks are processed in fixed-size chunks, each with its own random
+#: stream, so no draw depends on batching or thread count
 CHUNK = 4096
+
+#: a pool task walks up to this many chunks as one array, so each step's
+#: numpy calls cover enough walks to amortize their per-call cost
+BATCH = 8
 
 #: fraction of walks allowed to hit the step limit
 DISCARD_LIMIT = 0.01
@@ -218,7 +226,20 @@ def natural_measure(rep: Repeller, k: int) -> EmpiricalMeasure:
 # -- walk-on-spheres sampling ---------------------------------------------------
 
 
-def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
+def _angles(rngs, owner: np.ndarray) -> np.ndarray:
+    """Uniform angles, drawn from rngs[owner[i]] for walk i.
+
+    owner is non-decreasing, so each stream draws for its own walks in walk
+    order; a stream that owns no walk draws nothing.
+    """
+    if len(rngs) == 1:
+        return rngs[0].uniform(0.0, TWO_PI, owner.size)
+    ends = owner.searchsorted(np.arange(len(rngs) + 1)).tolist()
+    spans = zip(rngs, ends, ends[1:])
+    return np.concatenate([rng.uniform(0.0, TWO_PI, b - a) for rng, a, b in spans if b > a])
+
+
+def _reenter(z, owner, rngs, center: complex, radius: float) -> np.ndarray:
     """Resample walks outside |z - center| = radius onto that circle.
 
     A plane Brownian path from outside re-enters the circle almost surely,
@@ -230,24 +251,23 @@ def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
     far = np.abs(w) > 1.0
     if far.any():
         a = 1.0 / np.conj(w[far])
-        u = np.exp(1j * rng.uniform(0.0, TWO_PI, int(far.sum())))
+        u = np.exp(1j * _angles(rngs, owner[far]))
         w[far] = (u + a) / (1.0 + np.conj(a) * u)
         z = z.copy()
         z[far] = center + radius * w[far]
     return z
 
 
-def _walk(
-    query, z: np.ndarray, cfg: WalkConfig, center: complex, radius: float, rng
-):
+def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float):
     """Run walk-on-spheres from the points z until each one stops.
 
     query(z) returns certified lower and upper bounds on the distance to
     the absorbing set; a walk stops where the upper bound drops below
     stop_tol and otherwise jumps shrink * (lower bound) in a uniform
     direction, re-entering the circle |z - center| = radius when it leaves
-    it.  Returns the stopped positions, in the order the walks stopped, and
-    the number of walks still live after MAX_STEPS steps.
+    it.  Walk i draws from rngs[owner[i]], and owner must be non-decreasing.
+    Returns the stopped positions, in the order the walks stopped, and the
+    number of walks still live after MAX_STEPS steps.
     """
     stopped = [z[:0]]
     for _ in range(MAX_STEPS):
@@ -256,22 +276,26 @@ def _walk(
         if done.any():
             stopped.append(z[done])
             keep = ~done
-            z, lo = z[keep], lo[keep]
+            z, lo, owner = z[keep], lo[keep], owner[keep]
         if z.size == 0:
             break
-        ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + cfg.shrink * lo * np.exp(1j * ang)
-        z = _reenter(z, center, radius, rng)
+        z = z + cfg.shrink * lo * np.exp(1j * _angles(rngs, owner))
+        z = _reenter(z, owner, rngs, center, radius)
     return np.concatenate(stopped), z.size
 
 
-def _walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
-    rng = rng_stream(cfg.seed, 0, chunk_index)
+def _walk_chunks(shape, fld, cfg: WalkConfig, jobs):
+    """Walk the chunks jobs = [(chunk_index, n), ...] as one array.
+
+    Returns the leaf counts of all their stopped walks and the number of
+    walks still live after MAX_STEPS steps.
+    """
+    rngs = [rng_stream(cfg.seed, 0, chunk_index) for chunk_index, _ in jobs]
+    owner = np.repeat(np.arange(len(jobs)), [n for _, n in jobs])
     center = shape.bounding_center
     launch = LAUNCH_FACTOR * shape.bounding_radius
-    theta = rng.uniform(0.0, TWO_PI, n)
-    z = center + launch * np.exp(1j * theta)
-    stopped, live = _walk(fld.query, z, cfg, center, launch, rng)
+    z = center + launch * np.exp(1j * _angles(rngs, owner))
+    stopped, live = _walk(fld.query, z, owner, rngs, cfg, center, launch)
     return np.bincount(fld.leaf(stopped), minlength=fld.leaf_count), live
 
 
@@ -287,15 +311,20 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
     sizes = [CHUNK] * (cfg.samples // CHUNK)
     if cfg.samples % CHUNK:
         sizes.append(cfg.samples % CHUNK)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(
-            pool.map(lambda job: _walk_chunk(shape, fld, cfg, *job), enumerate(sizes))
-        )
+    jobs = list(enumerate(sizes))
+    # near-equal batches of at most BATCH chunks, at least one per thread
+    n_batches = max(-(-len(jobs) // BATCH), min(cfg.threads, len(jobs)))
+    batches = [
+        jobs[len(jobs) * b // n_batches : len(jobs) * (b + 1) // n_batches]
+        for b in range(n_batches)
+    ]
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     discarded = 0
-    for c, d in results:
-        counts += c
-        discarded += d
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs), batches)
+        for c, d in walked:
+            counts += c
+            discarded += d
     if discarded > DISCARD_LIMIT * cfg.samples:
         raise ExcessiveDiscardError(
             f"{discarded} of {cfg.samples} walks hit the step limit "
@@ -615,7 +644,8 @@ def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
         dp = np.abs(z - pole) - pole_radius
         return np.minimum(lo, dp), np.minimum(hi, dp)
 
-    stopped, _ = _walk(query, np.full(n, complex(z0)), cfg, center, enclose, rng)
+    z, owner = np.full(n, complex(z0)), np.zeros(n, dtype=np.intp)
+    stopped, _ = _walk(query, z, owner, [rng], cfg, center, enclose)
     finished = stopped.size
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")

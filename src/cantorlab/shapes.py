@@ -61,10 +61,11 @@ class Shape(Protocol):
 def binary_codes(depth: int) -> np.ndarray:
     """All binary words of a given length, lexicographic, as a (2^depth, depth) array."""
     idx = np.arange(1 << depth, dtype=np.int64)
-    cols = [(idx >> (depth - 1 - j)) & 1 for j in range(depth)]
-    if not cols:
-        return np.zeros((1, 0), dtype=np.uint8)
-    return np.stack(cols, axis=1).astype(np.uint8)
+    # column by column, so no int64 array of the full table is ever built
+    codes = np.empty((1 << depth, depth), dtype=np.uint8)
+    for j in range(depth):
+        codes[:, j] = (idx >> (depth - 1 - j)) & 1
+    return codes
 
 
 class _ExactField:

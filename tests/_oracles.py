@@ -20,7 +20,6 @@ from cantorlab.potential import (
     TWO_PI,
     EmpiricalMeasure,
     WalkConfig,
-    _reenter,
     rng_stream,
 )
 
@@ -262,8 +261,29 @@ def measure_from_csv(text: str) -> EmpiricalMeasure:
 
 # The two walk loops below are the sampler chunk and the pole-absorption
 # estimate as they were written before both became calls of one loop,
-# potential._walk.  They bin and count stopped walks inside the loop, step by
-# step, so equal results pin the merged loop to the same draws and stops.
+# potential._walk, which also walks several chunks, each with its own random
+# stream, as one array.  They bin and count stopped walks inside the loop,
+# step by step, and draw from one stream, so equal results pin the merged
+# loop to the same draws and stops.
+
+
+def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
+    """Resample walks outside |z - center| = radius onto that circle.
+
+    A plane Brownian path from outside re-enters the circle almost surely,
+    and its first hit follows the harmonic measure of the circle seen from
+    the inverted point; sampling that law exactly (a Moebius image of a
+    uniform angle) caps outward excursions without biasing the walk.
+    """
+    w = (z - center) / radius
+    far = np.abs(w) > 1.0
+    if far.any():
+        a = 1.0 / np.conj(w[far])
+        u = np.exp(1j * rng.uniform(0.0, TWO_PI, int(far.sum())))
+        w[far] = (u + a) / (1.0 + np.conj(a) * u)
+        z = z.copy()
+        z[far] = center + radius * w[far]
+    return z
 
 
 def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):

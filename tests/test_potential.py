@@ -1,6 +1,8 @@
 """Walk-on-spheres sampling, potentials, Robin constants, regression fits."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,18 +324,24 @@ def test_absorbed_fraction_matches_exterior_green_ratio():
 def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
     """The one walk loop gives the old loops' counts, live walks and hits.
 
-    The references bin and count stopped walks inside the loop, step by
-    step; the merged loop returns stopped positions and bins them once.
+    The references walk one chunk on one stream and bin and count stopped
+    walks inside the loop, step by step; the merged loop walks a batch of
+    chunks as one array and bins them once.
     """
     shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
     cfg = WalkConfig(samples=1, seed=11).resolve(shape)
     fld = shape.field(cfg.stop_tol / 4.0)
-    for chunk_index, n in [(0, potential.CHUNK), (1, 1000)]:
-        counts, live = potential._walk_chunk(shape, fld, cfg, chunk_index, n)
-        ref_counts, ref_live = _oracles.walk_chunk(shape, fld, cfg, chunk_index, n)
-        assert np.array_equal(counts, ref_counts)
-        assert live == ref_live == 0
-        assert counts.sum() == n
+    jobs = [(0, potential.CHUNK), (1, 1000), (2, potential.CHUNK)]
+
+    def live_per_chunk():
+        counts, live = potential._walk_chunks(shape, fld, cfg, jobs)
+        refs = [_oracles.walk_chunk(shape, fld, cfg, i, n) for i, n in jobs]
+        assert np.array_equal(counts, sum(c for c, _ in refs))
+        assert live == sum(lv for _, lv in refs)
+        assert counts.sum() + live == sum(n for _, n in jobs)
+        return [lv for _, lv in refs]
+
+    assert live_per_chunk() == [0, 0, 0]
     if name == "circle":
         cases = [(2.0 + 0j, 3.0 + 0j, 0.1, 40_000), (1.5 + 0j, 2.0 + 2.0j, 0.2, 40_000)]
     elif name == "corner4":
@@ -348,14 +356,42 @@ def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
         assert got == ref
         assert 0.0 < got[0] < 1.0
 
-    # a step limit that leaves walks live
+    # a step limit that leaves walks of every stream live
     monkeypatch.setattr(potential, "MAX_STEPS", 12)
     monkeypatch.setattr(_oracles, "MAX_STEPS", 12)
-    counts, live = potential._walk_chunk(shape, fld, cfg, 2, 1000)
-    ref_counts, ref_live = _oracles.walk_chunk(shape, fld, cfg, 2, 1000)
-    assert np.array_equal(counts, ref_counts)
-    assert live == ref_live > 0
-    assert counts.sum() + live == 1000
+    assert all(lv > 0 for lv in live_per_chunk())
+
+
+@pytest.mark.parametrize("name", ["circle", "corner4"])
+def test_sampling_ignores_batching_and_threads(name, corner, monkeypatch):
+    # ten chunks, the last one partial: four batches at BATCH = 3
+    shape = Circle() if name == "circle" else corner
+    cfg = WalkConfig(samples=9 * potential.CHUNK + 1000, seed=8)
+    ref = sample_harmonic_measure(shape, cfg)
+    runs = [sample_harmonic_measure(shape, replace(cfg, threads=t)) for t in (2, 3)]
+    for batch in (1, 3):
+        monkeypatch.setattr(potential, "BATCH", batch)
+        runs.append(sample_harmonic_measure(shape, replace(cfg, threads=2)))
+    for em in runs:
+        assert np.array_equal(em.codes, ref.codes)
+        assert np.array_equal(em.points, ref.points)
+        assert np.array_equal(em.weights, ref.weights)
+        assert em.discarded == ref.discarded
+
+
+def test_sampler_holds_no_count_array_per_chunk():
+    # forty chunks: holding a count array per chunk alone takes 40 * leaves * 8
+    # bytes; one thread, so no second batch's arrays are live at the peak
+    shape = Circle()
+    cfg = WalkConfig(samples=40 * potential.CHUNK, seed=4, threads=1)
+    leaves = shape.field(cfg.resolve(shape).stop_tol / 4.0).leaf_count
+    tracemalloc.start()
+    try:
+        sample_harmonic_measure(shape, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * leaves * 8
 
 
 def test_bhp_fit_identical_poles_has_zero_envelope():
