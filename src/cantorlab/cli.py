@@ -27,7 +27,7 @@ _SUBCOMMANDS = {
     "green": ("green-comparability", "Green function comparability fit",
               ("samples", "n_points", "depth_lo", "depth_hi")),
     "curvature": ("curvature-profile", "curvature energy profile over generations",
-                  ("kmax", "n_triples")),
+                  ("kmax",)),
     "cauchy": ("cauchy", "truncated Cauchy transforms at boundary atoms",
                ("samples", "n_eval")),
     "dimension": ("dimension-gap", "entropy/Lyapunov dimension of the measure",

@@ -4,7 +4,7 @@ The Menger curvature of three points is the inverse circumradius of their
 triangle, computed from the cross product so collinear triples give exactly
 zero.  The curvature energy of a measure is the triple integral of the
 squared kernel; for atomic measures, a weighted sum over ordered triples of
-distinct atoms.  Exact mode sums atom pairs instead.  Melnikov's identity
+distinct atoms, summed exactly over atom pairs.  Melnikov's identity
 c^2(z1, z2, z3) = sum over permutations s of 1 / ((z_s1 - z_s3) conj(z_s2 - z_s3)),
 minus its holomorphic twin (which sums to 0), gives
 c^2 = 2 sum_s g(z_s1 - z_s3) g(z_s2 - z_s3) with g(u) = Im u / |u|^2, so the
@@ -25,12 +25,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError, SingularityError
-from .potential import EmpiricalMeasure, _atom_sum, natural_measure, rng_stream
+from .potential import EmpiricalMeasure, _atom_sum, natural_measure
 
-#: largest atom count accepted in exact mode; it bounds the n^2 pair work of
-#: the exact energy (4e6 pairs).  corner4 at kmax >= 6 (4,096 atoms) stays
-#: sampled: raising the cap would change what curvature-profile reports there.
-EXACT_CAP = 2000
+#: largest atom count the energy accepts: 4**7, corner4 at generation 7, is
+#: 2.7e8 ordered pairs and about 2.3 s of CPU on a 2-core x86-64 VM; memory
+#: stays bounded by PAIR_BLOCK
+EXACT_CAP = 4**7
 
 #: atom pairs per row block of the exact energy (temporaries of a few MB)
 PAIR_BLOCK = 1 << 18
@@ -59,11 +59,9 @@ def menger_curvature(z1, z2, z3):
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
-    """One curvature-energy value with its provenance."""
+    """One curvature energy and the number of unordered atom triples it sums."""
 
     value: float
-    stderr: float
-    mode: str
     triples: int
 
 
@@ -88,52 +86,20 @@ def _exact_energy(z: np.ndarray, w: np.ndarray) -> float:
     return 12.0 * math.fsum(np.concatenate(parts))
 
 
-def curvature_energy(
-    em: EmpiricalMeasure,
-    mode: str = "exact",
-    n_triples: int = 200_000,
-    seed: int = 0,
-) -> CurvatureEstimate:
+def curvature_energy(em: EmpiricalMeasure) -> CurvatureEstimate:
     """Triple integral of squared Menger curvature against the measure.
 
-    exact mode sums every ordered triple of distinct atoms through the O(n^2)
-    pair form of the module docstring (capped at EXACT_CAP atoms); sampled mode
-    averages uniformly drawn distinct ordered triples and is unbiased for the
-    same quantity, with a standard-error estimate.
+    Sums every ordered triple of distinct atoms exactly, through the O(n^2)
+    pair form of the module docstring.  Raises ResourceLimitError above
+    EXACT_CAP atoms.
     """
     z, w = em.points, em.weights
     n = len(z)
     if n < 3:
         raise ValueError("curvature energy needs at least 3 atoms")
-    if mode == "exact":
-        if n > EXACT_CAP:
-            raise ResourceLimitError(
-                f"{n} atoms exceed the exact-mode cap {EXACT_CAP}; use sampled mode"
-            )
-        return CurvatureEstimate(
-            value=_exact_energy(z, w),
-            stderr=0.0,
-            mode="exact",
-            triples=n * (n - 1) * (n - 2) // 6,
-        )
-    if mode == "sampled":
-        rng = rng_stream(seed, 2)
-        idx = rng.integers(0, n, size=(n_triples, 3))
-        while True:
-            i, j, k = idx.T
-            bad = (i == j) | (j == k) | (i == k)
-            if not bad.any():
-                break
-            idx[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
-        c = menger_curvature(z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]])
-        vals = w[idx[:, 0]] * w[idx[:, 1]] * w[idx[:, 2]] * c**2
-        scale = float(n) * (n - 1) * (n - 2)
-        value = scale * float(vals.mean())
-        stderr = scale * float(vals.std(ddof=1)) / math.sqrt(n_triples)
-        return CurvatureEstimate(
-            value=value, stderr=stderr, mode="sampled", triples=n_triples
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    if n > EXACT_CAP:
+        raise ResourceLimitError(f"{n} atoms exceed the curvature-energy cap {EXACT_CAP}")
+    return CurvatureEstimate(value=_exact_energy(z, w), triples=n * (n - 1) * (n - 2) // 6)
 
 
 @dataclass(frozen=True)
@@ -148,28 +114,21 @@ class CurvatureProfile:
         return tuple(e.value for e in self.estimates)
 
 
-def curvature_profile(
-    rep,
-    kmax: int,
-    n_triples: int = 200_000,
-    seed: int = 0,
-) -> CurvatureProfile:
-    """Energies of the natural measures at generations up to kmax.
+def curvature_profile(rep, kmax: int) -> CurvatureProfile:
+    """Exact energies of the natural measures at generations up to kmax.
 
-    Generations small enough for exact enumeration are done exactly; beyond
-    the cap the sampled estimator takes over.  Steadily growing values are
-    the finite-scale signature of a measure with infinite curvature energy.
+    Generations with fewer than 3 atoms are skipped.  Raises
+    ResourceLimitError before any measure is built when generation kmax
+    would exceed EXACT_CAP atoms.  Steadily growing values are the
+    finite-scale signature of a measure with infinite curvature energy.
     """
-    ks, ests = [], []
-    for k in range(1, kmax + 1):
-        if rep.fan**k < 3:
-            continue
-        em = natural_measure(rep, k)
-        mode = "exact" if em.atom_count <= EXACT_CAP else "sampled"
-        ests.append(
-            curvature_energy(em, mode=mode, n_triples=n_triples, seed=seed + k)
+    if rep.fan**kmax > EXACT_CAP:
+        raise ResourceLimitError(
+            f"generation {kmax} has {rep.fan**kmax} atoms, over the "
+            f"curvature-energy cap {EXACT_CAP}"
         )
-        ks.append(k)
+    ks = [k for k in range(1, kmax + 1) if rep.fan**k >= 3]
+    ests = [curvature_energy(natural_measure(rep, k)) for k in ks]
     return CurvatureProfile(ks=tuple(ks), estimates=tuple(ests))
 
 

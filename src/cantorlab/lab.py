@@ -78,7 +78,6 @@ _KEY_TYPES = {
     "n_pairs": int,
     "walks_per_point": int,
     "n_boot": int,
-    "n_triples": int,
 }
 _REQUIRED_KEYS = ("experiment", "shape", "seed")
 
@@ -329,17 +328,8 @@ def _exp_bhp(shape, cfg: ExperimentConfig):
 
 def _exp_curvature(shape, cfg: ExperimentConfig):
     rep = _require_repeller(shape, cfg.experiment)
-    kmax = cfg.params.get("kmax", 5)
-    prof = curvature_profile(
-        rep,
-        kmax=kmax,
-        n_triples=cfg.params.get("n_triples", 200_000),
-        seed=cfg.seed,
-    )
-    rows = [
-        f"{k},{e.value!r},{e.stderr!r},{e.triples}"
-        for k, e in zip(prof.ks, prof.estimates)
-    ]
+    prof = curvature_profile(rep, kmax=cfg.params.get("kmax", 5))
+    rows = [f"{k},{e.value!r},{e.triples}" for k, e in zip(prof.ks, prof.estimates)]
     inc = np.diff(prof.values)
     if len(inc) == 0:
         st, detail = "INCONCLUSIVE", "no increments at this kmax"
@@ -360,7 +350,7 @@ def _exp_curvature(shape, cfg: ExperimentConfig):
         f"Mc: curvature energy diverges (increments >= 0.5x the k=3 increment) "
         f"-> {st} ({detail})",
     ]
-    return {"curvature.csv": _table(cfg, "k,value,stderr,triples", rows)}, summary
+    return {"curvature.csv": _table(cfg, "k,value,triples", rows)}, summary
 
 
 def _exp_cauchy(shape, cfg: ExperimentConfig):

@@ -1,7 +1,7 @@
 """Harmonic measure sampling and logarithmic potential theory.
 
 Every walk-on-spheres estimate goes through one loop, _walk: each live walk
-repeatedly jumps to a uniform point on a circle of radius shrink * (certified
+repeatedly jumps to a uniform point on a circle of radius SHRINK * (certified
 distance lower bound) and stops once the certified distance upper bound drops
 below stop_tol.  A walk that leaves its enclosing circle re-enters it by the
 exact exterior Poisson kernel, so that circle sets the cost, not the law.
@@ -60,6 +60,9 @@ DISCARD_LIMIT = 0.01
 #: step limit of every walk, sampling and pole absorption alike
 MAX_STEPS = 10_000
 
+#: each walk step jumps this fraction of the certified distance lower bound
+SHRINK = 0.9
+
 #: walks launch on, and re-enter onto, the circle of this many bounding
 #: radii; exterior Poisson re-entry makes every circle outside the root disc
 #: sample the same law, and a wider one only adds wandering in the annulus
@@ -104,15 +107,12 @@ class WalkConfig:
 
     samples: int = 10_000
     seed: int = 0
-    shrink: float = 0.9
     stop_tol: float | None = None
     threads: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
         if self.stop_tol is not None and self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
         if self.threads < 1:
@@ -232,8 +232,6 @@ def _angles(rngs, owner: np.ndarray) -> np.ndarray:
     owner is non-decreasing, so each stream draws for its own walks in walk
     order; a stream that owns no walk draws nothing.
     """
-    if len(rngs) == 1:
-        return rngs[0].uniform(0.0, TWO_PI, owner.size)
     ends = owner.searchsorted(np.arange(len(rngs) + 1)).tolist()
     spans = zip(rngs, ends, ends[1:])
     return np.concatenate([rng.uniform(0.0, TWO_PI, b - a) for rng, a, b in spans if b > a])
@@ -263,7 +261,7 @@ def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float
 
     query(z) returns certified lower and upper bounds on the distance to
     the absorbing set; a walk stops where the upper bound drops below
-    stop_tol and otherwise jumps shrink * (lower bound) in a uniform
+    stop_tol and otherwise jumps SHRINK * (lower bound) in a uniform
     direction, re-entering the circle |z - center| = radius when it leaves
     it.  Walk i draws from rngs[owner[i]], and owner must be non-decreasing.
     Returns the stopped positions, in the order the walks stopped, and the
@@ -279,7 +277,7 @@ def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float
             z, lo, owner = z[keep], lo[keep], owner[keep]
         if z.size == 0:
             break
-        z = z + cfg.shrink * lo * np.exp(1j * _angles(rngs, owner))
+        z = z + SHRINK * lo * np.exp(1j * _angles(rngs, owner))
         z = _reenter(z, owner, rngs, center, radius)
     return np.concatenate(stopped), z.size
 

@@ -17,6 +17,7 @@ from cantorlab.errors import ExcessiveDiscardError, SingularityError
 from cantorlab.potential import (
     LAUNCH_FACTOR,
     MAX_STEPS,
+    SHRINK,
     TWO_PI,
     EmpiricalMeasure,
     WalkConfig,
@@ -304,7 +305,7 @@ def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
         if z.size == 0:
             break
         ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + cfg.shrink * lo * np.exp(1j * ang)
+        z = z + SHRINK * lo * np.exp(1j * ang)
         z = _reenter(z, center, launch, rng)
     return counts, z.size
 
@@ -330,7 +331,7 @@ def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
         if z.size == 0:
             break
         ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + cfg.shrink * np.minimum(lo, dp) * np.exp(1j * ang)
+        z = z + SHRINK * np.minimum(lo, dp) * np.exp(1j * ang)
         z = _reenter(z, center, enclose, rng)
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")

@@ -21,6 +21,7 @@ from cantorlab import (
     natural_measure,
     run_experiment,
 )
+from cantorlab import curvature
 from cantorlab.potential import EmpiricalMeasure, rng_stream
 
 from _oracles import (
@@ -108,9 +109,7 @@ def test_kernel_matches_area_formula_and_symmetries():
 
 def test_four_corner_generation_one_energy(corner):
     est = curvature_energy(natural_measure(corner, 1))
-    assert est.mode == "exact"
     assert est.triples == 4
-    assert est.stderr == 0.0
     assert est.value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
@@ -170,8 +169,8 @@ def test_exact_energy_matches_the_triple_sum_it_replaced(corner, thirds):
 
 @pytest.mark.parametrize("name", ["corner4", "rotated"])
 def test_branch_energy_is_the_parent_energy_over_the_squared_ratio(name, corner):
-    rep = corner if name == "corner4" else rotated_repeller()
-    for k in range(2, 6):
+    rep, kmax = (corner, 7) if name == "corner4" else (rotated_repeller(), 5)
+    for k in range(2, kmax + 1):
         parent = curvature_energy(natural_measure(rep, k - 1)).value
         em = natural_measure(rep, k)
         for i, branch in enumerate(rep.branches):
@@ -201,38 +200,21 @@ def test_exact_energy_thread_count_is_invisible(tmp_path):
     assert files[1] == files[4]
 
 
-def test_exact_mode_atom_cap(corner):
+def test_exact_mode_atom_cap(corner, monkeypatch):
+    # the profile refuses generation 8 (65,536 atoms) before any sum starts
+    calls = []
+    monkeypatch.setattr(curvature, "_exact_energy", lambda *a: calls.append(a))
     with pytest.raises(ResourceLimitError):
-        curvature_energy(natural_measure(corner, 6))
+        curvature_profile(corner, 8)
+    assert calls == []
+    with pytest.raises(ResourceLimitError):
+        curvature_energy(natural_measure(corner, 8))
+    assert calls == []
 
 
 def test_energy_needs_three_atoms(corner):
     with pytest.raises(ValueError):
         curvature_energy(natural_measure(corner, 0))
-    with pytest.raises(ValueError):
-        curvature_energy(natural_measure(corner, 2), mode="midpoint")
-
-
-# -- sampled energy ----------------------------------------------------------------
-
-
-def test_sampled_energy_is_consistent_with_exact(corner):
-    em = natural_measure(corner, 3)
-    exact = curvature_energy(em)
-    sampled = curvature_energy(em, mode="sampled", n_triples=200_000, seed=0)
-    assert sampled.mode == "sampled"
-    assert sampled.stderr > 0.0
-    assert abs(sampled.value - exact.value) < 4.0 * sampled.stderr
-    assert sampled.stderr < 0.05 * exact.value
-
-
-def test_sampled_energy_is_seed_deterministic(corner):
-    em = natural_measure(corner, 3)
-    a = curvature_energy(em, mode="sampled", n_triples=20_000, seed=7)
-    b = curvature_energy(em, mode="sampled", n_triples=20_000, seed=7)
-    c = curvature_energy(em, mode="sampled", n_triples=20_000, seed=8)
-    assert a.value == b.value
-    assert a.value != c.value
 
 
 # -- generation profile ---------------------------------------------------------------
@@ -241,7 +223,6 @@ def test_sampled_energy_is_seed_deterministic(corner):
 def test_profile_grows_on_plane_filling_corners(corner):
     prof = curvature_profile(corner, 3)
     assert prof.ks == (1, 2, 3)
-    assert all(e.mode == "exact" for e in prof.estimates)
     assert prof.values[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert all(d > 0 for d in np.diff(prof.values))
 

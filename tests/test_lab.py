@@ -64,6 +64,8 @@ def test_parse_config_types_and_param_split():
         ("experiment = cauchy\nshape = circle\n", "missing required key: seed"),
         ("experiment = cauchy\njust words\n", "line 2: expected 'key = value'"),
         ("experiment = cauchy\nwidget = 3\n", "line 2: unknown key 'widget'"),
+        ("experiment = curvature-profile\nn_triples = 9\n",
+         "line 2: unknown key 'n_triples'"),
         ("seed = 1\nseed = 2\n", "line 2: duplicate key 'seed'"),
         ("samples = abc\n", "bad value 'abc' for key 'samples' (expected int)"),
     ],
@@ -175,6 +177,7 @@ def test_curvature_run_end_to_end(tmp_path):
     assert manifest.config_hash == expected_hash
     summary = files["summary.txt"].decode()
     assert "REFUTING" in summary
+    assert files["curvature.csv"].decode().splitlines()[1] == "k,value,triples"
     parsed = json.loads(files["manifest.json"])
     assert parsed["seed"] == 5
     assert parsed["config_hash"] == expected_hash
@@ -187,6 +190,16 @@ def test_curvature_run_end_to_end(tmp_path):
     assert rerun.files == manifest.files
     for name in manifest.files:
         assert again[name] == files[name]
+
+
+def test_curvature_profile_on_corners_passes_at_kmax_6(tmp_path):
+    # every generation is an exact sum, so the increments after k = 3 (2.998,
+    # 3.019, 3.024) stay above half the k = 3 one and grade PASS
+    out = tmp_path / "c6"
+    run_experiment(ExperimentConfig(experiment="curvature-profile", shape="corner4",
+                                    seed=1, out=str(out), params={"kmax": 6}))
+    verdict = (out / "summary.txt").read_text().splitlines()[-1]
+    assert verdict.endswith("-> PASS (increments positive and non-vanishing)")
 
 
 def test_dimension_run_reports_gap(tmp_path):

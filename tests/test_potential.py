@@ -56,11 +56,8 @@ def uniform_circle_measure(depth: int, radius: float = 1.0) -> EmpiricalMeasure:
     "kwargs",
     [
         {"samples": 0},
-        {"shrink": 0.0},
-        {"shrink": 1.0},
         {"stop_tol": -1.0},
         {"stop_tol": 0.0},
-        {"shrink": 1.5},
         {"threads": 0},
         {"seed": -1},
     ],
