@@ -5,7 +5,9 @@ induces mass tables on the cylinder partitions of every coarser generation.
 Shannon entropies of those tables and the exactly computable Lyapunov
 exponent (mean of log 1/scale along words) combine into the dimension
 estimate dim = h / lambda, extrapolated over generations and bootstrapped
-over walk resamples.
+over walk resamples.  The bootstrap resamples the walks on the cells of the
+deepest fit generation rather than on the atoms: the replicates have the
+same law as atom-level resamples, drawn from a different random stream.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BootstrapError, DepthError, FitDegeneracyError
+from .errors import (
+    BootstrapError,
+    DepthError,
+    FitDegeneracyError,
+    ResourceLimitError,
+)
 from .geometry import Repeller
 from .potential import EmpiricalMeasure, rng_stream
 
@@ -25,6 +32,11 @@ OCCUPANCY_FACTOR = 50
 
 #: walk count below which bootstrap intervals are refused
 MIN_BOOTSTRAP_SAMPLES = 10_000
+
+#: the bootstrap draws its replicates in blocks of at most BOOT_BLOCK cell
+#: counts (cells x replicates, and at least one replicate), so its
+#: temporaries stay near 128 kB however large n_boot is
+BOOT_BLOCK = 1 << 14
 
 
 def _plugin_entropy(masses: np.ndarray) -> float:
@@ -43,7 +55,9 @@ class CylinderProfile:
     measure-weighted sum of log(1/scale) along length-k words (exact for
     similarity systems, so any probability measure on an equal-scale system
     gives the same L_k / k).  H_k / k and L_k / k are the per-letter entropy
-    and Lyapunov exponent.  kmax outside 1..code_depth raises DepthError.
+    and Lyapunov exponent.  kmax outside 1..code_depth raises DepthError,
+    and words that do not fit int64 codes (fan ** kmax > 2 ** 63) raise
+    ResourceLimitError before any grouping.
     """
 
     def __init__(self, rep: Repeller, em: EmpiricalMeasure, kmax: int | None = None):
@@ -53,36 +67,40 @@ class CylinderProfile:
             raise DepthError(
                 f"generation {kmax} outside the coded depth 1..{em.code_depth}"
             )
+        # a length-k word is the base-fan integer of its letters, so words
+        # of length kmax are the integers below fan ** kmax
+        if rep.fan**kmax > 2**63:
+            raise ResourceLimitError(
+                f"{rep.fan}-letter words of length {kmax} overflow int64 codes"
+            )
         self.ks = tuple(range(1, kmax + 1))
-        prefixes, self._inverses = [], []
-        for k in self.ks:
-            words, inverse = np.unique(em.codes[:, :k], axis=0, return_inverse=True)
-            prefixes.append(words)
-            self._inverses.append(inverse.ravel())
-        self.prefixes = tuple(prefixes)
         log_inv = np.array([-math.log(b.scale) for b in rep.branches])
-        codes = em.codes.astype(np.int64)
-        self._word_sums = [log_inv[codes[:, :k]].sum(axis=1) for k in self.ks]
+        enc = np.zeros(em.atom_count, dtype=np.int64)
+        prefixes, self._inverses, self._word_sums = [], [], []
+        for k in self.ks:
+            enc = enc * rep.fan + em.codes[:, k - 1]
+            # integer order of equal-length words is their lexicographic order
+            _, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
+            words = em.codes[first, :k]
+            prefixes.append(words)
+            self._inverses.append(inverse)
+            # log(1/scale) summed along each occupied word
+            self._word_sums.append(log_inv[words].sum(axis=1))
+        self.prefixes = tuple(prefixes)
         self._samples = em.samples
-        self.masses, self.entropy, self.stretching = self._evaluate(
-            em.weights, range(len(self.ks))
-        )
+        self.masses, self.entropy, self.stretching = self._evaluate(em.weights)
 
-    def _evaluate(self, weights: np.ndarray, gens):
-        """Masses, entropies H_k and stretchings L_k with the atoms reweighted.
-
-        Only the generations at the indices gens (k - 1) are evaluated; each
-        one's sums are independent of the others.
-        """
+    def _evaluate(self, weights: np.ndarray):
+        """Masses, entropies H_k and stretchings L_k with the atoms reweighted."""
         masses, hs, ls = [], [], []
-        for g in gens:
-            m = np.bincount(self._inverses[g], weights=weights)
+        for inverse, word_sums in zip(self._inverses, self._word_sums):
+            m = np.bincount(inverse, weights=weights)
             h = _plugin_entropy(m)
             if self._samples:
                 h += (np.count_nonzero(m) - 1) / (2.0 * self._samples)
             masses.append(m)
             hs.append(h)
-            ls.append(float(np.dot(weights, self._word_sums[g])))
+            ls.append(float(np.dot(weights, word_sums[inverse])))
         return tuple(masses), np.array(hs), np.array(ls)
 
 
@@ -111,6 +129,44 @@ def _slope_dimension(ks, H_tot, L_tot):
     return float(hs / ls)
 
 
+def _bootstrap_dims(prof: CylinderProfile, fit_ks, samples: int, n_boot: int, rng):
+    """Slope dimensions of n_boot multinomial resamples of the samples walks.
+
+    Every replicate quantity depends on the walks only through the masses of
+    the cells of the deepest fit generation, and walk counts summed over a
+    partition are multinomial with the summed probabilities, so the draws are
+    made on those cells instead of on the atoms: the same law, in fewer
+    categories.  Coarser generations sum runs of lexicographically adjacent
+    cells.  The draws, hence the result, do not depend on BOOT_BLOCK.
+    """
+    kfit = fit_ks[-1]
+    words, p = prof.prefixes[kfit - 1], prof.masses[kfit - 1]
+    groups = []
+    for k in fit_ks:
+        # the cells of generation kfit that start a new length-k prefix
+        new = np.ones(len(words), dtype=bool)
+        new[1:] = np.any(words[1:, :k] != words[:-1, :k], axis=1)
+        groups.append((np.flatnonzero(new), prof._word_sums[k - 1]))
+    x = np.asarray(fit_ks, dtype=float)
+    xc = (x - x.mean())[:, None]
+    block = max(1, BOOT_BLOCK // len(words))
+    dims = np.empty(n_boot)
+    for start in range(0, n_boot, block):
+        counts = rng.multinomial(samples, p, size=min(block, n_boot - start))
+        H = np.empty((len(fit_ks), len(counts)))
+        L = np.empty_like(H)
+        for j, (starts, word_sums) in enumerate(groups):
+            c = np.add.reduceat(counts, starts, axis=1)
+            m = c / samples
+            occupied = np.count_nonzero(c, axis=1)
+            H[j] = -np.sum(m * np.log(np.where(c > 0, m, 1.0)), axis=1)
+            H[j] += (occupied - 1) / (2.0 * samples)
+            L[j] = np.sum(m * word_sums, axis=1)
+        # the ratio of the centred least-squares slopes of H and L in k
+        dims[start : start + len(counts)] = (xc * H).sum(axis=0) / (xc * L).sum(axis=0)
+    return dims
+
+
 def manning_dimension(
     rep: Repeller,
     em: EmpiricalMeasure,
@@ -124,7 +180,10 @@ def manning_dimension(
     (all generations for exact measures), and takes the slope ratio.  Sampled
     measures get a 95% bootstrap interval (point estimate +- 1.96 times the
     spread of multinomial walk resamples); fewer than 10^4 walks raise
-    BootstrapError.
+    BootstrapError.  The walks are resampled on the cells of the deepest fit
+    generation, which gives the law of atom-level resamples from a different
+    random stream, so seed fixes the interval but the interval does not
+    repeat one drawn atom by atom.
     """
     if em.code_depth < 2:
         raise FitDegeneracyError("need codes of depth >= 2 to fit growth slopes")
@@ -157,13 +216,7 @@ def manning_dimension(
                 f"{em.samples} walks are too few to bootstrap "
                 f"(need {MIN_BOOTSTRAP_SAMPLES})"
             )
-        rng = rng_stream(seed, 1)
-        dims = np.empty(n_boot)
-        for b in range(n_boot):
-            counts = rng.multinomial(em.samples, em.weights)
-            wb = counts / em.samples
-            _, Hb, Lb = prof._evaluate(wb, sel)
-            dims[b] = _slope_dimension(usable, Hb, Lb)
+        dims = _bootstrap_dims(prof, usable, em.samples, n_boot, rng_stream(seed, 1))
         # normal-approximation interval: resampling adds a second layer of
         # plug-in entropy bias, so the replicate spread is trustworthy but
         # the replicate location is not; center on the point estimate

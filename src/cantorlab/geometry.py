@@ -519,32 +519,42 @@ class ShellSumReport:
         return float(sum(self.sums))
 
 
-def _shell_quadrature(
-    shape: Shape, fld: DistanceField, power: float, r_in: float, r_out: float, cells: int
-) -> float:
-    """Midpoint rule over an adaptively refined grid clipped to one shell."""
-    half = shape.bounding_radius + r_out
-    target = r_in / cells
-    centers = np.array([shape.bounding_center])
-    h = half
-    sq2 = math.sqrt(2.0)
-    while h > target:
-        h *= 0.5
-        off = np.array([h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h])
-        centers = (centers[:, None] + off[None, :]).ravel()
-        lo, hi = fld.query(centers)
-        pad = h * sq2
-        keep = (hi + pad >= r_in) & (lo - pad < r_out)
-        centers = centers[keep]
-        if len(centers) == 0:
-            return 0.0
-    lo, hi = fld.query(centers)
-    mid = 0.5 * (lo + hi)
+def _midpoint_sum(mid: np.ndarray, power: float, r_in: float, r_out: float, area: float):
     inside = (mid >= r_in) & (mid < r_out)
     if not np.any(inside):
         return 0.0
-    area = (2.0 * h) ** 2
     return float(np.sum(mid[inside] ** (-power)) * area)
+
+
+def _shell_quadratures(
+    shape: Shape, fld: DistanceField, power: float, r_in: float, r_out: float
+):
+    """Midpoint rules over grids clipped to one shell, each twice as fine as the last.
+
+    The n-th value uses cells of side at most r_in / (SHELL_BASE_CELLS * 2^n).
+    Halving the target adds exactly one halving to the grid, and pruning at a
+    level does not depend on the target, so each grid continues from the kept
+    centres of the one before; the midpoint values are those of the last
+    level's query.
+    """
+    h = shape.bounding_radius + r_out
+    target = r_in / SHELL_BASE_CELLS
+    centers = np.array([shape.bounding_center])
+    mid = np.empty(0)
+    sq2 = math.sqrt(2.0)
+    while True:
+        while h > target and len(centers):
+            mid = None  # free the last grid's values before the fourfold expansion
+            h *= 0.5
+            off = np.array([h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h])
+            centers = (centers[:, None] + off[None, :]).ravel()
+            lo, hi = fld.query(centers)
+            pad = h * sq2
+            keep = (hi + pad >= r_in) & (lo - pad < r_out)
+            centers, mid = centers[keep], 0.5 * (lo[keep] + hi[keep])
+            del lo, hi, keep
+        yield _midpoint_sum(mid, power, r_in, r_out, (2.0 * h) ** 2)
+        target *= 0.5
 
 
 def shell_integral_sums(
@@ -570,11 +580,10 @@ def shell_integral_sums(
     for k in range(kmax + 1):
         r_out = float(a) ** (-k)
         r_in = float(a) ** (-(k + 1))
-        cells = SHELL_BASE_CELLS
-        prev = _shell_quadrature(shape, fld, power, r_in, r_out, cells)
+        refinements = _shell_quadratures(shape, fld, power, r_in, r_out)
+        prev = next(refinements)
         for _ in range(SHELL_MAX_REFINE):
-            cells *= 2
-            cur = _shell_quadrature(shape, fld, power, r_in, r_out, cells)
+            cur = next(refinements)
             if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
                 prev = cur
                 break

@@ -237,8 +237,8 @@ def _angles(rngs, owner: np.ndarray) -> np.ndarray:
     return np.concatenate([rng.uniform(0.0, TWO_PI, b - a) for rng, a, b in spans if b > a])
 
 
-def _reenter(z, owner, rngs, center: complex, radius: float) -> np.ndarray:
-    """Resample walks outside |z - center| = radius onto that circle.
+def _reenter(z, owner, rngs, center: complex, radius: float) -> None:
+    """Move walks outside |z - center| = radius onto that circle, in place.
 
     A plane Brownian path from outside re-enters the circle almost surely,
     and its first hit follows the harmonic measure of the circle seen from
@@ -246,14 +246,11 @@ def _reenter(z, owner, rngs, center: complex, radius: float) -> np.ndarray:
     uniform angle) caps outward excursions without biasing the walk.
     """
     w = (z - center) / radius
-    far = np.abs(w) > 1.0
-    if far.any():
+    far = np.flatnonzero(np.abs(w) > 1.0)
+    if far.size:
         a = 1.0 / np.conj(w[far])
         u = np.exp(1j * _angles(rngs, owner[far]))
-        w[far] = (u + a) / (1.0 + np.conj(a) * u)
-        z = z.copy()
-        z[far] = center + radius * w[far]
-    return z
+        z[far] = center + radius * ((u + a) / (1.0 + np.conj(a) * u))
 
 
 def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float):
@@ -271,14 +268,15 @@ def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float
     for _ in range(MAX_STEPS):
         lo, hi = query(z)
         done = hi < cfg.stop_tol
-        if done.any():
+        live = np.flatnonzero(~done)
+        if live.size < z.size:
             stopped.append(z[done])
-            keep = ~done
-            z, lo, owner = z[keep], lo[keep], owner[keep]
+            z, lo, owner = z[live], lo[live], owner[live]
+        del hi, done, live  # freed before the step allocates its temporaries
         if z.size == 0:
             break
         z = z + SHRINK * lo * np.exp(1j * _angles(rngs, owner))
-        z = _reenter(z, owner, rngs, center, radius)
+        _reenter(z, owner, rngs, center, radius)
     return np.concatenate(stopped), z.size
 
 

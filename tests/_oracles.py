@@ -336,3 +336,71 @@ def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
     return hits / finished, finished
+
+
+# -- cylinder partitions and the dimension bootstrap ---------------------------
+#
+# The references below are the cylinder grouping and the bootstrap replicate
+# as they were written before the profile grouped integer-coded words and the
+# bootstrap drew cell counts: rows grouped by np.unique(axis=0), atom-level
+# reweighting, and a polyfit slope per replicate.
+
+
+def row_prefixes(codes: np.ndarray, k: int):
+    """Occupied length-k code words in lexicographic order, and each row's word."""
+    words, inverse = np.unique(codes[:, :k], axis=0, return_inverse=True)
+    return words, inverse.ravel()
+
+
+def atom_replicate_dimension(rep, em: EmpiricalMeasure, fit_ks, counts) -> float:
+    """Slope dimension of the measure reweighted to the atom walk counts.
+
+    Entropies (with the Miller-Madow term) and stretchings of the fit
+    generations are sums over the atoms; each growth slope is a polyfit.
+    """
+    w = counts / em.samples
+    log_inv = np.array([-math.log(b.scale) for b in rep.branches])
+    codes = em.codes.astype(np.int64)
+    hs, ls = [], []
+    for k in fit_ks:
+        _, inverse = row_prefixes(em.codes, k)
+        m = np.bincount(inverse, weights=w)
+        occupied = m[m > 0]
+        h = float(-np.sum(occupied * np.log(occupied)))
+        hs.append(h + (np.count_nonzero(m) - 1) / (2.0 * em.samples))
+        ls.append(float(np.dot(w, log_inv[codes[:, :k]].sum(axis=1))))
+    ks = np.asarray(fit_ks, dtype=float)
+    return float(np.polyfit(ks, hs, 1)[0] / np.polyfit(ks, ls, 1)[0])
+
+
+# -- shell quadrature -----------------------------------------------------------
+
+
+def shell_quadrature(shape, fld, power: float, r_in: float, r_out: float, cells: int) -> float:
+    """Midpoint rule over a grid built from the root cell for this cell count.
+
+    Each call refines from the one root cell and queries the final centres a
+    second time, so it shares no grid with the calls for other cell counts.
+    """
+    half = shape.bounding_radius + r_out
+    target = r_in / cells
+    centers = np.array([shape.bounding_center])
+    h = half
+    sq2 = math.sqrt(2.0)
+    while h > target:
+        h *= 0.5
+        off = np.array([h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h])
+        centers = (centers[:, None] + off[None, :]).ravel()
+        lo, hi = fld.query(centers)
+        pad = h * sq2
+        keep = (hi + pad >= r_in) & (lo - pad < r_out)
+        centers = centers[keep]
+        if len(centers) == 0:
+            return 0.0
+    lo, hi = fld.query(centers)
+    mid = 0.5 * (lo + hi)
+    inside = (mid >= r_in) & (mid < r_out)
+    if not np.any(inside):
+        return 0.0
+    area = (2.0 * h) ** 2
+    return float(np.sum(mid[inside] ** (-power)) * area)

@@ -12,12 +12,16 @@ from cantorlab import (
     DepthError,
     EmpiricalMeasure,
     FitDegeneracyError,
+    ResourceLimitError,
     WalkConfig,
+    dynamics,
     manning_dimension,
     natural_measure,
     sample_harmonic_measure,
 )
+from cantorlab.potential import rng_stream
 
+from _oracles import atom_replicate_dimension, row_prefixes
 from test_curvature import golden_repeller
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
@@ -89,6 +93,41 @@ def test_cylinder_masses_depth_gate(corner):
         CylinderProfile(corner, em, 0)
     with pytest.raises(DepthError):
         CylinderProfile(corner, em, 4)
+
+
+def test_profile_words_match_row_grouping(corner, corner_em_100k):
+    em = corner_em_100k
+    order = np.random.default_rng(5).permutation(em.atom_count)
+    shuffled = dataclasses.replace(
+        em, codes=em.codes[order], points=em.points[order], weights=em.weights[order]
+    )
+    for measure in (em, shuffled):
+        prof = CylinderProfile(corner, measure)
+        for k in prof.ks:
+            words, inverse = row_prefixes(measure.codes, k)
+            assert prof.prefixes[k - 1].dtype == words.dtype
+            assert np.array_equal(prof.prefixes[k - 1], words)
+            assert np.array_equal(prof._inverses[k - 1], inverse)
+
+
+def test_word_code_guard_raises_before_grouping(corner, thirds, monkeypatch):
+    def deep(depth):
+        codes = np.zeros((2, depth), dtype=np.uint8)
+        codes[1] = 1
+        return EmpiricalMeasure(codes=codes, points=[0.0, 1e-3], weights=[0.5, 0.5])
+
+    # 2**63 binary words of length 63 still fit: the largest code is 2**63 - 1
+    prof = CylinderProfile(thirds, deep(63))
+    assert [len(w) for w in prof.prefixes] == [2] * 63
+    assert prof.entropy == pytest.approx([math.log(2.0)] * 63, abs=1e-15)
+    calls = []
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a))
+    for rep, depth in ((thirds, 64), (corner, 32)):
+        with pytest.raises(ResourceLimitError):
+            CylinderProfile(rep, deep(depth))
+        with pytest.raises(ResourceLimitError):
+            manning_dimension(rep, deep(depth))
+    assert calls == []
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -207,6 +246,33 @@ def test_dimension_of_sampled_corner_measure(corner, corner_em_100k):
     assert est.ci[1] < 1.0
     assert all(k >= 2 for k in est.fit_ks)
     assert len(est.ks) == corner_em_100k.code_depth
+
+
+def test_cell_replicate_matches_the_atom_replicate(corner, corner_em_100k):
+    em = corner_em_100k
+    prof = CylinderProfile(corner, em)
+    fit = manning_dimension(corner, em, n_boot=2).fit_ks
+    counts = rng_stream(0, 1).multinomial(em.samples, em.weights)
+    for fit_ks in (fit, fit[:2]):
+        cells = np.bincount(prof._inverses[fit_ks[-1] - 1], weights=counts)
+
+        class Drawn:
+            def multinomial(self, n, p, size):
+                assert (n, size) == (em.samples, 1)
+                assert np.array_equal(p, prof.masses[fit_ks[-1] - 1])
+                return cells.astype(np.int64)[None, :]
+
+        got = dynamics._bootstrap_dims(prof, fit_ks, em.samples, 1, Drawn())
+        ref = atom_replicate_dimension(corner, em, fit_ks, counts)
+        assert got[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_bootstrap_interval_does_not_depend_on_the_block(corner, corner_em_100k, monkeypatch):
+    est = manning_dimension(corner, corner_em_100k, seed=4)
+    cells = len(CylinderProfile(corner, corner_em_100k).prefixes[est.fit_ks[-1] - 1])
+    for block in (1, 7 * cells):
+        monkeypatch.setattr(dynamics, "BOOT_BLOCK", block)
+        assert manning_dimension(corner, corner_em_100k, seed=4).ci == est.ci
 
 
 def test_dimension_bootstrap_needs_enough_walks(corner):

@@ -25,10 +25,10 @@ from cantorlab import (
     shell_integral_sums,
     similarity_dimension,
 )
-from cantorlab.geometry import CYLINDER_CAP, _shell_quadrature
+from cantorlab.geometry import CYLINDER_CAP, SHELL_BASE_CELLS, _shell_quadratures
 from cantorlab.potential import rng_stream
 
-from _oracles import covering_components, distance_interval
+from _oracles import covering_components, distance_interval, shell_quadrature
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -259,7 +259,7 @@ def test_grid_field_matches_kd_tree(name):
     rec = _RecordingField(fld)
     a = 1.0 / rep.max_scale
     for k in range(3):
-        _shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
+        shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
     z = np.concatenate([scattered, *rec.points])
     d, idx = fld._nearest(z)
     xy = np.column_stack([z.real, z.imag])
@@ -403,6 +403,30 @@ def test_shell_sums_validation(thirds):
         shell_integral_sums(thirds, delta=1.0, a=3.0, kmax=2)
     with pytest.raises(ValueError):
         shell_integral_sums(thirds, delta=0.5, a=0.9, kmax=2)
+
+
+@pytest.mark.parametrize(
+    "name, delta, a, kmax",
+    [("middle-thirds", math.log(2.0) / math.log(3.0), 3.0, 7), ("corner4", 0.5, 4.0, 3)],
+)
+def test_shell_refinements_equal_the_grids_built_from_the_root(name, delta, a, kmax):
+    rep = preset(name)
+    report = shell_integral_sums(rep, delta=delta, a=a, kmax=kmax)
+    power = (1.0 - delta) * (2.0 + delta)
+    fld = rep.field(a ** -(kmax + 1) / 8.0)
+    for k, total in enumerate(report.sums):
+        r_in, r_out = a ** -(k + 1), a**-k
+        refined = _shell_quadratures(rep, fld, power, r_in, r_out)
+        # the refinements the sum used: up to the first that agrees with the last
+        got = [next(refined), next(refined)]
+        while abs(got[-1] - got[-2]) > 0.02 * abs(got[-1]):
+            got.append(next(refined))
+        ref = [
+            shell_quadrature(rep, fld, power, r_in, r_out, SHELL_BASE_CELLS * 2**j)
+            for j in range(len(got))
+        ]
+        assert got == ref
+        assert total == got[-1]
 
 
 def test_shell_sums_point_fixture_closed_form():
