@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     BootstrapError,
     ConfigError,
-    DepthError,
     DispersionError,
     EscapeError,
     ExcessiveDiscardError,
@@ -64,7 +63,6 @@ from .curvature import (
     curvature_energy,
     curvature_profile,
     default_r_grid,
-    menger_curvature,
 )
 from .dynamics import (
     CylinderProfile,

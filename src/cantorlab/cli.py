@@ -81,7 +81,7 @@ def _cmd_build(args) -> int:
     lines = [f"# shape={args.shape} depth={args.depth}", "code,x,y,radius"]
     for code, c, r in zip(codes, centers, radii):
         word = "".join(str(int(x)) for x in code)
-        lines.append(f"{word},{c.real!r},{c.imag!r},{float(r)!r}")
+        lines.append(f"{word},{float(c.real)!r},{float(c.imag)!r},{float(r)!r}")
     text = "\n".join(lines) + "\n"
     if isinstance(shape, Repeller):
         print(f"{args.shape}: {len(shape.branches)} branches, "

@@ -1,8 +1,7 @@
 """Menger curvature energies and truncated Cauchy transforms of atomic measures.
 
 The Menger curvature of three points is the inverse circumradius of their
-triangle, computed from the cross product so collinear triples give exactly
-zero.  The curvature energy of a measure is the triple integral of the
+triangle.  The curvature energy of a measure is the triple integral of the
 squared kernel; for atomic measures, a weighted sum over ordered triples of
 distinct atoms, summed exactly over atom pairs.  Melnikov's identity
 c^2(z1, z2, z3) = sum over permutations s of 1 / ((z_s1 - z_s3) conj(z_s2 - z_s3)),
@@ -34,27 +33,6 @@ EXACT_CAP = 4**7
 
 #: atom pairs per row block of the exact energy (temporaries of a few MB)
 PAIR_BLOCK = 1 << 18
-
-
-def menger_curvature(z1, z2, z3):
-    """Inverse circumradius of the triangle (z1, z2, z3).
-
-    Computed as 2 |cross(z2 - z1, z3 - z1)| / (|z1 - z2| |z2 - z3| |z3 - z1|),
-    which vanishes exactly for collinear triples.  Accepts scalars or
-    broadcastable arrays; coincident points raise SingularityError.
-    """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    z3 = np.asarray(z3, dtype=complex)
-    a = z2 - z1
-    b = z3 - z1
-    c = z3 - z2
-    den = np.abs(a) * np.abs(b) * np.abs(c)
-    if np.any(den == 0.0):
-        raise SingularityError("coincident points have no Menger curvature")
-    cross = np.abs(a.real * b.imag - a.imag * b.real)
-    out = 2.0 * cross / den
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     BootstrapError,
-    DepthError,
     FitDegeneracyError,
     ResourceLimitError,
 )
@@ -39,13 +38,8 @@ MIN_BOOTSTRAP_SAMPLES = 10_000
 BOOT_BLOCK = 1 << 14
 
 
-def _plugin_entropy(masses: np.ndarray) -> float:
-    m = masses[masses > 0]
-    return float(-np.sum(m * np.log(m)))
-
-
 class CylinderProfile:
-    """Cylinder partitions of one coded measure at generations k = 1..kmax.
+    """Cylinder partitions of one coded measure at generations k = 1..code_depth.
 
     prefixes[k-1] lists the occupied length-k code words in lexicographic
     order and masses[k-1] their masses.  entropy[k-1] is the Shannon entropy
@@ -55,53 +49,53 @@ class CylinderProfile:
     measure-weighted sum of log(1/scale) along length-k words (exact for
     similarity systems, so any probability measure on an equal-scale system
     gives the same L_k / k).  H_k / k and L_k / k are the per-letter entropy
-    and Lyapunov exponent.  kmax outside 1..code_depth raises DepthError,
-    and words that do not fit int64 codes (fan ** kmax > 2 ** 63) raise
-    ResourceLimitError before any grouping.
+    and Lyapunov exponent.  Words that do not fit int64 codes
+    (fan ** code_depth > 2 ** 63) raise ResourceLimitError before any
+    grouping.
     """
 
-    def __init__(self, rep: Repeller, em: EmpiricalMeasure, kmax: int | None = None):
-        if kmax is None:
-            kmax = em.code_depth
-        if not 1 <= kmax <= em.code_depth:
-            raise DepthError(
-                f"generation {kmax} outside the coded depth 1..{em.code_depth}"
-            )
+    def __init__(self, rep: Repeller, em: EmpiricalMeasure):
+        depth = em.code_depth
         # a length-k word is the base-fan integer of its letters, so words
-        # of length kmax are the integers below fan ** kmax
-        if rep.fan**kmax > 2**63:
+        # of length depth are the integers below fan ** depth
+        if rep.fan**depth > 2**63:
             raise ResourceLimitError(
-                f"{rep.fan}-letter words of length {kmax} overflow int64 codes"
+                f"{rep.fan}-letter words of length {depth} overflow int64 codes"
             )
-        self.ks = tuple(range(1, kmax + 1))
+        self.ks = tuple(range(1, depth + 1))
         log_inv = np.array([-math.log(b.scale) for b in rep.branches])
         enc = np.zeros(em.atom_count, dtype=np.int64)
-        prefixes, self._inverses, self._word_sums = [], [], []
+        for letters in em.codes.T:
+            enc = enc * rep.fan + letters
+        # integer order of equal-length words is their lexicographic order,
+        # so the occupied length-k words are runs of the sorted deepest cells
+        cells, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
+        prefixes, masses, self._starts, self._word_sums = [], [], [], []
         for k in self.ks:
-            enc = enc * rep.fan + em.codes[:, k - 1]
-            # integer order of equal-length words is their lexicographic order
-            _, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
-            words = em.codes[first, :k]
+            new = np.diff(cells // rep.fan ** (depth - k), prepend=-1) != 0
+            starts = np.flatnonzero(new)
+            words = em.codes[first[starts], :k]
             prefixes.append(words)
-            self._inverses.append(inverse)
+            # summed over the atoms, not over finer cells, at every generation
+            masses.append(np.bincount((np.cumsum(new) - 1)[inverse], weights=em.weights))
+            self._starts.append(starts)
             # log(1/scale) summed along each occupied word
             self._word_sums.append(log_inv[words].sum(axis=1))
-        self.prefixes = tuple(prefixes)
-        self._samples = em.samples
-        self.masses, self.entropy, self.stretching = self._evaluate(em.weights)
+        self.prefixes, self.masses = tuple(prefixes), tuple(masses)
+        hl = [_entropy_stretching(m, s, em.samples) for m, s in zip(masses, self._word_sums)]
+        self.entropy, self.stretching = np.array(hl).reshape(-1, 2).T
 
-    def _evaluate(self, weights: np.ndarray):
-        """Masses, entropies H_k and stretchings L_k with the atoms reweighted."""
-        masses, hs, ls = [], [], []
-        for inverse, word_sums in zip(self._inverses, self._word_sums):
-            m = np.bincount(inverse, weights=weights)
-            h = _plugin_entropy(m)
-            if self._samples:
-                h += (np.count_nonzero(m) - 1) / (2.0 * self._samples)
-            masses.append(m)
-            hs.append(h)
-            ls.append(float(np.dot(weights, word_sums[inverse])))
-        return tuple(masses), np.array(hs), np.array(ls)
+
+def _entropy_stretching(m: np.ndarray, word_sums: np.ndarray, samples: int | None):
+    """Entropy H and stretching L of the mass tables m (cells on the last axis).
+
+    H carries the Miller-Madow term when samples is set.  m is one
+    generation's table, or a block of replicate tables of it, one per row.
+    """
+    h = -np.sum(m * np.log(np.where(m > 0, m, 1.0)), axis=-1)
+    if samples:
+        h += (np.count_nonzero(m, axis=-1) - 1) / (2.0 * samples)
+    return h, np.sum(m * word_sums, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -122,11 +116,15 @@ class DimensionEstimate:
     ci: tuple[float, float]
 
 
-def _slope_dimension(ks, H_tot, L_tot):
-    ks = np.asarray(ks, dtype=float)
-    hs = np.polyfit(ks, np.asarray(H_tot), 1)[0]
-    ls = np.polyfit(ks, np.asarray(L_tot), 1)[0]
-    return float(hs / ls)
+def _slope_ratio(ks, H: np.ndarray, L: np.ndarray):
+    """Ratio of the least-squares slopes in k of H and L.
+
+    Generations run along the first axis of H and L; replicate tables, when
+    there are any, along the second.
+    """
+    x = np.asarray(ks, dtype=float)
+    xc = (x - x.mean()).reshape((-1,) + (1,) * (H.ndim - 1))
+    return (xc * H).sum(axis=0) / (xc * L).sum(axis=0)
 
 
 def _bootstrap_dims(prof: CylinderProfile, fit_ks, samples: int, n_boot: int, rng):
@@ -140,30 +138,19 @@ def _bootstrap_dims(prof: CylinderProfile, fit_ks, samples: int, n_boot: int, rn
     cells.  The draws, hence the result, do not depend on BOOT_BLOCK.
     """
     kfit = fit_ks[-1]
-    words, p = prof.prefixes[kfit - 1], prof.masses[kfit - 1]
-    groups = []
-    for k in fit_ks:
-        # the cells of generation kfit that start a new length-k prefix
-        new = np.ones(len(words), dtype=bool)
-        new[1:] = np.any(words[1:, :k] != words[:-1, :k], axis=1)
-        groups.append((np.flatnonzero(new), prof._word_sums[k - 1]))
-    x = np.asarray(fit_ks, dtype=float)
-    xc = (x - x.mean())[:, None]
-    block = max(1, BOOT_BLOCK // len(words))
+    p = prof.masses[kfit - 1]
+    # where each fit generation's cells start among the generation-kfit cells
+    runs = [np.searchsorted(prof._starts[kfit - 1], prof._starts[k - 1]) for k in fit_ks]
+    block = max(1, BOOT_BLOCK // len(p))
     dims = np.empty(n_boot)
     for start in range(0, n_boot, block):
         counts = rng.multinomial(samples, p, size=min(block, n_boot - start))
         H = np.empty((len(fit_ks), len(counts)))
         L = np.empty_like(H)
-        for j, (starts, word_sums) in enumerate(groups):
-            c = np.add.reduceat(counts, starts, axis=1)
-            m = c / samples
-            occupied = np.count_nonzero(c, axis=1)
-            H[j] = -np.sum(m * np.log(np.where(c > 0, m, 1.0)), axis=1)
-            H[j] += (occupied - 1) / (2.0 * samples)
-            L[j] = np.sum(m * word_sums, axis=1)
-        # the ratio of the centred least-squares slopes of H and L in k
-        dims[start : start + len(counts)] = (xc * H).sum(axis=0) / (xc * L).sum(axis=0)
+        for j, k in enumerate(fit_ks):
+            m = np.add.reduceat(counts, runs[j], axis=1) / samples
+            H[j], L[j] = _entropy_stretching(m, prof._word_sums[k - 1], samples)
+        dims[start : start + len(counts)] = _slope_ratio(fit_ks, H, L)
     return dims
 
 
@@ -179,8 +166,8 @@ def manning_dimension(
     generations k >= 2 whose occupied-cylinder count stays below samples / 50
     (all generations for exact measures), and takes the slope ratio.  Sampled
     measures get a 95% bootstrap interval (point estimate +- 1.96 times the
-    spread of multinomial walk resamples); fewer than 10^4 walks raise
-    BootstrapError.  The walks are resampled on the cells of the deepest fit
+    spread of multinomial walk resamples); fewer than 10^4 walks or fewer
+    than 2 replicates raise BootstrapError.  The walks are resampled on the cells of the deepest fit
     generation, which gives the law of atom-level resamples from a different
     random stream, so seed fixes the interval but the interval does not
     repeat one drawn atom by atom.
@@ -201,7 +188,7 @@ def manning_dimension(
             "raise samples or lower kmax"
         )
     sel = [k - 1 for k in usable]
-    dim = _slope_dimension(usable, H_tot[sel], L_tot[sel])
+    dim = float(_slope_ratio(usable, H_tot[sel], L_tot[sel]))
     h_k = tuple(float(H_tot[k - 1] / k) for k in ks)
     lam_k = tuple(float(L_tot[k - 1] / k) for k in ks)
     dim_k = tuple(
@@ -216,6 +203,8 @@ def manning_dimension(
                 f"{em.samples} walks are too few to bootstrap "
                 f"(need {MIN_BOOTSTRAP_SAMPLES})"
             )
+        if n_boot < 2:
+            raise BootstrapError(f"n_boot={n_boot} replicates have no spread (need 2)")
         dims = _bootstrap_dims(prof, usable, em.samples, n_boot, rng_stream(seed, 1))
         # normal-approximation interval: resampling adds a second layer of
         # plug-in entropy bias, so the replicate spread is trustworthy but

@@ -41,10 +41,6 @@ class VarianceError(LabError):
     """Monte Carlo relative error above the requested gate."""
 
 
-class DepthError(LabError):
-    """Atom codes are shorter than the requested cylinder generation."""
-
-
 class FitDegeneracyError(LabError):
     """Regression input spans too narrow a range to fit."""
 

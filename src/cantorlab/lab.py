@@ -103,6 +103,10 @@ class ExperimentConfig:
             )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def walk_config(self) -> WalkConfig:
         return WalkConfig(
@@ -251,7 +255,8 @@ def _exp_measure_scaling(shape, cfg: ExperimentConfig):
     centers = em.points[np.sort(pick)]
     report = ball_mass_scaling(em, centers, np.geomspace(r_lo, r_hi, n_radii))
     rows = [
-        f"{c.real!r},{c.imag!r},{e!r}" for c, e in zip(centers, report.exponents)
+        f"{float(c.real)!r},{float(c.imag)!r},{e!r}"
+        for c, e in zip(centers, report.exponents)
     ]
     med = report.exponent_median
     q1, q3 = np.quantile(report.exponents, [0.25, 0.75])
@@ -370,7 +375,8 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
         mx = float(np.max(np.abs(vals)))
         max1[i] = mx
         for r, v in zip(grid, vals):
-            rows.append(f"{z.real!r},{z.imag!r},{r!r},{v.real!r},{v.imag!r},{mx!r}")
+            cells = (z.real, z.imag, r, v.real, v.imag, mx)
+            rows.append(",".join(repr(float(x)) for x in cells))
         _, vals2 = cauchy_truncations(em2, z, r_grid=grid2)
         max2[i] = float(np.max(np.abs(vals2)))
     med1, med2 = float(np.median(max1)), float(np.median(max2))

@@ -38,6 +38,29 @@ def curvature_squared(u: complex, v: complex, w: complex) -> float:
     return (2.0 * twice_area / den) ** 2
 
 
+def menger_curvature(z1, z2, z3):
+    """Inverse circumradius of the triangle (z1, z2, z3).
+
+    Computed as 2 |cross(z2 - z1, z3 - z1)| / (|z1 - z2| |z2 - z3| |z3 - z1|),
+    which vanishes exactly for collinear triples.  Accepts scalars or
+    broadcastable arrays; coincident points raise SingularityError.  The
+    package sums the squared kernel over atom pairs through Melnikov's
+    identity and never evaluates it on one triangle.
+    """
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    z3 = np.asarray(z3, dtype=complex)
+    a = z2 - z1
+    b = z3 - z1
+    c = z3 - z2
+    den = np.abs(a) * np.abs(b) * np.abs(c)
+    if np.any(den == 0.0):
+        raise SingularityError("coincident points have no Menger curvature")
+    cross = np.abs(a.real * b.imag - a.imag * b.real)
+    out = 2.0 * cross / den
+    return float(out) if out.ndim == 0 else out
+
+
 def energy_python_loop(points, weights) -> float:
     """Ordered-convention curvature energy by brute itertools enumeration."""
     pts = [complex(p) for p in points]

@@ -17,7 +17,6 @@ from cantorlab import (
     curvature_energy,
     curvature_profile,
     default_r_grid,
-    menger_curvature,
     natural_measure,
     run_experiment,
 )
@@ -29,6 +28,7 @@ from _oracles import (
     energy_numpy_loop,
     energy_python_loop,
     maximal_cauchy,
+    menger_curvature,
     triple_slice_energy,
 )
 from test_potential import uniform_circle_measure

@@ -9,7 +9,6 @@ import pytest
 from cantorlab import (
     BootstrapError,
     CylinderProfile,
-    DepthError,
     EmpiricalMeasure,
     FitDegeneracyError,
     ResourceLimitError,
@@ -38,29 +37,29 @@ def bernoulli_measure(rep, depth: int, p) -> EmpiricalMeasure:
 
 def mass_table(rep, em, k: int) -> dict:
     """Generation-k cylinder masses keyed by code prefix."""
-    prof = CylinderProfile(rep, em, k)
+    prof = CylinderProfile(rep, em)
     return {tuple(int(c) for c in word): float(m)
             for word, m in zip(prof.prefixes[k - 1], prof.masses[k - 1])}
 
 
 def entropy_rates(rep, em, kmax: int) -> list:
     """Per-letter entropies H_k / k for k = 1..kmax."""
-    prof = CylinderProfile(rep, em, kmax)
-    return list(prof.entropy / np.array(prof.ks))
+    prof = CylinderProfile(rep, em)
+    return list(prof.entropy[:kmax] / np.array(prof.ks[:kmax]))
 
 
 def lyapunov_rates(rep, em, kmax: int) -> list:
     """Per-letter stretching rates L_k / k for k = 1..kmax."""
-    prof = CylinderProfile(rep, em, kmax)
-    return list(prof.stretching / np.array(prof.ks))
+    prof = CylinderProfile(rep, em)
+    return list(prof.stretching[:kmax] / np.array(prof.ks[:kmax]))
 
 
 # -- cylinder masses ---------------------------------------------------------
 
 
 def test_cylinder_masses_uniform(corner):
-    prof = CylinderProfile(corner, natural_measure(corner, 3), 2)
-    assert prof.ks[-1] == 2
+    prof = CylinderProfile(corner, natural_measure(corner, 3))
+    assert prof.ks == (1, 2, 3)
     assert len(prof.prefixes[1]) == len(prof.masses[1]) == 16
     assert prof.masses[1].sum() == pytest.approx(1.0, abs=1e-12)
     assert all(v == pytest.approx(1.0 / 16.0, abs=1e-15) for v in prof.masses[1])
@@ -87,14 +86,6 @@ def test_cylinder_masses_are_consistent_across_generations(corner, corner_em_100
         assert regrouped[key] == pytest.approx(mass, abs=1e-12)
 
 
-def test_cylinder_masses_depth_gate(corner):
-    em = natural_measure(corner, 3)
-    with pytest.raises(DepthError):
-        CylinderProfile(corner, em, 0)
-    with pytest.raises(DepthError):
-        CylinderProfile(corner, em, 4)
-
-
 def test_profile_words_match_row_grouping(corner, corner_em_100k):
     em = corner_em_100k
     order = np.random.default_rng(5).permutation(em.atom_count)
@@ -107,7 +98,8 @@ def test_profile_words_match_row_grouping(corner, corner_em_100k):
             words, inverse = row_prefixes(measure.codes, k)
             assert prof.prefixes[k - 1].dtype == words.dtype
             assert np.array_equal(prof.prefixes[k - 1], words)
-            assert np.array_equal(prof._inverses[k - 1], inverse)
+            masses = np.bincount(inverse, weights=measure.weights)
+            assert np.array_equal(prof.masses[k - 1], masses)
 
 
 def test_word_code_guard_raises_before_grouping(corner, thirds, monkeypatch):
@@ -203,14 +195,6 @@ def test_lyapunov_weights_unequal_scales():
     assert lam1 == pytest.approx(1.5 * math.log(2.0), abs=1e-12)
 
 
-def test_lyapunov_depth_gate(corner):
-    em = natural_measure(corner, 3)
-    with pytest.raises(DepthError):
-        lyapunov_rates(corner, em, 4)
-    with pytest.raises(DepthError):
-        lyapunov_rates(corner, em, 0)
-
-
 # -- dimension ---------------------------------------------------------------------------
 
 
@@ -254,7 +238,8 @@ def test_cell_replicate_matches_the_atom_replicate(corner, corner_em_100k):
     fit = manning_dimension(corner, em, n_boot=2).fit_ks
     counts = rng_stream(0, 1).multinomial(em.samples, em.weights)
     for fit_ks in (fit, fit[:2]):
-        cells = np.bincount(prof._inverses[fit_ks[-1] - 1], weights=counts)
+        _, inverse = row_prefixes(em.codes, fit_ks[-1])
+        cells = np.bincount(inverse, weights=counts)
 
         class Drawn:
             def multinomial(self, n, p, size):
@@ -279,6 +264,15 @@ def test_dimension_bootstrap_needs_enough_walks(corner):
     em = sample_harmonic_measure(corner, WalkConfig(samples=5000, seed=1))
     with pytest.raises(BootstrapError):
         manning_dimension(corner, em)
+
+
+def test_dimension_bootstrap_needs_two_replicates(corner, corner_em_100k):
+    for n_boot in (0, 1):
+        with pytest.raises(BootstrapError, match="n_boot"):
+            manning_dimension(corner, corner_em_100k, n_boot=n_boot)
+    # an exact measure draws no replicates, so its interval needs none
+    est = manning_dimension(corner, natural_measure(corner, 3), n_boot=1)
+    assert est.ci == (est.dim, est.dim)
 
 
 def test_dimension_fit_needs_two_usable_generations(corner, thirds):

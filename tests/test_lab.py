@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -98,6 +99,23 @@ def test_config_rejects_threads_below_one(tmp_path, capsys):
     argv = ["--out", str(out), "--threads", "0", "curvature", "corner4", "--kmax", "2"]
     assert main(argv) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,keys,message",
+    [
+        (["sample", "corner4", "--samples", "0"], "seed = 1\nsamples = 0", "samples must be >= 1"),
+        (["--seed", "-1", "sample", "corner4"], "seed = -1", "seed must be >= 0"),
+    ],
+    ids=["samples", "seed"],
+)
+def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, argv, keys, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(f"experiment = cauchy\nshape = circle\n{keys}\n")
+    out = tmp_path / "bad"
+    assert main(["--out", str(out), *argv]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -247,6 +265,21 @@ def test_cli_build_writes_atoms(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--force" in err
     assert main(["--out", str(out), "--force", "build", "corner4"]) == 0
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    runs = {"cauchy": {"n_eval": 3}, "measure-scaling": {"n_centers": 4, "r_lo": 0.1}}
+    for experiment, params in runs.items():
+        run_experiment(ExperimentConfig(experiment=experiment, shape="corner4", seed=1,
+                                        samples=5_000, out=str(tmp_path / experiment),
+                                        params=params))
+    assert main(["--out", str(tmp_path / "build"), "build", "corner4", "--depth", "2"]) == 0
+    for path in ("cauchy/cauchy.csv", "measure-scaling/scaling.csv", "build/atoms.csv"):
+        rows = (tmp_path / path).read_text().splitlines()[2:]
+        assert rows
+        for row in rows:
+            for cell in row.split(","):
+                assert math.isfinite(float(cell)), (path, row)
 
 
 def test_cli_run_subcommand_and_overrides(tmp_path, capsys):
