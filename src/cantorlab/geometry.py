@@ -41,6 +41,10 @@ SHELL_MAX_REFINE = 3
 #: so its temporaries stay a few MB even for shell grids of millions of cells
 GRID_BLOCK = 1 << 16
 
+#: a grid axis of n values is searched through at most max(AXIS_BUCKETS * n,
+#: 2^16) buckets of one smallest gap each
+AXIS_BUCKETS = 16
+
 
 @dataclass(frozen=True)
 class SimilarityMap:
@@ -79,16 +83,67 @@ class CylinderSet:
         return len(self.centers)
 
 
-def _axis_nearest(u: np.ndarray, x: np.ndarray):
-    """Nearest value of the sorted axis u to each x: its index and x minus it.
+class _Axis:
+    """The sorted distinct values u of one grid axis, with a bucket table.
 
-    Exact ties go to the smaller value.
+    The bucket b(x) = clip(floor((x - u[0]) * scale), 0, nb - 1) is monotone
+    in x, so the values in earlier buckets lie below x and those in later
+    buckets above it.  first[b] counts the values in buckets before b; adding
+    the values of bucket b below x, found by a branch-free binary search of
+    bit_length(max occupancy) steps, gives np.searchsorted(u, x) exactly.
+    Buckets are one smallest gap wide, and there are at most
+    max(AXIS_BUCKETS * len(u), 2^16) of them.
     """
-    i = np.searchsorted(u, x)
-    lo = np.maximum(i - 1, 0)
-    hi = np.minimum(i, len(u) - 1)
-    j = np.where(u[hi] - x < x - u[lo], hi, lo)
-    return j, x - u[j]
+
+    def __init__(self, u: np.ndarray):
+        n = len(u)
+        self.origin, self.last = float(u[0]), n - 1
+        self.scale, nb = 1.0, 1
+        if n > 1:
+            span = float(u[-1] - u[0])
+            cap = max(AXIS_BUCKETS * n, 1 << 16)
+            self.scale = min(1.0 / float(np.diff(u).min()), cap / span)
+            nb = min(int(span * self.scale) + 1, cap)
+        self.top = float(nb - 1)
+        counts = np.bincount(self._bucket(u), minlength=nb)
+        # intp, not int32: with int32 counts the search's index temporaries come
+        # in a second size, and walks then peak about 1 MB higher in RSS
+        self.first = np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.intp)
+        self.steps = [1 << s for s in reversed(range(int(counts.max()).bit_length()))]
+        # padded[k + 1] = u[k]; the -inf and +inf ends stand in for missing
+        # neighbours, and no search step reaches past index n + steps[0]
+        self.padded = np.concatenate([[-np.inf], u, np.full(self.steps[0], np.inf)])
+
+    def _bucket(self, x: np.ndarray) -> np.ndarray:
+        t = x - self.origin
+        t *= self.scale
+        # fmax/fmin, not clip: a NaN goes to bucket 0, not to a wild index
+        np.fmax(t, 0.0, out=t)
+        return np.fmin(t, self.top, out=t).astype(np.intp)
+
+    def count_below(self, x: np.ndarray) -> np.ndarray:
+        """np.searchsorted(u, x), the number of axis values below each x."""
+        i = self.first.take(self._bucket(x))
+        for step in self.steps:
+            below = self.padded[step:].take(i) < x
+            i += below if step == 1 else below * step
+        return i
+
+    def nearest(self, x: np.ndarray):
+        """Index of the axis value nearest each x, and its distance to x.
+
+        Exact ties go to the smaller value.
+        """
+        i = self.count_below(x)
+        left = self.padded.take(i)
+        np.subtract(x, left, out=left)
+        right = self.padded[1:].take(i)
+        right -= x
+        j = i - (right >= left)
+        # an infinite x makes left or right inf - inf = NaN (and numpy warns):
+        # at x = +inf the NaN sends j to n, so clamp it and skip the NaN
+        np.minimum(j, self.last, out=j)
+        return j, np.fmin(left, right, out=left)
 
 
 class _LeafField:
@@ -102,9 +157,10 @@ class _LeafField:
     the distinct real and imaginary parts of the centers span a grid with
     exactly one center per cell (every preset: corner4 is C x C, the middle
     sets C x {0}), the nearest center pairs the nearest value on each axis,
-    found by binary search; its distance has the same bits as a KD-tree's,
-    and exact ties go to the smaller coordinate.  Any other center set, say
-    one from rotated maps, is searched with a cKDTree.
+    found through the axis's bucket table (_Axis, built once per field, and
+    fields are cached per depth); its distance has the same bits as a
+    KD-tree's, and exact ties go to the smaller coordinate.  Any other center
+    set, say one from rotated maps, is searched with a cKDTree.
     """
 
     def __init__(self, rep: "Repeller", depth: int):
@@ -118,7 +174,7 @@ class _LeafField:
         self._tree = None
         if len(ux) * len(uy) == len(cs):
             # the centers are distinct, so they fill every cell once
-            self._axes = (ux, uy)
+            self._axes = (_Axis(ux), _Axis(uy))
             self._table = np.empty((len(ux), len(uy)), dtype=np.intp)
             self._table[ix, iy] = np.arange(len(cs))
         else:
@@ -132,11 +188,11 @@ class _LeafField:
         idx = np.empty(z.shape, dtype=np.intp)
         for start in range(0, len(z), GRID_BLOCK):
             part = slice(start, start + GRID_BLOCK)
-            jx, dx = _axis_nearest(self._axes[0], z.real[part])
-            jy, dy = _axis_nearest(self._axes[1], z.imag[part])
+            jx, dx = self._axes[0].nearest(z.real[part])
+            jy, dy = self._axes[1].nearest(z.imag[part])
             # not hypot: the tree also takes the root of the sum of squares
             d[part] = np.sqrt(dx * dx + dy * dy)
-            idx[part] = self._table[jx, jy]
+            idx[part] = self._table.take(jx * self._table.shape[1] + jy)
         return d, idx
 
     def query(self, z: np.ndarray):

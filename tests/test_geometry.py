@@ -244,35 +244,77 @@ class _RecordingField:
         return self.fld.query(z)
 
 
+@pytest.mark.parametrize("name", ["corner4", "middle-thirds", "middle-alpha:0.2"])
+@pytest.mark.parametrize("resolution", [1e-3, 2.5e-5, 1e-6, 10.0])
+def test_axis_bucket_count_is_searchsorted(name, resolution):
+    rep = preset(name)
+    fld = rep.field(resolution)
+    centers = rep.cylinders(fld.depth).centers
+    rng = rng_stream(11, 0)
+    for axis, part in zip(fld._axes, (centers.real, centers.imag)):
+        u = np.unique(part)
+        # a scatter reaching past both ends, every value, its float neighbours
+        # on both sides and every midpoint between neighbouring values
+        pad = 0.5 * (u[-1] - u[0]) + 1.0
+        x = np.concatenate(
+            [
+                rng.uniform(u[0] - pad, u[-1] + pad, 50_000),
+                u,
+                np.nextafter(u, -np.inf),
+                np.nextafter(u, np.inf),
+                0.5 * (u[:-1] + u[1:]),
+                [-np.inf, np.inf],
+            ]
+        )
+        i = np.searchsorted(u, x)
+        assert np.array_equal(axis.count_below(x), i)
+        # the pick of the binary search the buckets replaced
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i, len(u) - 1)
+        expected = np.where(u[hi] - x < x - u[lo], hi, lo)
+        with np.errstate(invalid="ignore"):  # inf - inf at the infinite x
+            j, dist = axis.nearest(x)
+        assert np.array_equal(j, expected)
+        assert np.array_equal(dist, np.abs(x - u[j]))
+    # the finest fields put several values in one bucket
+    assert (len(fld._axes[0].steps) > 1) == (resolution == 1e-6)
+    if fld.depth == 0:
+        assert len(fld._axes[0].first) == len(fld._axes[1].first) == 1
+    # a NaN point gets NaN bounds, as from the binary search
+    assert np.isnan(fld.query(np.array([complex(np.nan, 0.5)]))).all()
+
+
 @pytest.mark.parametrize("name", ["corner4", "middle-thirds"])
 def test_grid_field_matches_kd_tree(name):
     rep = preset(name)
-    fld = rep.field(1e-3)
-    assert fld._tree is None
-    centers = rep.cylinders(fld.depth).centers
-    tree = cKDTree(np.column_stack([centers.real, centers.imag]))
-    rng = rng_stream(10, 0)
-    # three bounding radii out: points beyond the bounding square on every side
-    r = 3.0 * rep.root_radius
-    scattered = rep.root_center + rng.uniform(-r, r, 20_000) + 1j * rng.uniform(-r, r, 20_000)
-    # the dyadic midpoints of shell quadrature, where exact distance ties occur
-    rec = _RecordingField(fld)
-    a = 1.0 / rep.max_scale
-    for k in range(3):
-        shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
-    z = np.concatenate([scattered, *rec.points])
-    d, idx = fld._nearest(z)
-    xy = np.column_stack([z.real, z.imag])
-    d_tree, idx_tree = tree.query(xy)
-    assert np.array_equal(d, d_tree)
-    unique = tree.query(xy, k=2)[0][:, 1] > d_tree
-    assert np.array_equal(idx[unique], idx_tree[unique])
-    # at an exact tie the tree keeps whichever center its traversal meets
-    # first; the grid's center must lie at the same distance, to the bit
-    dx, dy = z.real - centers.real[idx], z.imag - centers.imag[idx]
-    assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
-    if name == "corner4":
-        assert not unique.all()
+    # 2.5e-5 bounding radii is the field sample_harmonic_measure builds for the
+    # default stop_tol: corner4 at depth 8, middle-thirds at depth 10
+    for resolution in (1e-3, 2.5e-5):
+        fld = rep.field(resolution * rep.bounding_radius)
+        assert fld._tree is None
+        centers = rep.cylinders(fld.depth).centers
+        tree = cKDTree(np.column_stack([centers.real, centers.imag]))
+        rng = rng_stream(10, 0)
+        # three bounding radii out: points beyond the bounding square on every side
+        r = 3.0 * rep.root_radius
+        scattered = rep.root_center + rng.uniform(-r, r, 20_000) + 1j * rng.uniform(-r, r, 20_000)
+        # the dyadic midpoints of shell quadrature, where exact distance ties occur
+        rec = _RecordingField(fld)
+        a = 1.0 / rep.max_scale
+        for k in range(3):
+            shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
+        z = np.concatenate([scattered, *rec.points])
+        d, idx = fld._nearest(z)
+        xy = np.column_stack([z.real, z.imag])
+        d_tree, idx_tree = tree.query(xy)
+        assert np.array_equal(d, d_tree)
+        unique = tree.query(xy, k=2)[0][:, 1] > d_tree
+        assert np.array_equal(idx[unique], idx_tree[unique])
+        # at an exact tie the tree keeps whichever center its traversal meets
+        # first; the grid's center must lie at the same distance, to the bit
+        dx, dy = z.real - centers.real[idx], z.imag - centers.imag[idx]
+        assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
+        if name == "corner4":
+            assert not unique.all()
 
 
 def test_scaling_equivariance(thirds):
