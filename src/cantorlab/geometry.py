@@ -41,9 +41,9 @@ SHELL_MAX_REFINE = 3
 #: so its temporaries stay a few MB even for shell grids of millions of cells
 GRID_BLOCK = 1 << 16
 
-#: a grid axis of n values is searched through at most max(AXIS_BUCKETS * n,
-#: 2^16) buckets of one smallest gap each
-AXIS_BUCKETS = 16
+#: a grid axis is searched through at most AXIS_BUCKET_CAP buckets of one
+#: smallest gap each; finer axes share buckets and take more in-bucket steps
+AXIS_BUCKET_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class _Axis:
     buckets above it.  first[b] counts the values in buckets before b; adding
     the values of bucket b below x, found by a branch-free binary search of
     bit_length(max occupancy) steps, gives np.searchsorted(u, x) exactly.
-    Buckets are one smallest gap wide, and there are at most
-    max(AXIS_BUCKETS * len(u), 2^16) of them.
+    Buckets are one smallest gap wide, and there are at most AXIS_BUCKET_CAP
+    of them.
     """
 
     def __init__(self, u: np.ndarray):
@@ -101,14 +101,14 @@ class _Axis:
         self.scale, nb = 1.0, 1
         if n > 1:
             span = float(u[-1] - u[0])
-            cap = max(AXIS_BUCKETS * n, 1 << 16)
-            self.scale = min(1.0 / float(np.diff(u).min()), cap / span)
-            nb = min(int(span * self.scale) + 1, cap)
+            self.scale = min(1.0 / float(np.diff(u).min()), AXIS_BUCKET_CAP / span)
+            nb = min(int(span * self.scale) + 1, AXIS_BUCKET_CAP)
         self.top = float(nb - 1)
         counts = np.bincount(self._bucket(u), minlength=nb)
         # intp, not int32: with int32 counts the search's index temporaries come
         # in a second size, and walks then peak about 1 MB higher in RSS
-        self.first = np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.intp)
+        self.first = np.zeros(nb, dtype=np.intp)
+        np.cumsum(counts[:-1], out=self.first[1:])
         self.steps = [1 << s for s in reversed(range(int(counts.max()).bit_length()))]
         # padded[k + 1] = u[k]; the -inf and +inf ends stand in for missing
         # neighbours, and no search step reaches past index n + steps[0]
@@ -192,7 +192,7 @@ class _LeafField:
             jy, dy = self._axes[1].nearest(z.imag[part])
             # not hypot: the tree also takes the root of the sum of squares
             d[part] = np.sqrt(dx * dx + dy * dy)
-            idx[part] = self._table.take(jx * self._table.shape[1] + jy)
+            idx[part] = self._table[jx, jy]
         return d, idx
 
     def query(self, z: np.ndarray):
