@@ -11,6 +11,7 @@ from dataclasses import replace
 from .errors import LabError, OutputCollisionError
 from .geometry import Repeller, similarity_dimension
 from .lab import (
+    _EXPERIMENTS,
     _KEY_TYPES,
     ExperimentConfig,
     _config_from_keys,
@@ -18,27 +19,6 @@ from .lab import (
     resolve_shape,
     run_experiment,
 )
-
-#: subcommand -> (experiment, help line, config keys it takes as flags); each
-#: key becomes a --flag parsed by the key table's type
-_SUBCOMMANDS = {
-    "sample": ("measure-scaling", "harmonic measure + ball-mass scaling",
-               ("samples", "n_centers")),
-    "green": ("green-comparability", "Green function comparability fit",
-              ("samples", "n_points", "depth_lo", "depth_hi")),
-    "curvature": ("curvature-profile", "curvature energy profile over generations",
-                  ("kmax",)),
-    "cauchy": ("cauchy", "truncated Cauchy transforms at boundary atoms",
-               ("samples", "n_eval")),
-    "dimension": ("dimension-gap", "entropy/Lyapunov dimension of the measure",
-                  ("samples", "n_boot", "kmax")),
-    "regularity": ("regularity", "covering component counts and growth fit",
-                   ("a", "kmax")),
-    "lemma-l": ("lemma-L", "shell integral sums of a distance power",
-                ("delta", "a", "kmax", "rtol")),
-    "bhp": ("bhp", "boundary Harnack Holder fit for two poles",
-            ("pole_p", "pole_q", "n_pairs", "walks_per_point")),
-}
 
 _SHAPE_HELP = "preset (corner4, middle-thirds, middle-alpha:<r>, circle, segment) or IFS file"
 
@@ -58,16 +38,19 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("shape", help=_SHAPE_HELP)
     b.add_argument("--depth", type=int, default=4, help="generation to emit")
 
-    for command, (experiment, help_line, keys) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(command, help=help_line)
+    # one subcommand per experiment, one flag per key it reads
+    for experiment, exp in _EXPERIMENTS.items():
+        sub = subs.add_parser(exp.command, help=exp.help)
         sub.set_defaults(experiment=experiment)
         sub.add_argument("shape", help=_SHAPE_HELP)
-        for key in keys:
+        walks = {"samples": ExperimentConfig.samples} if exp.samples else {}
+        for key, default in {**walks, **exp.params}.items():
             sub.add_argument(
                 "--" + key.replace("_", "-"),
                 type=_KEY_TYPES[key],
                 default=None,
-                help="walk count" if key == "samples" else None,
+                help="default: from the shape" if isinstance(default, type)
+                else f"default {default}",
             )
 
     run = subs.add_parser("run", help="run an experiment described by a config file")

@@ -37,6 +37,9 @@ SEPARATION_MARGIN = 1e-9
 SHELL_BASE_CELLS = 8
 SHELL_MAX_REFINE = 3
 
+#: hard cap on the cells of one shell quadrature grid, checked before it is built
+SHELL_CELL_CAP = 2**25
+
 #: the grid nearest-center search takes at most GRID_BLOCK points at a time,
 #: so its temporaries stay a few MB even for shell grids of millions of cells
 GRID_BLOCK = 1 << 16
@@ -433,8 +436,8 @@ def parse_repeller_spec(text: str, name: str = "custom") -> Repeller:
 # -- similarity dimension -----------------------------------------------------
 
 
-def similarity_dimension(rep: Repeller, tol: float = 1e-12) -> float:
-    """The exponent s with sum(scale_i^s) = 1, found by bisection.
+def similarity_dimension(rep: Repeller) -> float:
+    """The exponent s with sum(scale_i^s) = 1, found by 60 bisection steps.
 
     Disjointness of the branch images forces sum(scale_i^2) < 1, so the root
     lies in (0, 2) and bisection applies.
@@ -447,8 +450,7 @@ def similarity_dimension(rep: Repeller, tol: float = 1e-12) -> float:
     lo, hi = 0.0, 2.0
     if f(hi) > 0:
         raise ValueError("scale list admits no dimension below 2")
-    steps = max(60, int(math.ceil(math.log2(2.0 / tol))) + 2)
-    for _ in range(steps):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid
@@ -600,6 +602,10 @@ def _shell_quadratures(
     sq2 = math.sqrt(2.0)
     while True:
         while h > target and len(centers):
+            if 4 * len(centers) > SHELL_CELL_CAP:
+                raise ResourceLimitError(
+                    f"shell grid needs {4 * len(centers)} cells, cap {SHELL_CELL_CAP}"
+                )
             mid = None  # free the last grid's values before the fourfold expansion
             h *= 0.5
             off = np.array([h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h])
@@ -624,7 +630,9 @@ def shell_integral_sums(
 
     Each shell integral is computed on successively halved midpoint grids
     until two refinements agree to rtol; failure to converge within
-    SHELL_MAX_REFINE doublings raises QuadratureError.
+    SHELL_MAX_REFINE doublings raises QuadratureError.  Shells run from the
+    deepest, whose grids are largest, so a grid above SHELL_CELL_CAP cells
+    raises ResourceLimitError in the first shell.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -633,7 +641,7 @@ def shell_integral_sums(
     power = (1.0 - delta) * (2.0 + delta)
     fld = shape.field(float(a) ** (-(kmax + 1)) / 8.0)
     sums = []
-    for k in range(kmax + 1):
+    for k in range(kmax, -1, -1):
         r_out = float(a) ** (-k)
         r_in = float(a) ** (-(k + 1))
         refinements = _shell_quadratures(shape, fld, power, r_in, r_out)
@@ -649,4 +657,4 @@ def shell_integral_sums(
                 f"shell {k} quadrature did not stabilize to rtol={rtol}"
             )
         sums.append(prev)
-    return ShellSumReport(delta=float(delta), a=float(a), sums=tuple(sums))
+    return ShellSumReport(delta=float(delta), a=float(a), sums=tuple(reversed(sums)))

@@ -19,6 +19,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,40 +52,16 @@ from .potential import (
 )
 from .shapes import Circle, Segment, Shape, SinglePoint
 
-# every key a config may contain, with its parser: keys naming an
-# ExperimentConfig field set that field, the rest become params
-_KEY_TYPES = {
-    "experiment": str,
-    "shape": str,
-    "seed": int,
-    "out": str,
-    "samples": int,
-    "threads": int,
-    "stop_tol": float,
-    "kmax": int,
-    "a": float,
-    "delta": float,
-    "rtol": float,
-    "n_points": int,
-    "depth_lo": float,
-    "depth_hi": float,
-    "n_centers": int,
-    "n_radii": int,
-    "r_lo": float,
-    "r_hi": float,
-    "n_eval": int,
-    "pole_p": complex,
-    "pole_q": complex,
-    "n_pairs": int,
-    "walks_per_point": int,
-    "n_boot": int,
-}
 _REQUIRED_KEYS = ("experiment", "shape", "seed")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: what to compute, on which set, with which seed."""
+    """One experiment run: what to compute, on which set, with which seed.
+
+    params holds the parameter keys that were set; a key the experiment does
+    not read (its entry in _EXPERIMENTS) is a ConfigError.
+    """
 
     experiment: str
     shape: str
@@ -101,12 +78,19 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENT_NAMES)}"
             )
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        reads = _EXPERIMENTS[self.experiment].params
+        for key in self.params:
+            if key not in reads:
+                raise ConfigError(f"experiment {self.experiment!r} does not read {key!r} "
+                                  f"(it reads {', '.join(reads)})")
+        try:
+            self.walk_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def param(self, key: str):
+        """The parameter's configured value, else its default from the experiment table."""
+        return self.params.get(key, _EXPERIMENTS[self.experiment].params[key])
 
     def walk_config(self) -> WalkConfig:
         return WalkConfig(
@@ -225,7 +209,7 @@ def _grade(err: float, tol: float) -> str:
 def _exp_regularity(shape, cfg: ExperimentConfig):
     rep = _require_repeller(shape, cfg.experiment)
     a = cfg.params.get("a", 1.0 / rep.max_scale)
-    kmax = cfg.params.get("kmax", 8)
+    kmax = cfg.param("kmax")
     cov = covering_counts(rep, a=a, kmax=kmax)
     dsim = similarity_dimension(rep)
     rows = [
@@ -245,15 +229,13 @@ def _exp_regularity(shape, cfg: ExperimentConfig):
 
 def _exp_measure_scaling(shape, cfg: ExperimentConfig):
     em = sample_harmonic_measure(shape, cfg.walk_config())
-    n_centers = cfg.params.get("n_centers", 32)
-    n_radii = cfg.params.get("n_radii", 6)
     diam = em.diameter
-    r_lo = cfg.params.get("r_lo", 0.02) * diam
-    r_hi = cfg.params.get("r_hi", 0.25) * diam
-    rng = rng_stream(cfg.seed, 9)
-    pick = rng.choice(em.atom_count, size=min(n_centers, em.atom_count), replace=False)
+    r_lo = cfg.param("r_lo") * diam
+    r_hi = cfg.param("r_hi") * diam
+    n_centers = min(cfg.param("n_centers"), em.atom_count)
+    pick = rng_stream(cfg.seed, 9).choice(em.atom_count, size=n_centers, replace=False)
     centers = em.points[np.sort(pick)]
-    report = ball_mass_scaling(em, centers, np.geomspace(r_lo, r_hi, n_radii))
+    report = ball_mass_scaling(em, centers, np.geomspace(r_lo, r_hi, cfg.param("n_radii")))
     rows = [
         f"{float(c.real)!r},{float(c.imag)!r},{e!r}"
         for c, e in zip(centers, report.exponents)
@@ -283,12 +265,10 @@ def _exp_green(shape, cfg: ExperimentConfig):
     em = sample_harmonic_measure(shape, cfg.walk_config())
     model = green_model(em, shape, seed=cfg.seed)
     R = shape.bounding_radius
-    lo = cfg.params.get("depth_lo", 0.01) * R
-    hi = cfg.params.get("depth_hi", 0.1) * R
-    n_points = cfg.params.get("n_points", 200)
-    fit = comparability_fit(
-        model, shape, n_points=n_points, depth_range=(lo, hi), seed=cfg.seed + 1
-    )
+    lo = cfg.param("depth_lo") * R
+    hi = cfg.param("depth_hi") * R
+    fit = comparability_fit(model, shape, n_points=cfg.param("n_points"),
+                            depth_range=(lo, hi), seed=cfg.seed + 1)
     rows = [f"{d!r},{g!r}" for d, g in zip(fit.dists, fit.greens)]
     st = "INCONCLUSIVE" if fit.r_squared < 0.8 else _grade(abs(fit.delta_hat - 1.0), 0.05)
     summary = [
@@ -305,14 +285,8 @@ def _exp_bhp(shape, cfg: ExperimentConfig):
     diam = shape.diameter if shape.diameter > 0 else 2.0 * shape.bounding_radius
     p = cfg.params.get("pole_p", shape.bounding_center + 1.4 * diam)
     q = cfg.params.get("pole_q", shape.bounding_center + 1.4j * diam)
-    fit = bhp_holder_fit(
-        shape,
-        p,
-        q,
-        cfg.walk_config(),
-        n_pairs=cfg.params.get("n_pairs", 16),
-        walks_per_point=cfg.params.get("walks_per_point", 50_000),
-    )
+    fit = bhp_holder_fit(shape, p, q, cfg.walk_config(), n_pairs=cfg.param("n_pairs"),
+                         walks_per_point=cfg.param("walks_per_point"))
     rows = [f"{s!r},{d!r}" for s, d in zip(fit.separations, fit.deviations)]
     # an exponent above 1 is outside the claimed range but can come from
     # sampling noise at few pairs; a non-positive one contradicts the claim
@@ -333,7 +307,7 @@ def _exp_bhp(shape, cfg: ExperimentConfig):
 
 def _exp_curvature(shape, cfg: ExperimentConfig):
     rep = _require_repeller(shape, cfg.experiment)
-    prof = curvature_profile(rep, kmax=cfg.params.get("kmax", 5))
+    prof = curvature_profile(rep, kmax=cfg.param("kmax"))
     rows = [f"{k},{e.value!r},{e.triples}" for k, e in zip(prof.ks, prof.estimates)]
     inc = np.diff(prof.values)
     if len(inc) == 0:
@@ -362,7 +336,7 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
     wcfg = cfg.walk_config()
     em1 = sample_harmonic_measure(shape, wcfg)
     em2 = sample_harmonic_measure(shape, replace(wcfg, samples=2 * cfg.samples))
-    n_eval = min(cfg.params.get("n_eval", 100), em1.atom_count)
+    n_eval = min(cfg.param("n_eval"), em1.atom_count)
     rng = rng_stream(cfg.seed, 7)
     zs = em1.points[np.sort(rng.choice(em1.atom_count, size=n_eval, replace=False))]
     # the truncation grid depends on the measure only, not on z
@@ -407,10 +381,8 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
 def _exp_dimension(shape, cfg: ExperimentConfig):
     rep = _require_repeller(shape, cfg.experiment)
     em = sample_harmonic_measure(rep, cfg.walk_config())
-    est = manning_dimension(
-        rep, em, n_boot=cfg.params.get("n_boot", 200), seed=cfg.seed
-    )
-    k_nat = min(em.code_depth, cfg.params.get("kmax", 6))
+    est = manning_dimension(rep, em, n_boot=cfg.param("n_boot"), seed=cfg.seed)
+    k_nat = min(em.code_depth, cfg.param("kmax"))
     control = manning_dimension(rep, natural_measure(rep, k_nat))
     rows = [
         f"{k},{h!r},{l!r},{d!r}"
@@ -448,14 +420,9 @@ def _exp_lemma_l(shape, cfg: ExperimentConfig):
             )
     else:
         raise ConfigError("lemma-L needs an explicit delta for non-IFS shapes")
-    if isinstance(shape, Repeller):
-        a = cfg.params.get("a", 1.0 / shape.max_scale)
-    else:
-        a = cfg.params.get("a", 2.0)
-    kmax = cfg.params.get("kmax", 6)
-    rep = shell_integral_sums(
-        shape, delta=delta, a=a, kmax=kmax, rtol=cfg.params.get("rtol", 0.02)
-    )
+    a = cfg.params.get("a", 1.0 / shape.max_scale if isinstance(shape, Repeller) else 2.0)
+    rep = shell_integral_sums(shape, delta=delta, a=a, kmax=cfg.param("kmax"),
+                              rtol=cfg.param("rtol"))
     rows = []
     for k, s in enumerate(rep.sums):
         ratio = repr(rep.sums[k] / rep.sums[k - 1]) if k > 0 and rep.sums[k - 1] > 0 else "nan"
@@ -477,17 +444,52 @@ def _exp_lemma_l(shape, cfg: ExperimentConfig):
     return {"lemma_l.csv": _table(cfg, "k,s_k,ratio", rows)}, summary
 
 
+class Experiment(NamedTuple):
+    """One experiment: its runner, subcommand, help line and the keys it reads."""
+
+    run: Callable
+    command: str
+    help: str
+    params: dict  # key -> default, or its type where the runner works it out from the shape
+    samples: bool = False  # whether the runner reads the walk count
+
+
 _EXPERIMENTS = {
-    "regularity": _exp_regularity,
-    "measure-scaling": _exp_measure_scaling,
-    "green-comparability": _exp_green,
-    "bhp": _exp_bhp,
-    "curvature-profile": _exp_curvature,
-    "cauchy": _exp_cauchy,
-    "dimension-gap": _exp_dimension,
-    "lemma-L": _exp_lemma_l,
+    "regularity": Experiment(
+        _exp_regularity, "regularity", "covering component counts and growth fit",
+        {"a": float, "kmax": 8}),
+    "measure-scaling": Experiment(
+        _exp_measure_scaling, "sample", "harmonic measure + ball-mass scaling",
+        {"n_centers": 32, "n_radii": 6, "r_lo": 0.02, "r_hi": 0.25}, samples=True),
+    "green-comparability": Experiment(
+        _exp_green, "green", "Green function comparability fit",
+        {"n_points": 200, "depth_lo": 0.01, "depth_hi": 0.1}, samples=True),
+    "bhp": Experiment(
+        _exp_bhp, "bhp", "boundary Harnack Holder fit for two poles",
+        {"pole_p": complex, "pole_q": complex, "n_pairs": 16, "walks_per_point": 50_000}),
+    "curvature-profile": Experiment(
+        _exp_curvature, "curvature", "curvature energy profile over generations",
+        {"kmax": 5}),
+    "cauchy": Experiment(
+        _exp_cauchy, "cauchy", "truncated Cauchy transforms at boundary atoms",
+        {"n_eval": 100}, samples=True),
+    "dimension-gap": Experiment(
+        _exp_dimension, "dimension", "entropy/Lyapunov dimension of the measure",
+        {"n_boot": 200, "kmax": 6}, samples=True),
+    "lemma-L": Experiment(
+        _exp_lemma_l, "lemma-l", "shell integral sums of a distance power",
+        {"delta": float, "a": float, "kmax": 6, "rtol": 0.02}),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+
+# every key a config may contain, with its parser: keys naming an
+# ExperimentConfig field set that field, the rest become params
+_KEY_TYPES = {
+    "experiment": str, "shape": str, "seed": int, "out": str,
+    "samples": int, "threads": int, "stop_tol": float,
+    **{key: default if isinstance(default, type) else type(default)
+       for exp in _EXPERIMENTS.values() for key, default in exp.params.items()},
+}
 
 
 # -- manifest and orchestration ---------------------------------------------------
@@ -515,7 +517,7 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> RunManifest:
         raise ConfigError("no output directory (set key 'out' or pass --out)")
     shape = resolve_shape(cfg.shape)
     start = time.perf_counter()
-    tables, summary = _EXPERIMENTS[cfg.experiment](shape, cfg)
+    tables, summary = _EXPERIMENTS[cfg.experiment].run(shape, cfg)
     wall = time.perf_counter() - start
     if not tables or not summary:
         raise ConfigError(f"experiment {cfg.experiment!r} produced no results")

@@ -113,12 +113,12 @@ class WalkConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.stop_tol is not None and self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if self.stop_tol is not None and not (0 < self.stop_tol < math.inf):
+            raise ValueError("stop_tol must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise ValueError("seed must be >= 0")
 
     def resolve(self, shape: Shape) -> "WalkConfig":
         stop = self.stop_tol if self.stop_tol is not None else 1e-4 * shape.bounding_radius

@@ -471,6 +471,41 @@ def test_shell_refinements_equal_the_grids_built_from_the_root(name, delta, a, k
         assert total == got[-1]
 
 
+def test_shell_cap_refuses_in_the_deepest_shell_before_querying(monkeypatch):
+    # corner4 at a = 4, kmax = 2: the deepest shell's grids reach 395,216 cells,
+    # the two shallower shells' stay below 70,000, so a 2^17 cap trips only
+    # in the deepest shell and only the shell order decides what ran before
+    cap = 2**17
+    monkeypatch.setattr("cantorlab.geometry.SHELL_CELL_CAP", cap)
+    log = []
+
+    def shells(shape, fld, power, r_in, r_out):
+        log.append(("shell", r_in))
+        return _shell_quadratures(shape, fld, power, r_in, r_out)
+
+    monkeypatch.setattr("cantorlab.geometry._shell_quadratures", shells)
+    rep = preset("corner4")
+    build = rep.field
+
+    def field(resolution):
+        fld = build(resolution)
+        query = fld.query
+
+        def counted(z):
+            log.append(("query", len(z)))
+            return query(z)
+
+        fld.query = counted
+        return fld
+
+    object.__setattr__(rep, "field", field)
+    with pytest.raises(ResourceLimitError, match=f"cap {cap}"):
+        shell_integral_sums(rep, delta=0.5, a=4.0, kmax=2)
+    assert [r for kind, r in log if kind == "shell"] == [4.0**-3]
+    sizes = [n for kind, n in log if kind == "query"]
+    assert sizes and max(sizes) <= cap < 4 * max(sizes)
+
+
 def test_shell_sums_point_fixture_closed_form():
     report = shell_integral_sums(SinglePoint(), delta=0.5, a=2.0, kmax=8)
     # integrand |z|^(-5/4) over the unit disc: each shell contributes a

@@ -3,9 +3,11 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -32,13 +34,13 @@ from cantorlab.lab import (
 from test_geometry import IFS_TEXT
 
 CONFIG_TEXT = """
-# curvature growth on the collinear set
-experiment = curvature-profile
+# boundary Harnack fit on the collinear set
+experiment = bhp
 shape = middle-thirds
 seed = 5
 
 samples = 40000
-kmax = 4
+n_pairs = 4
 stop_tol = 1e-3
 pole_p = 2+1j
 """
@@ -49,14 +51,53 @@ pole_p = 2+1j
 
 def test_parse_config_types_and_param_split():
     cfg = parse_experiment_config(CONFIG_TEXT)
-    assert cfg.experiment == "curvature-profile"
+    assert cfg.experiment == "bhp"
     assert cfg.shape == "middle-thirds"
     assert cfg.seed == 5
     assert cfg.samples == 40000
     assert cfg.stop_tol == 1e-3
     assert cfg.out is None
     assert cfg.threads == 1
-    assert cfg.params == {"kmax": 4, "pole_p": complex(2.0, 1.0)}
+    assert cfg.params == {"n_pairs": 4, "pole_p": complex(2.0, 1.0)}
+
+
+@pytest.mark.parametrize(
+    "experiment,key,value",
+    [("regularity", "n_points", "5"), ("regularity", "walks_per_point", "7"),
+     ("curvature-profile", "pole_p", "2+1j")],
+)
+def test_config_refuses_a_key_its_experiment_does_not_read(tmp_path, capsys,
+                                                           experiment, key, value):
+    text = f"experiment = {experiment}\nshape = corner4\nseed = 1\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"does not read '{key}'"):
+        parse_experiment_config(text)
+    with pytest.raises(ConfigError, match=f"does not read '{key}'"):
+        ExperimentConfig(experiment=experiment, shape="corner4", seed=1,
+                         params={key: _KEY_TYPES[key](value)})
+    conf = tmp_path / "unread.conf"
+    conf.write_text(text)
+    out = tmp_path / "unread"
+    assert main(["--out", str(out), "run", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_each_runner_names_exactly_its_table_keys():
+    # a key listed but never read would be accepted and hashed for nothing; a
+    # key read but not listed could never be set
+    params = set(_KEY_TYPES) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name, exp in lab._EXPERIMENTS.items():
+        quoted = set(re.findall(r'"(\w+)"', inspect.getsource(exp.run)))
+        assert quoted & params == set(exp.params), name
+
+
+def test_param_defaults_come_from_the_experiment_table():
+    cfg = ExperimentConfig(experiment="dimension-gap", shape="corner4", seed=1,
+                           params={"n_boot": 50})
+    assert cfg.param("n_boot") == 50
+    assert cfg.param("kmax") == 6
+    assert ExperimentConfig(experiment="regularity", shape="corner4", seed=1).param("kmax") == 8
 
 
 @pytest.mark.parametrize(
@@ -107,15 +148,25 @@ def test_config_rejects_threads_below_one(tmp_path, capsys):
     [
         (["sample", "corner4", "--samples", "0"], "seed = 1\nsamples = 0", "samples must be >= 1"),
         (["--seed", "-1", "sample", "corner4"], "seed = -1", "seed must be >= 0"),
+        ([], "seed = 1\nstop_tol = -1", "stop_tol must be positive and finite"),
+        ([], "seed = 1\nstop_tol = nan", "stop_tol must be positive and finite"),
+        ([], "seed = 1\nstop_tol = inf", "stop_tol must be positive and finite"),
     ],
-    ids=["samples", "seed"],
+    ids=["samples", "seed", "stop_tol-negative", "stop_tol-nan", "stop_tol-inf"],
 )
-def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, argv, keys, message):
+def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, monkeypatch, argv, keys,
+                                             message):
+    # refused while the config is built: no walk starts
+    monkeypatch.setattr(lab, "sample_harmonic_measure", None)
+    text = f"experiment = cauchy\nshape = circle\n{keys}\n"
     with pytest.raises(ConfigError, match=message):
-        parse_experiment_config(f"experiment = cauchy\nshape = circle\n{keys}\n")
+        parse_experiment_config(text)
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text)
     out = tmp_path / "bad"
-    assert main(["--out", str(out), *argv]) == 2
-    assert message in capsys.readouterr().err
+    for args in ([argv] if argv else []) + [["run", str(conf)]]:
+        assert main(["--out", str(out), *args]) == 2
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -332,6 +383,19 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
 _FLAG_VALUES = {int: "3", float: "0.5", complex: "2+1j", str: "x"}
 
 
+def test_cli_help_shows_the_table_defaults():
+    parser = build_parser()
+    (subs,) = [a.choices for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    lemma = {a.dest: a.help for a in subs["lemma-l"]._actions}
+    assert lemma["kmax"] == "default 6" and lemma["rtol"] == "default 0.02"
+    assert lemma["delta"] == lemma["a"] == "default: from the shape"
+    sample = {a.dest: a.help for a in subs["sample"]._actions}
+    assert sample["samples"] == "default 100000"
+    assert sample["r_hi"] == "default 0.25"
+    assert "default 50000" in subs["bhp"].format_help()
+
+
 def test_cli_flags_follow_the_config_key_table():
     parser = build_parser()
     (subs,) = [a.choices for a in parser._actions
@@ -339,6 +403,7 @@ def test_cli_flags_follow_the_config_key_table():
     assert set(subs) == {"build", "run", "sample", "green", "curvature", "cauchy",
                          "dimension", "regularity", "lemma-l", "bhp"}
     core = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    walking = {"measure-scaling", "green-comparability", "cauchy", "dimension-gap"}
     global_flags = [a for a in parser._actions
                     if a.option_strings and a.dest not in ("help", "force")]
     experiments = set()
@@ -347,6 +412,10 @@ def test_cli_flags_follow_the_config_key_table():
             continue
         flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
         assert flags, command
+        experiment = sub.get_default("experiment")
+        reads = set(lab._EXPERIMENTS[experiment].params)
+        samples = {"samples"} if experiment in walking else set()
+        assert {a.dest for a in flags} == reads | samples, command
         for action in global_flags + flags:
             key = action.dest
             assert key in _KEY_TYPES, (command, key)

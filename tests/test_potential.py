@@ -60,6 +60,8 @@ def uniform_circle_measure(depth: int, radius: float = 1.0) -> EmpiricalMeasure:
         {"stop_tol": 0.0},
         {"threads": 0},
         {"seed": -1},
+        {"stop_tol": math.nan},
+        {"stop_tol": math.inf},
     ],
 )
 def test_walk_config_validation(kwargs):
