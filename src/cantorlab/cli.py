@@ -13,6 +13,7 @@ from .geometry import Repeller, similarity_dimension
 from .lab import (
     _EXPERIMENTS,
     _KEY_TYPES,
+    DEFAULT_SAMPLES,
     ExperimentConfig,
     _config_from_keys,
     parse_experiment_config,
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(exp.command, help=exp.help)
         sub.set_defaults(experiment=experiment)
         sub.add_argument("shape", help=_SHAPE_HELP)
-        walks = {"samples": ExperimentConfig.samples} if exp.samples else {}
+        walks = {"samples": DEFAULT_SAMPLES} if "samples" in exp.walk_keys else {}
         for key, default in {**walks, **exp.params}.items():
             sub.add_argument(
                 "--" + key.replace("_", "-"),

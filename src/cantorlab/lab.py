@@ -54,20 +54,29 @@ from .shapes import Circle, Segment, Shape, SinglePoint
 
 _REQUIRED_KEYS = ("experiment", "shape", "seed")
 
+#: walk count of the sampling experiments when samples is not set
+DEFAULT_SAMPLES = 100_000
+
+#: spawn key of the cauchy experiment's doubled run, distinct from the
+#: sampler's 0, so the 2n walks share none with the n walks
+_DOUBLING_STREAM = 2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: what to compute, on which set, with which seed.
 
-    params holds the parameter keys that were set; a key the experiment does
-    not read (its entry in _EXPERIMENTS) is a ConfigError.
+    params holds the parameter keys that were set.  Setting a walk key
+    (samples, stop_tol) or a parameter key the experiment does not read (its
+    entry in _EXPERIMENTS) is a ConfigError; samples is None exactly when the
+    experiment does not read it, and DEFAULT_SAMPLES when it does and is unset.
     """
 
     experiment: str
     shape: str
     seed: int
     out: str | None = None
-    samples: int = 100_000
+    samples: int | None = None
     threads: int = 1
     stop_tol: float | None = None
     params: dict = field(default_factory=dict)
@@ -78,11 +87,15 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENT_NAMES)}"
             )
-        reads = _EXPERIMENTS[self.experiment].params
-        for key in self.params:
+        exp = _EXPERIMENTS[self.experiment]
+        reads = (*exp.walk_keys, *exp.params)
+        walk_set = [k for k in _WALK_KEYS if getattr(self, k) is not None]
+        for key in (*walk_set, *self.params):
             if key not in reads:
                 raise ConfigError(f"experiment {self.experiment!r} does not read {key!r} "
                                   f"(it reads {', '.join(reads)})")
+        if self.samples is None and "samples" in exp.walk_keys:
+            object.__setattr__(self, "samples", DEFAULT_SAMPLES)
         try:
             self.walk_config()
         except ValueError as exc:
@@ -93,8 +106,9 @@ class ExperimentConfig:
         return self.params.get(key, _EXPERIMENTS[self.experiment].params[key])
 
     def walk_config(self) -> WalkConfig:
+        # an experiment that reads no walk count never reads this placeholder
         return WalkConfig(
-            samples=self.samples,
+            samples=DEFAULT_SAMPLES if self.samples is None else self.samples,
             seed=self.seed,
             threads=self.threads,
             stop_tol=self.stop_tol,
@@ -106,14 +120,8 @@ class ExperimentConfig:
         threads is excluded: it partitions work without changing any result,
         so runs differing only in thread count share a config hash.
         """
-        items = {
-            "experiment": self.experiment,
-            "shape": self.shape,
-            "seed": self.seed,
-            "samples": self.samples,
-        }
-        if self.stop_tol is not None:
-            items["stop_tol"] = self.stop_tol
+        items = {"experiment": self.experiment, "shape": self.shape, "seed": self.seed}
+        items.update({k: getattr(self, k) for k in _WALK_KEYS if getattr(self, k) is not None})
         items.update(self.params)
         return "".join(f"{k} = {items[k]!r}\n" for k in sorted(items))
 
@@ -335,7 +343,8 @@ def _exp_curvature(shape, cfg: ExperimentConfig):
 def _exp_cauchy(shape, cfg: ExperimentConfig):
     wcfg = cfg.walk_config()
     em1 = sample_harmonic_measure(shape, wcfg)
-    em2 = sample_harmonic_measure(shape, replace(wcfg, samples=2 * cfg.samples))
+    em2 = sample_harmonic_measure(shape, replace(wcfg, samples=2 * wcfg.samples),
+                                  stream=_DOUBLING_STREAM)
     n_eval = min(cfg.param("n_eval"), em1.atom_count)
     rng = rng_stream(cfg.seed, 7)
     zs = em1.points[np.sort(rng.choice(em1.atom_count, size=n_eval, replace=False))]
@@ -451,8 +460,12 @@ class Experiment(NamedTuple):
     command: str
     help: str
     params: dict  # key -> default, or its type where the runner works it out from the shape
-    samples: bool = False  # whether the runner reads the walk count
+    walk_keys: tuple = ()  # the walk keys of _WALK_KEYS the runner reads
 
+
+# the ExperimentConfig fields a runner reads only if it walks; the four
+# sampling experiments read both
+_WALK_KEYS = ("samples", "stop_tol")
 
 _EXPERIMENTS = {
     "regularity": Experiment(
@@ -460,22 +473,23 @@ _EXPERIMENTS = {
         {"a": float, "kmax": 8}),
     "measure-scaling": Experiment(
         _exp_measure_scaling, "sample", "harmonic measure + ball-mass scaling",
-        {"n_centers": 32, "n_radii": 6, "r_lo": 0.02, "r_hi": 0.25}, samples=True),
+        {"n_centers": 32, "n_radii": 6, "r_lo": 0.02, "r_hi": 0.25}, _WALK_KEYS),
     "green-comparability": Experiment(
         _exp_green, "green", "Green function comparability fit",
-        {"n_points": 200, "depth_lo": 0.01, "depth_hi": 0.1}, samples=True),
+        {"n_points": 200, "depth_lo": 0.01, "depth_hi": 0.1}, _WALK_KEYS),
     "bhp": Experiment(
         _exp_bhp, "bhp", "boundary Harnack Holder fit for two poles",
-        {"pole_p": complex, "pole_q": complex, "n_pairs": 16, "walks_per_point": 50_000}),
+        {"pole_p": complex, "pole_q": complex, "n_pairs": 16, "walks_per_point": 50_000},
+        ("stop_tol",)),
     "curvature-profile": Experiment(
         _exp_curvature, "curvature", "curvature energy profile over generations",
         {"kmax": 5}),
     "cauchy": Experiment(
         _exp_cauchy, "cauchy", "truncated Cauchy transforms at boundary atoms",
-        {"n_eval": 100}, samples=True),
+        {"n_eval": 100}, _WALK_KEYS),
     "dimension-gap": Experiment(
         _exp_dimension, "dimension", "entropy/Lyapunov dimension of the measure",
-        {"n_boot": 200, "kmax": 6}, samples=True),
+        {"n_boot": 200, "kmax": 6}, _WALK_KEYS),
     "lemma-L": Experiment(
         _exp_lemma_l, "lemma-l", "shell integral sums of a distance power",
         {"delta": float, "a": float, "kmax": 6, "rtol": 0.02}),

@@ -15,9 +15,11 @@ independent of chunk scheduling and thread count.  Each chunk of CHUNK walks
 draws from its own random stream; a pool task walks a batch of up to BATCH
 chunks as one array, each walk tagged with the chunk that owns it, and every
 stream draws for its own walks in walk order, so each chunk sees the draws it
-would see alone.  Pole absorption runs the same loop with one stream and the
-pole disc folded into the distance bounds, so a walk stops at J or at the
-disc, whichever it reaches first.
+would see alone.  A direction is one random() draw u per walk, turned into
+e^(2 pi i u) by a table of ROOTS roots of unity and a two-term series for
+the remaining angle (_turn), without a complex exp.  Pole absorption runs the
+same loop with one stream and the pole disc folded into the distance bounds,
+so a walk stops at J or at the disc, whichever it reaches first.
 
 From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
@@ -62,6 +64,10 @@ MAX_STEPS = 10_000
 
 #: each walk step jumps this fraction of the certified distance lower bound
 SHRINK = 0.9
+
+#: walk directions are roots of unity from a table of this many, each turned
+#: by at most pi / ROOTS through a two-term series (see _turn)
+ROOTS = 1024
 
 #: walks launch on, and re-enter onto, the circle of this many bounding
 #: radii; exterior Poisson re-entry makes every circle outside the root disc
@@ -226,15 +232,64 @@ def natural_measure(rep: Repeller, k: int) -> EmpiricalMeasure:
 # -- walk-on-spheres sampling ---------------------------------------------------
 
 
-def _angles(rngs, owner: np.ndarray) -> np.ndarray:
-    """Uniform angles, drawn from rngs[owner[i]] for walk i.
+def _half_step_roots(n: int) -> np.ndarray:
+    """e^(2 pi i (k + 1/2) / n) for k < n, each part rounded once from long double."""
+    theta = (np.arange(n, dtype=np.longdouble) + 0.5) * (8 * np.arctan(np.longdouble(1)) / n)
+    roots = np.empty(n, dtype=complex)
+    roots.real = np.cos(theta)
+    roots.imag = np.sin(theta)
+    return roots
 
-    owner is non-decreasing, so each stream draws for its own walks in walk
-    order; a stream that owns no walk draws nothing.
+
+_ROOT_TABLE = _half_step_roots(ROOTS)
+
+
+def _turn(u: np.ndarray) -> np.ndarray:
+    """e^(2 pi i u) for each u in [0, 1), to within 1e-15; overwrites u.
+
+    With k = floor(ROOTS * u), the direction is the table root
+    e^(2 pi i (k + 1/2) / ROOTS) turned by phi = 2 pi (ROOTS * u - k - 1/2)
+    / ROOTS, |phi| <= pi / ROOTS, whose cosine and sine are two-term series
+    (truncation error below 2e-18).  ROOTS * u and ROOTS * u - k - 1/2 are
+    exact, so phi carries one rounding.  Passed as a temporary, u is freed
+    before the root gather, so at most 40 bytes per walk are live at once.
     """
+    u *= ROOTS
+    k = u.astype(np.intp)
+    u -= k
+    u -= 0.5
+    u *= TWO_PI / ROOTS
+    p2 = u * u
+    d = np.empty(u.size, dtype=complex)
+    c, s = d.real, d.imag
+    np.multiply(p2, 1.0 / 24.0, out=c)
+    c -= 0.5
+    c *= p2
+    c += 1.0
+    np.multiply(p2, 1.0 / 120.0, out=s)
+    s -= 1.0 / 6.0
+    s *= p2
+    s += 1.0
+    s *= u
+    del p2, u
+    d *= _ROOT_TABLE[k]
+    return d
+
+
+def _draws(rngs, owner: np.ndarray) -> np.ndarray:
+    """Uniform draws in [0, 1), drawn from rngs[owner[i]] for walk i.
+
+    owner is non-decreasing, so each stream fills its own slice of one buffer
+    with random() draws, for its own walks in walk order; a stream that owns
+    no walk draws nothing.  These are the draws, and the stream use, of
+    uniform(0, 2 pi) angles; _turn maps them to directions.
+    """
+    u = np.empty(owner.size)
     ends = owner.searchsorted(np.arange(len(rngs) + 1)).tolist()
-    spans = zip(rngs, ends, ends[1:])
-    return np.concatenate([rng.uniform(0.0, TWO_PI, b - a) for rng, a, b in spans if b > a])
+    for rng, a, b in zip(rngs, ends, ends[1:]):
+        if b > a:
+            rng.random(out=u[a:b])
+    return u
 
 
 def _reenter(z, owner, rngs, center: complex, radius: float) -> None:
@@ -243,13 +298,13 @@ def _reenter(z, owner, rngs, center: complex, radius: float) -> None:
     A plane Brownian path from outside re-enters the circle almost surely,
     and its first hit follows the harmonic measure of the circle seen from
     the inverted point; sampling that law exactly (a Moebius image of a
-    uniform angle) caps outward excursions without biasing the walk.
+    uniform direction) caps outward excursions without biasing the walk.
     """
     w = (z - center) / radius
     far = np.flatnonzero(np.abs(w) > 1.0)
     if far.size:
         a = 1.0 / np.conj(w[far])
-        u = np.exp(1j * _angles(rngs, owner[far]))
+        u = _turn(_draws(rngs, owner[far]))
         z[far] = center + radius * ((u + a) / (1.0 + np.conj(a) * u))
 
 
@@ -261,8 +316,11 @@ def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float
     stop_tol and otherwise jumps SHRINK * (lower bound) in a uniform
     direction, re-entering the circle |z - center| = radius when it leaves
     it.  Walk i draws from rngs[owner[i]], and owner must be non-decreasing.
-    Returns the stopped positions, in the order the walks stopped, and the
-    number of walks still live after MAX_STEPS steps.
+    Each direction, at launch, step and re-entry alike, is one random()
+    draw per walk mapped through the root table and series of _turn, not a
+    complex exp.  The walk moves z in place.  Returns the stopped positions,
+    in the order the walks stopped, and the number of walks still live after
+    MAX_STEPS steps.
     """
     stopped = [z[:0]]
     for _ in range(MAX_STEPS):
@@ -275,32 +333,39 @@ def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float
         del hi, done, live  # freed before the step allocates its temporaries
         if z.size == 0:
             break
-        z = z + SHRINK * lo * np.exp(1j * _angles(rngs, owner))
+        step = _turn(_draws(rngs, owner))
+        step *= SHRINK * lo
+        z += step
+        del lo, step
         _reenter(z, owner, rngs, center, radius)
     return np.concatenate(stopped), z.size
 
 
-def _walk_chunks(shape, fld, cfg: WalkConfig, jobs):
+def _walk_chunks(shape, fld, cfg: WalkConfig, jobs, stream: int = 0):
     """Walk the chunks jobs = [(chunk_index, n), ...] as one array.
 
-    Returns the leaf counts of all their stopped walks and the number of
-    walks still live after MAX_STEPS steps.
+    Chunk c draws from the substream (seed, stream, c).  Returns the leaf
+    counts of all their stopped walks and the number of walks still live
+    after MAX_STEPS steps.
     """
-    rngs = [rng_stream(cfg.seed, 0, chunk_index) for chunk_index, _ in jobs]
+    rngs = [rng_stream(cfg.seed, stream, chunk_index) for chunk_index, _ in jobs]
     owner = np.repeat(np.arange(len(jobs)), [n for _, n in jobs])
     center = shape.bounding_center
     launch = LAUNCH_FACTOR * shape.bounding_radius
-    z = center + launch * np.exp(1j * _angles(rngs, owner))
+    z = center + launch * _turn(_draws(rngs, owner))
     stopped, live = _walk(fld.query, z, owner, rngs, cfg, center, launch)
     return np.bincount(fld.leaf(stopped), minlength=fld.leaf_count), live
 
 
-def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
+def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> EmpiricalMeasure:
     """Sample harmonic measure of the complement of J seen from far away.
 
     Returns an EmpiricalMeasure whose atoms sit at the centers of the pieces
     of radius about stop_tol, weighted by stopped-walk counts.  Raises
-    ExcessiveDiscardError when over 1% of walks exhaust MAX_STEPS.
+    ExcessiveDiscardError when over 1% of walks exhaust MAX_STEPS.  Chunk c
+    walks on the substream (seed, stream, c); two runs at one seed are
+    independent when their stream keys differ, and otherwise the smaller
+    run's walks are the first walks of the larger.
     """
     cfg = cfg.resolve(shape)
     fld = shape.field(cfg.stop_tol / 4.0)
@@ -317,7 +382,7 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig) -> EmpiricalMeasure:
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     discarded = 0
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs), batches)
+        walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs, stream), batches)
         for c, d in walked:
             counts += c
             discarded += d

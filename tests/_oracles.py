@@ -18,9 +18,9 @@ from cantorlab.potential import (
     LAUNCH_FACTOR,
     MAX_STEPS,
     SHRINK,
-    TWO_PI,
     EmpiricalMeasure,
     WalkConfig,
+    _turn,
     rng_stream,
 )
 
@@ -288,7 +288,9 @@ def measure_from_csv(text: str) -> EmpiricalMeasure:
 # potential._walk, which also walks several chunks, each with its own random
 # stream, as one array.  They bin and count stopped walks inside the loop,
 # step by step, and draw from one stream, so equal results pin the merged
-# loop to the same draws and stops.
+# loop to the same draws and stops.  They map each random() draw u to the
+# direction _turn(u), where they once took exp(1j * uniform(0, 2 pi)) of
+# the same draw; test_turn_matches_the_complex_exp pins _turn to that.
 
 
 def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
@@ -303,7 +305,7 @@ def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
     far = np.abs(w) > 1.0
     if far.any():
         a = 1.0 / np.conj(w[far])
-        u = np.exp(1j * rng.uniform(0.0, TWO_PI, int(far.sum())))
+        u = _turn(rng.random(int(far.sum())))
         w[far] = (u + a) / (1.0 + np.conj(a) * u)
         z = z.copy()
         z[far] = center + radius * w[far]
@@ -314,8 +316,7 @@ def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     rng = rng_stream(cfg.seed, 0, chunk_index)
     center = shape.bounding_center
     launch = LAUNCH_FACTOR * shape.bounding_radius
-    theta = rng.uniform(0.0, TWO_PI, n)
-    z = center + launch * np.exp(1j * theta)
+    z = center + launch * _turn(rng.random(n))
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     for _ in range(MAX_STEPS):
         lo, hi = fld.query(z)
@@ -327,8 +328,7 @@ def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
             lo = lo[keep]
         if z.size == 0:
             break
-        ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + SHRINK * lo * np.exp(1j * ang)
+        z = z + SHRINK * lo * _turn(rng.random(z.size))
         z = _reenter(z, center, launch, rng)
     return counts, z.size
 
@@ -353,8 +353,7 @@ def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
             z, lo, dp = z[keep], lo[keep], dp[keep]
         if z.size == 0:
             break
-        ang = rng.uniform(0.0, TWO_PI, z.size)
-        z = z + SHRINK * np.minimum(lo, dp) * np.exp(1j * ang)
+        z = z + SHRINK * np.minimum(lo, dp) * _turn(rng.random(z.size))
         z = _reenter(z, center, enclose, rng)
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")

@@ -7,6 +7,7 @@ suite and the unit tests share one sampling run each.
 import pytest
 
 from cantorlab import Circle, Segment, WalkConfig, preset, sample_harmonic_measure
+from cantorlab.lab import _DOUBLING_STREAM
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,8 @@ def corner_em_100k(corner):
 
 @pytest.fixture(scope="session")
 def corner_em_200k(corner):
+    # the doubled run's own substreams, as in the cauchy experiment, so it
+    # shares no walk with corner_em_100k
     return sample_harmonic_measure(
-        corner, WalkConfig(samples=200_000, seed=3, threads=4)
+        corner, WalkConfig(samples=200_000, seed=3, threads=4), stream=_DOUBLING_STREAM
     )

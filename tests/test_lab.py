@@ -9,6 +9,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from cantorlab import (
@@ -39,7 +40,6 @@ experiment = bhp
 shape = middle-thirds
 seed = 5
 
-samples = 40000
 n_pairs = 4
 stop_tol = 1e-3
 pole_p = 2+1j
@@ -54,7 +54,7 @@ def test_parse_config_types_and_param_split():
     assert cfg.experiment == "bhp"
     assert cfg.shape == "middle-thirds"
     assert cfg.seed == 5
-    assert cfg.samples == 40000
+    assert cfg.samples is None
     assert cfg.stop_tol == 1e-3
     assert cfg.out is None
     assert cfg.threads == 1
@@ -64,7 +64,11 @@ def test_parse_config_types_and_param_split():
 @pytest.mark.parametrize(
     "experiment,key,value",
     [("regularity", "n_points", "5"), ("regularity", "walks_per_point", "7"),
-     ("curvature-profile", "pole_p", "2+1j")],
+     ("curvature-profile", "pole_p", "2+1j"),
+     # the walk keys, on experiments that never walk or never count walks
+     ("regularity", "samples", "5"), ("regularity", "stop_tol", "0.5"),
+     ("curvature-profile", "samples", "5"), ("lemma-L", "stop_tol", "0.5"),
+     ("bhp", "samples", "40000")],
 )
 def test_config_refuses_a_key_its_experiment_does_not_read(tmp_path, capsys,
                                                            experiment, key, value):
@@ -72,8 +76,8 @@ def test_config_refuses_a_key_its_experiment_does_not_read(tmp_path, capsys,
     with pytest.raises(ConfigError, match=f"does not read '{key}'"):
         parse_experiment_config(text)
     with pytest.raises(ConfigError, match=f"does not read '{key}'"):
-        ExperimentConfig(experiment=experiment, shape="corner4", seed=1,
-                         params={key: _KEY_TYPES[key](value)})
+        lab._config_from_keys({"experiment": experiment, "shape": "corner4", "seed": 1,
+                               key: _KEY_TYPES[key](value)})
     conf = tmp_path / "unread.conf"
     conf.write_text(text)
     out = tmp_path / "unread"
@@ -81,6 +85,21 @@ def test_config_refuses_a_key_its_experiment_does_not_read(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'{key}'" in err
     assert not out.exists()
+
+
+def test_walk_keys_are_read_and_hashed_where_the_experiment_walks():
+    with pytest.raises(ConfigError, match="does not read 'samples'"):
+        parse_experiment_config("experiment = regularity\nshape = corner4\nseed = 1\n"
+                                "kmax = 3\nsamples = 5\nstop_tol = 0.5\n")
+    bhp = parse_experiment_config("experiment = bhp\nshape = circle\nseed = 1\nstop_tol = 1e-3\n")
+    assert bhp.stop_tol == 1e-3 and bhp.samples is None
+    assert "stop_tol = 0.001\n" in bhp.canonical_text()
+    assert "samples" not in bhp.canonical_text()
+    for name, exp in lab._EXPERIMENTS.items():
+        cfg = ExperimentConfig(experiment=name, shape="corner4", seed=1)
+        walks = "samples" in exp.walk_keys
+        assert cfg.samples == (lab.DEFAULT_SAMPLES if walks else None), name
+        assert ("samples = 100000\n" in cfg.canonical_text()) == walks, name
 
 
 def test_each_runner_names_exactly_its_table_keys():
@@ -217,6 +236,25 @@ def test_run_requires_output_directory():
     cfg = ExperimentConfig(experiment="cauchy", shape="circle", seed=1)
     with pytest.raises(ConfigError, match="output directory"):
         run_experiment(cfg)
+
+
+def test_cauchy_doubling_shares_no_walk_with_the_first_run(tmp_path, monkeypatch):
+    # on shared streams the 2n walks would contain the n walks, so every atom
+    # count of the doubled run would be at least the first run's
+    measures, real = [], lab.sample_harmonic_measure
+
+    def sample(*args, **kw):
+        measures.append(real(*args, **kw))
+        return measures[-1]
+
+    monkeypatch.setattr(lab, "sample_harmonic_measure", sample)
+    run_experiment(ExperimentConfig(experiment="cauchy", shape="circle", seed=1, samples=4096,
+                                    out=str(tmp_path), params={"n_eval": 3}))
+    first, doubled = measures
+    counts = [dict(zip(map(bytes, em.codes), np.rint(em.weights * em.samples)))
+              for em in (first, doubled)]
+    assert doubled.samples == 2 * first.samples
+    assert any(n > counts[1].get(code, 0) for code, n in counts[0].items())
 
 
 def read_tree(root):

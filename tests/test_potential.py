@@ -87,6 +87,30 @@ def test_rng_stream_is_keyed():
 # -- sampling ---------------------------------------------------------------------
 
 
+def test_turn_matches_the_complex_exp():
+    """Directions within 1e-15 of e^(2 pi i u), of unit length, same stream use."""
+    u = np.concatenate([
+        rng_stream(13, 0).random(10**6),
+        [0.0, 0.5, 1.0 - 2.0**-53],
+        [k / potential.ROOTS + s * math.ulp(k / potential.ROOTS)
+         for k in range(1, potential.ROOTS) for s in (-1, 0, 1)],
+    ])
+    d = potential._turn(u.copy())
+    pi_l = 4 * np.arctan(np.longdouble(1))
+    ref = np.cos(2 * pi_l * u.astype(np.longdouble)), np.sin(2 * pi_l * u.astype(np.longdouble))
+    err = np.hypot((d.real - ref[0]).astype(float), (d.imag - ref[1]).astype(float))
+    assert err.max() <= 1e-15
+    norm = np.hypot(d.real.astype(np.longdouble), d.imag.astype(np.longdouble))
+    assert float(np.abs(norm - 1).max()) <= 5e-16
+
+    # drawn as the walk draws: the stream moves as far as uniform angles move it
+    for m in (1, 1000, 4096):
+        rng, twin = rng_stream(13, 1, m), rng_stream(13, 1, m)
+        drawn = potential._turn(potential._draws([rng], np.zeros(m, dtype=np.intp)))
+        assert np.abs(drawn - np.exp(1j * twin.uniform(0.0, 2.0 * np.pi, m))).max() <= 2e-15
+        assert rng.random() == twin.random()
+
+
 def test_sampling_deterministic_across_threads_and_reruns():
     shape = Circle()
     runs = [
