@@ -13,7 +13,6 @@ from .geometry import Repeller, similarity_dimension
 from .lab import (
     _EXPERIMENTS,
     _KEY_TYPES,
-    DEFAULT_SAMPLES,
     ExperimentConfig,
     _config_from_keys,
     parse_experiment_config,
@@ -44,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(exp.command, help=exp.help)
         sub.set_defaults(experiment=experiment)
         sub.add_argument("shape", help=_SHAPE_HELP)
-        walks = {"samples": DEFAULT_SAMPLES} if "samples" in exp.walk_keys else {}
-        for key, default in {**walks, **exp.params}.items():
+        for key, default in exp.params.items():
             sub.add_argument(
                 "--" + key.replace("_", "-"),
                 type=_KEY_TYPES[key],
@@ -119,7 +117,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _finish(_experiment_config(args), args.force)
-    except LabError as exc:
+    except (LabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

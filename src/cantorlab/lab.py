@@ -54,9 +54,6 @@ from .shapes import Circle, Segment, Shape, SinglePoint
 
 _REQUIRED_KEYS = ("experiment", "shape", "seed")
 
-#: walk count of the sampling experiments when samples is not set
-DEFAULT_SAMPLES = 100_000
-
 #: spawn key of the cauchy experiment's doubled run, distinct from the
 #: sampler's 0, so the 2n walks share none with the n walks
 _DOUBLING_STREAM = 2
@@ -66,19 +63,16 @@ _DOUBLING_STREAM = 2
 class ExperimentConfig:
     """One experiment run: what to compute, on which set, with which seed.
 
-    params holds the parameter keys that were set.  Setting a walk key
-    (samples, stop_tol) or a parameter key the experiment does not read (its
-    entry in _EXPERIMENTS) is a ConfigError; samples is None exactly when the
-    experiment does not read it, and DEFAULT_SAMPLES when it does and is unset.
+    params holds the parameter keys that were set, the walk keys samples and
+    stop_tol among them.  Setting a key the experiment does not read (its
+    entry in _EXPERIMENTS) is a ConfigError.
     """
 
     experiment: str
     shape: str
     seed: int
     out: str | None = None
-    samples: int | None = None
     threads: int = 1
-    stop_tol: float | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -87,15 +81,11 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENT_NAMES)}"
             )
-        exp = _EXPERIMENTS[self.experiment]
-        reads = (*exp.walk_keys, *exp.params)
-        walk_set = [k for k in _WALK_KEYS if getattr(self, k) is not None]
-        for key in (*walk_set, *self.params):
+        reads = _EXPERIMENTS[self.experiment].params
+        for key in self.params:
             if key not in reads:
                 raise ConfigError(f"experiment {self.experiment!r} does not read {key!r} "
                                   f"(it reads {', '.join(reads)})")
-        if self.samples is None and "samples" in exp.walk_keys:
-            object.__setattr__(self, "samples", DEFAULT_SAMPLES)
         try:
             self.walk_config()
         except ValueError as exc:
@@ -106,13 +96,11 @@ class ExperimentConfig:
         return self.params.get(key, _EXPERIMENTS[self.experiment].params[key])
 
     def walk_config(self) -> WalkConfig:
-        # an experiment that reads no walk count never reads this placeholder
-        return WalkConfig(
-            samples=DEFAULT_SAMPLES if self.samples is None else self.samples,
-            seed=self.seed,
-            threads=self.threads,
-            stop_tol=self.stop_tol,
-        )
+        """The walk keys as a WalkConfig; samples is WalkConfig's default where unread."""
+        reads = _EXPERIMENTS[self.experiment].params
+        walks = {"samples": self.param("samples")} if "samples" in reads else {}
+        return WalkConfig(**walks, seed=self.seed, threads=self.threads,
+                          stop_tol=self.params.get("stop_tol"))
 
     def canonical_text(self) -> str:
         """Normalized key = value rendering; hashing input for the manifest.
@@ -120,9 +108,11 @@ class ExperimentConfig:
         threads is excluded: it partitions work without changing any result,
         so runs differing only in thread count share a config hash.
         """
-        items = {"experiment": self.experiment, "shape": self.shape, "seed": self.seed}
-        items.update({k: getattr(self, k) for k in _WALK_KEYS if getattr(self, k) is not None})
-        items.update(self.params)
+        items = {"experiment": self.experiment, "shape": self.shape, "seed": self.seed,
+                 **self.params}
+        if "samples" in _EXPERIMENTS[self.experiment].params:
+            # hashed even when unset, so the config hashes of recorded runs still match
+            items["samples"] = self.param("samples")
         return "".join(f"{k} = {items[k]!r}\n" for k in sorted(items))
 
 
@@ -460,12 +450,6 @@ class Experiment(NamedTuple):
     command: str
     help: str
     params: dict  # key -> default, or its type where the runner works it out from the shape
-    walk_keys: tuple = ()  # the walk keys of _WALK_KEYS the runner reads
-
-
-# the ExperimentConfig fields a runner reads only if it walks; the four
-# sampling experiments read both
-_WALK_KEYS = ("samples", "stop_tol")
 
 _EXPERIMENTS = {
     "regularity": Experiment(
@@ -473,23 +457,25 @@ _EXPERIMENTS = {
         {"a": float, "kmax": 8}),
     "measure-scaling": Experiment(
         _exp_measure_scaling, "sample", "harmonic measure + ball-mass scaling",
-        {"n_centers": 32, "n_radii": 6, "r_lo": 0.02, "r_hi": 0.25}, _WALK_KEYS),
+        {"samples": 100_000, "stop_tol": float,
+         "n_centers": 32, "n_radii": 6, "r_lo": 0.02, "r_hi": 0.25}),
     "green-comparability": Experiment(
         _exp_green, "green", "Green function comparability fit",
-        {"n_points": 200, "depth_lo": 0.01, "depth_hi": 0.1}, _WALK_KEYS),
+        {"samples": 100_000, "stop_tol": float,
+         "n_points": 200, "depth_lo": 0.01, "depth_hi": 0.1}),
     "bhp": Experiment(
         _exp_bhp, "bhp", "boundary Harnack Holder fit for two poles",
-        {"pole_p": complex, "pole_q": complex, "n_pairs": 16, "walks_per_point": 50_000},
-        ("stop_tol",)),
+        {"stop_tol": float, "pole_p": complex, "pole_q": complex, "n_pairs": 16,
+         "walks_per_point": 50_000}),
     "curvature-profile": Experiment(
         _exp_curvature, "curvature", "curvature energy profile over generations",
         {"kmax": 5}),
     "cauchy": Experiment(
         _exp_cauchy, "cauchy", "truncated Cauchy transforms at boundary atoms",
-        {"n_eval": 100}, _WALK_KEYS),
+        {"samples": 100_000, "stop_tol": float, "n_eval": 100}),
     "dimension-gap": Experiment(
         _exp_dimension, "dimension", "entropy/Lyapunov dimension of the measure",
-        {"n_boot": 200, "kmax": 6}, _WALK_KEYS),
+        {"samples": 100_000, "stop_tol": float, "n_boot": 200, "kmax": 6}),
     "lemma-L": Experiment(
         _exp_lemma_l, "lemma-l", "shell integral sums of a distance power",
         {"delta": float, "a": float, "kmax": 6, "rtol": 0.02}),
@@ -499,8 +485,7 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 # every key a config may contain, with its parser: keys naming an
 # ExperimentConfig field set that field, the rest become params
 _KEY_TYPES = {
-    "experiment": str, "shape": str, "seed": int, "out": str,
-    "samples": int, "threads": int, "stop_tol": float,
+    "experiment": str, "shape": str, "seed": int, "out": str, "threads": int,
     **{key: default if isinstance(default, type) else type(default)
        for exp in _EXPERIMENTS.values() for key, default in exp.params.items()},
 }

@@ -720,7 +720,7 @@ def bhp_holder_fit(
     p: complex,
     q: complex,
     cfg: WalkConfig,
-    n_pairs: int = 32,
+    n_pairs: int = 16,
     walks_per_point: int = 50_000,
 ) -> HolderFit:
     """Holder fit for log(u/v) near J, with u, v vanishing on J.

@@ -13,7 +13,13 @@ from typing import Protocol
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 TWO_PI = 2.0 * np.pi
+
+#: most pieces of one generation of an exact shape: the circle's field at
+#: stop_tol 1e-5 radii has depth 21, the segment's depth 19
+PIECE_CAP = 1 << 22
 
 
 class DistanceField(Protocol):
@@ -59,7 +65,12 @@ class Shape(Protocol):
 
 
 def binary_codes(depth: int) -> np.ndarray:
-    """All binary words of a given length, lexicographic, as a (2^depth, depth) array."""
+    """All binary words of a given length, lexicographic, as a (2^depth, depth) array.
+
+    Raises ResourceLimitError, before allocating, above PIECE_CAP words.
+    """
+    if 1 << depth > PIECE_CAP:
+        raise ResourceLimitError(f"depth {depth} has 2^{depth} pieces, cap {PIECE_CAP}")
     idx = np.arange(1 << depth, dtype=np.int64)
     # column by column, so no int64 array of the full table is ever built
     codes = np.empty((1 << depth, depth), dtype=np.uint8)
@@ -94,8 +105,9 @@ class _ExactShape:
         k = 0
         while self.piece_radius(k) > target_radius:
             k += 1
-            if k > 60:
-                raise ValueError("target radius too small")
+            if 1 << k > PIECE_CAP:
+                raise ResourceLimitError(f"{self.name} pieces of radius {target_radius:g} "
+                                         f"number more than the cap {PIECE_CAP}")
         return k
 
     def field(self, resolution: float) -> _ExactField:
@@ -149,11 +161,12 @@ class Circle(_ExactShape):
         return np.pi * self.radius / (1 << depth)
 
     def atoms(self, depth: int):
-        n = 1 << depth
+        codes = binary_codes(depth)
+        n = len(codes)
         ang = TWO_PI * (np.arange(n) + 0.5) / n
         centers = self.center + self.radius * np.exp(1j * ang)
         radii = np.full(n, self.piece_radius(depth))
-        return binary_codes(depth), centers, radii
+        return codes, centers, radii
 
 
 @dataclass(frozen=True)
@@ -202,11 +215,12 @@ class Segment(_ExactShape):
         return abs(self.b - self.a) / (2 << depth)
 
     def atoms(self, depth: int):
-        n = 1 << depth
+        codes = binary_codes(depth)
+        n = len(codes)
         t = (np.arange(n) + 0.5) / n
         centers = self.a + t * (self.b - self.a)
         radii = np.full(n, self.piece_radius(depth))
-        return binary_codes(depth), centers, radii
+        return codes, centers, radii
 
 
 @dataclass(frozen=True)

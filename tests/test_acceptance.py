@@ -180,13 +180,13 @@ def test_criterion_7_determinism_across_threads(tmp_path):
         out = tmp_path / f"t{threads}"
         cfg = ExperimentConfig(
             experiment="dimension-gap", shape="corner4", seed=1,
-            samples=20_000, threads=threads, out=str(out),
+            threads=threads, out=str(out), params={"samples": 20_000},
         )
         manifests[threads] = run_experiment(cfg)
     rerun = run_experiment(
         ExperimentConfig(
             experiment="dimension-gap", shape="corner4", seed=1,
-            samples=20_000, threads=4, out=str(tmp_path / "t4"),
+            threads=4, out=str(tmp_path / "t4"), params={"samples": 20_000},
         ),
         force=True,
     )

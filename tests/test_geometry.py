@@ -27,6 +27,7 @@ from cantorlab import (
 )
 from cantorlab.geometry import CYLINDER_CAP, SHELL_BASE_CELLS, _shell_quadratures
 from cantorlab.potential import rng_stream
+from cantorlab.shapes import PIECE_CAP
 
 from _oracles import covering_components, distance_interval, shell_quadrature
 
@@ -171,6 +172,25 @@ def test_cylinder_cap_enforced(corner):
     with pytest.raises(ResourceLimitError):
         corner.atom_depth(1e-12)
     assert corner.fan**10 == CYLINDER_CAP
+
+
+def test_exact_shape_piece_cap_enforced():
+    # stop_tol = 1e-5 bounding radii asks for fields at a quarter of it: depth
+    # 21 on the circle and 19 on the segment, inside the cap of 2^22 pieces
+    assert PIECE_CAP == 1 << 22
+    assert Circle().atom_depth(1e-5 / 4) == 21
+    assert Segment().atom_depth(1e-5 / 4) == 19
+    for shape in (Circle(), Segment()):
+        deepest = shape.piece_radius(22)
+        assert shape.atom_depth(deepest) == 22
+        # refused before anything of 2^23 or 2^27 pieces is built
+        for radius in (0.99 * deepest, 1e-7 / 4):
+            with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
+                shape.atom_depth(radius)
+            with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
+                shape.field(radius)
+        with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
+            shape.atoms(23)
 
 
 def test_atom_depth_monotone(thirds):

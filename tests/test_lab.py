@@ -54,11 +54,10 @@ def test_parse_config_types_and_param_split():
     assert cfg.experiment == "bhp"
     assert cfg.shape == "middle-thirds"
     assert cfg.seed == 5
-    assert cfg.samples is None
-    assert cfg.stop_tol == 1e-3
     assert cfg.out is None
     assert cfg.threads == 1
-    assert cfg.params == {"n_pairs": 4, "pole_p": complex(2.0, 1.0)}
+    assert cfg.params == {"n_pairs": 4, "stop_tol": 1e-3, "pole_p": complex(2.0, 1.0)}
+    assert "samples" not in cfg.params
 
 
 @pytest.mark.parametrize(
@@ -92,22 +91,30 @@ def test_walk_keys_are_read_and_hashed_where_the_experiment_walks():
         parse_experiment_config("experiment = regularity\nshape = corner4\nseed = 1\n"
                                 "kmax = 3\nsamples = 5\nstop_tol = 0.5\n")
     bhp = parse_experiment_config("experiment = bhp\nshape = circle\nseed = 1\nstop_tol = 1e-3\n")
-    assert bhp.stop_tol == 1e-3 and bhp.samples is None
+    assert bhp.params == {"stop_tol": 1e-3} and bhp.walk_config().stop_tol == 1e-3
     assert "stop_tol = 0.001\n" in bhp.canonical_text()
     assert "samples" not in bhp.canonical_text()
+    sampling = {"measure-scaling", "green-comparability", "cauchy", "dimension-gap"}
     for name, exp in lab._EXPERIMENTS.items():
         cfg = ExperimentConfig(experiment=name, shape="corner4", seed=1)
-        walks = "samples" in exp.walk_keys
-        assert cfg.samples == (lab.DEFAULT_SAMPLES if walks else None), name
+        walks = name in sampling
+        assert ("samples" in exp.params) == walks, name
+        assert ("stop_tol" in exp.params) == (walks or name == "bhp"), name
+        if walks:
+            assert cfg.param("samples") == cfg.walk_config().samples == 100_000, name
         assert ("samples = 100000\n" in cfg.canonical_text()) == walks, name
 
 
 def test_each_runner_names_exactly_its_table_keys():
     # a key listed but never read would be accepted and hashed for nothing; a
-    # key read but not listed could never be set
+    # key read but not listed could never be set.  walk_config() reads stop_tol,
+    # and samples where the row lists it
     params = set(_KEY_TYPES) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     for name, exp in lab._EXPERIMENTS.items():
-        quoted = set(re.findall(r'"(\w+)"', inspect.getsource(exp.run)))
+        source = inspect.getsource(exp.run)
+        quoted = set(re.findall(r'"(\w+)"', source))
+        if "cfg.walk_config()" in source:
+            quoted |= {"stop_tol"} | ({"samples"} & set(exp.params))
         assert quoted & params == set(exp.params), name
 
 
@@ -167,9 +174,12 @@ def test_config_rejects_threads_below_one(tmp_path, capsys):
     [
         (["sample", "corner4", "--samples", "0"], "seed = 1\nsamples = 0", "samples must be >= 1"),
         (["--seed", "-1", "sample", "corner4"], "seed = -1", "seed must be >= 0"),
-        ([], "seed = 1\nstop_tol = -1", "stop_tol must be positive and finite"),
-        ([], "seed = 1\nstop_tol = nan", "stop_tol must be positive and finite"),
-        ([], "seed = 1\nstop_tol = inf", "stop_tol must be positive and finite"),
+        (["cauchy", "circle", "--stop-tol", "-1"], "seed = 1\nstop_tol = -1",
+         "stop_tol must be positive and finite"),
+        (["cauchy", "circle", "--stop-tol", "nan"], "seed = 1\nstop_tol = nan",
+         "stop_tol must be positive and finite"),
+        (["cauchy", "circle", "--stop-tol", "inf"], "seed = 1\nstop_tol = inf",
+         "stop_tol must be positive and finite"),
     ],
     ids=["samples", "seed", "stop_tol-negative", "stop_tol-nan", "stop_tol-inf"],
 )
@@ -183,9 +193,30 @@ def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, monkeypatch, argv
     conf = tmp_path / "bad.conf"
     conf.write_text(text)
     out = tmp_path / "bad"
-    for args in ([argv] if argv else []) + [["run", str(conf)]]:
+    for args in (argv, ["run", str(conf)]):
         assert main(["--out", str(out), *args]) == 2
         assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["regularity", "corner4", "--kmax", "0"], "kmax must be >= 1"),
+        (["regularity", "corner4", "--a", "0.5"], "scale base a must exceed 1"),
+        (["lemma-l", "middle-thirds", "--delta", "2"], "delta must lie in (0, 1)"),
+        (["build", "corner4", "--depth", "-1"], "generation must be >= 0"),
+        # the exact shapes' piece cap: 2^23 pieces, refused before any is built
+        (["build", "circle", "--depth", "23"], f"cap {1 << 22}"),
+        (["green", "circle", "--stop-tol", "2e-6", "--samples", "100"], f"cap {1 << 22}"),
+    ],
+    ids=["kmax", "a", "delta", "depth", "build-cap", "stop_tol-cap"],
+)
+def test_cli_reports_out_of_range_keys_without_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "range"
+    assert main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not out.exists()
 
 
@@ -198,6 +229,51 @@ def test_config_hash_ignores_threads_and_out():
     assert a.canonical_text() == b.canonical_text()
     assert a.canonical_text() != c.canonical_text()
     assert "threads" not in a.canonical_text()
+
+
+#: (experiment, config lines beyond experiment/shape/seed, canonical text):
+#: each experiment at its defaults, and with the walk keys set that it reads
+_PINNED_CANONICAL = [
+    ("regularity", "",
+     "experiment = 'regularity'\nseed = 1\nshape = 'corner4'\n"),
+    ("measure-scaling", "",
+     "experiment = 'measure-scaling'\nsamples = 100000\nseed = 1\nshape = 'corner4'\n"),
+    ("measure-scaling", "samples = 500\nstop_tol = 1e-3",
+     "experiment = 'measure-scaling'\nsamples = 500\nseed = 1\nshape = 'corner4'\n"
+     "stop_tol = 0.001\n"),
+    ("green-comparability", "",
+     "experiment = 'green-comparability'\nsamples = 100000\nseed = 1\nshape = 'corner4'\n"),
+    ("green-comparability", "samples = 500\nstop_tol = 1e-3",
+     "experiment = 'green-comparability'\nsamples = 500\nseed = 1\nshape = 'corner4'\n"
+     "stop_tol = 0.001\n"),
+    ("bhp", "",
+     "experiment = 'bhp'\nseed = 1\nshape = 'corner4'\n"),
+    ("bhp", "stop_tol = 1e-3",
+     "experiment = 'bhp'\nseed = 1\nshape = 'corner4'\nstop_tol = 0.001\n"),
+    ("curvature-profile", "",
+     "experiment = 'curvature-profile'\nseed = 1\nshape = 'corner4'\n"),
+    ("cauchy", "",
+     "experiment = 'cauchy'\nsamples = 100000\nseed = 1\nshape = 'corner4'\n"),
+    ("cauchy", "samples = 500\nstop_tol = 1e-3",
+     "experiment = 'cauchy'\nsamples = 500\nseed = 1\nshape = 'corner4'\nstop_tol = 0.001\n"),
+    ("dimension-gap", "",
+     "experiment = 'dimension-gap'\nsamples = 100000\nseed = 1\nshape = 'corner4'\n"),
+    ("dimension-gap", "samples = 500\nstop_tol = 1e-3",
+     "experiment = 'dimension-gap'\nsamples = 500\nseed = 1\nshape = 'corner4'\n"
+     "stop_tol = 0.001\n"),
+    ("lemma-L", "",
+     "experiment = 'lemma-L'\nseed = 1\nshape = 'corner4'\n"),
+]
+
+
+def test_canonical_text_is_pinned_for_every_experiment():
+    # the config hash of a run is the sha256 of this text: a change to it
+    # breaks the link between new and recorded manifests
+    assert {experiment for experiment, _, _ in _PINNED_CANONICAL} == set(EXPERIMENT_NAMES)
+    for experiment, lines, text in _PINNED_CANONICAL:
+        cfg = parse_experiment_config(
+            f"experiment = {experiment}\nshape = corner4\nseed = 1\n{lines}\n")
+        assert cfg.canonical_text() == text, (experiment, lines)
 
 
 # -- shape resolution --------------------------------------------------------------
@@ -248,8 +324,8 @@ def test_cauchy_doubling_shares_no_walk_with_the_first_run(tmp_path, monkeypatch
         return measures[-1]
 
     monkeypatch.setattr(lab, "sample_harmonic_measure", sample)
-    run_experiment(ExperimentConfig(experiment="cauchy", shape="circle", seed=1, samples=4096,
-                                    out=str(tmp_path), params={"n_eval": 3}))
+    run_experiment(ExperimentConfig(experiment="cauchy", shape="circle", seed=1,
+                                    out=str(tmp_path), params={"samples": 4096, "n_eval": 3}))
     first, doubled = measures
     counts = [dict(zip(map(bytes, em.codes), np.rint(em.weights * em.samples)))
               for em in (first, doubled)]
@@ -315,8 +391,8 @@ def test_dimension_run_reports_gap(tmp_path):
         experiment="dimension-gap",
         shape="corner4",
         seed=1,
-        samples=20_000,
         out=str(out),
+        params={"samples": 20_000},
     )
     manifest = run_experiment(cfg)
     summary = (out / "summary.txt").read_text()
@@ -360,8 +436,8 @@ def test_csv_cells_are_plain_numbers(tmp_path):
     runs = {"cauchy": {"n_eval": 3}, "measure-scaling": {"n_centers": 4, "r_lo": 0.1}}
     for experiment, params in runs.items():
         run_experiment(ExperimentConfig(experiment=experiment, shape="corner4", seed=1,
-                                        samples=5_000, out=str(tmp_path / experiment),
-                                        params=params))
+                                        out=str(tmp_path / experiment),
+                                        params={"samples": 5_000, **params}))
     assert main(["--out", str(tmp_path / "build"), "build", "corner4", "--depth", "2"]) == 0
     for path in ("cauchy/cauchy.csv", "measure-scaling/scaling.csv", "build/atoms.csv"):
         rows = (tmp_path / path).read_text().splitlines()[2:]
@@ -441,7 +517,6 @@ def test_cli_flags_follow_the_config_key_table():
     assert set(subs) == {"build", "run", "sample", "green", "curvature", "cauchy",
                          "dimension", "regularity", "lemma-l", "bhp"}
     core = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    walking = {"measure-scaling", "green-comparability", "cauchy", "dimension-gap"}
     global_flags = [a for a in parser._actions
                     if a.option_strings and a.dest not in ("help", "force")]
     experiments = set()
@@ -451,9 +526,7 @@ def test_cli_flags_follow_the_config_key_table():
         flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
         assert flags, command
         experiment = sub.get_default("experiment")
-        reads = set(lab._EXPERIMENTS[experiment].params)
-        samples = {"samples"} if experiment in walking else set()
-        assert {a.dest for a in flags} == reads | samples, command
+        assert {a.dest for a in flags} == set(lab._EXPERIMENTS[experiment].params), command
         for action in global_flags + flags:
             key = action.dest
             assert key in _KEY_TYPES, (command, key)
