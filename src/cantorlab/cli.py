@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     shape = resolve_shape(args.shape)
     codes, centers, radii = shape.atoms(args.depth)
-    lines = [f"# shape={args.shape} depth={args.depth}", "code,x,y,radius"]
-    for code, c, r in zip(codes, centers, radii):
-        word = "".join(str(int(x)) for x in code)
-        lines.append(f"{word},{float(c.real)!r},{float(c.imag)!r},{float(r)!r}")
-    text = "\n".join(lines) + "\n"
     if isinstance(shape, Repeller):
         print(f"{args.shape}: {len(shape.branches)} branches, "
               f"similarity dimension {similarity_dimension(shape):.6f}, "
@@ -76,6 +71,11 @@ def _cmd_build(args) -> int:
         path = os.path.join(args.out, "atoms.csv")
         if os.path.exists(path) and not args.force:
             raise OutputCollisionError(f"{path} exists (pass --force to overwrite)")
+        lines = [f"# shape={args.shape} depth={args.depth}", "code,x,y,radius"]
+        for code, c, r in zip(codes, centers, radii):
+            word = "".join(map(str, code.tolist()))
+            lines.append(f"{word},{float(c.real)!r},{float(c.imag)!r},{float(r)!r}")
+        text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:
             fh.write(text)
         digest = hashlib.sha256(text.encode()).hexdigest()

@@ -12,12 +12,14 @@ stopped walks are binned into the cylinder piece of radius about stop_tol
 that contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
 independent of chunk scheduling and thread count.  Each chunk of CHUNK walks
-draws from its own random stream; a pool task walks a batch of up to BATCH
-chunks as one array, each walk tagged with the chunk that owns it, and every
-stream draws for its own walks in walk order, so each chunk sees the draws it
-would see alone.  A direction is one random() draw u per walk, turned into
-e^(2 pi i u) by a table of ROOTS roots of unity and a two-term series for
-the remaining angle (_turn), without a complex exp.  Pole absorption runs the
+draws from its own random stream.  A pool task walks one thread's share of
+the chunks in one array of at most BATCH chunks' worth of walks, launching
+the next chunk at its end whenever stopped walks leave room; a chunk holds
+a contiguous slice, its stream draws for its own walks in walk order and
+its step limit counts from its launch, so it sees the draws it would see
+alone.  A direction is one random() draw u per walk, turned into e^(2 pi i u)
+by a table of ROOTS roots of unity and a two-term series for the remaining
+angle (_turn), without a complex exp.  Pole absorption runs the
 same loop with one stream and the pole disc folded into the distance bounds,
 so a walk stops at J or at the disc, whichever it reaches first.
 
@@ -29,6 +31,7 @@ Holder envelope for ratios of positive harmonic functions near J.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -52,14 +55,15 @@ TWO_PI = 2.0 * np.pi
 #: stream, so no draw depends on batching or thread count
 CHUNK = 4096
 
-#: a pool task walks up to this many chunks as one array, so each step's
-#: numpy calls cover enough walks to amortize their per-call cost
+#: a pool task keeps up to this many chunks of walks live in one refilled
+#: array, so each step's numpy calls cover enough walks to amortize their cost
 BATCH = 8
 
 #: fraction of walks allowed to hit the step limit
 DISCARD_LIMIT = 0.01
 
-#: step limit of every walk, sampling and pole absorption alike
+#: step limit of every walk from its chunk's launch, sampling and pole
+#: absorption alike
 MAX_STEPS = 10_000
 
 #: each walk step jumps this fraction of the certified distance lower bound
@@ -276,23 +280,22 @@ def _turn(u: np.ndarray) -> np.ndarray:
     return d
 
 
-def _draws(rngs, owner: np.ndarray) -> np.ndarray:
-    """Uniform draws in [0, 1), drawn from rngs[owner[i]] for walk i.
+def _draws(rngs, bounds) -> np.ndarray:
+    """Uniform draws in [0, 1), walks bounds[i]:bounds[i + 1] from rngs[i].
 
-    owner is non-decreasing, so each stream fills its own slice of one buffer
-    with random() draws, for its own walks in walk order; a stream that owns
-    no walk draws nothing.  These are the draws, and the stream use, of
-    uniform(0, 2 pi) angles; _turn maps them to directions.
+    Each stream fills its own slice of one buffer with random() draws, for
+    its own walks in walk order; a stream with an empty slice draws nothing.
+    These are the draws, and the stream use, of uniform(0, 2 pi) angles;
+    _turn maps them to directions.
     """
-    u = np.empty(owner.size)
-    ends = owner.searchsorted(np.arange(len(rngs) + 1)).tolist()
-    for rng, a, b in zip(rngs, ends, ends[1:]):
+    u = np.empty(bounds[-1])
+    for rng, a, b in zip(rngs, bounds, bounds[1:]):
         if b > a:
             rng.random(out=u[a:b])
     return u
 
 
-def _reenter(z, owner, rngs, center: complex, radius: float) -> None:
+def _reenter(z, bounds, rngs, center: complex, radius: float) -> None:
     """Move walks outside |z - center| = radius onto that circle, in place.
 
     A plane Brownian path from outside re-enters the circle almost surely,
@@ -304,57 +307,82 @@ def _reenter(z, owner, rngs, center: complex, radius: float) -> None:
     far = np.flatnonzero(np.abs(w) > 1.0)
     if far.size:
         a = 1.0 / np.conj(w[far])
-        u = _turn(_draws(rngs, owner[far]))
+        u = _turn(_draws(rngs, far.searchsorted(bounds).tolist()))
         z[far] = center + radius * ((u + a) / (1.0 + np.conj(a) * u))
 
 
-def _walk(query, z, owner, rngs, cfg: WalkConfig, center: complex, radius: float):
-    """Run walk-on-spheres from the points z until each one stops.
+def _walk(query, jobs, start, absorb, stop_tol: float, center: complex, radius: float):
+    """Run walk-on-spheres for the chunks jobs = [(rng, n), ...] in one array kept full.
 
-    query(z) returns certified lower and upper bounds on the distance to
-    the absorbing set; a walk stops where the upper bound drops below
-    stop_tol and otherwise jumps SHRINK * (lower bound) in a uniform
-    direction, re-entering the circle |z - center| = radius when it leaves
-    it.  Walk i draws from rngs[owner[i]], and owner must be non-decreasing.
-    Each direction, at launch, step and re-entry alike, is one random()
-    draw per walk mapped through the root table and series of _turn, not a
-    complex exp.  The walk moves z in place.  Returns the stopped positions,
-    in the order the walks stopped, and the number of walks still live after
-    MAX_STEPS steps.
+    A chunk's n walks launch at start(rng, n), at the end of the array, once
+    it is empty or they fit in BATCH * CHUNK; live chunk i holds the slice
+    bounds[i]:bounds[i + 1].  query(z) returns certified lower and upper bounds
+    on the distance to the absorbing set; a walk stops where the upper bound
+    drops below stop_tol and otherwise jumps SHRINK * (lower bound) in a
+    direction _turn maps from one random() draw of its chunk's rng, which
+    draws for its chunk's walks in walk order, and re-enters the circle
+    |z - center| = radius when it leaves it.  Walks still live MAX_STEPS steps
+    after their chunk launched are discarded.  Stopped positions go to absorb
+    in blocks of about one array.  Returns the sum of what absorb returned
+    and the number of walks discarded.
     """
-    stopped = [z[:0]]
-    for _ in range(MAX_STEPS):
+    z = np.empty(0, dtype=complex)
+    bounds, chunks = [0], []  # chunks[i] = (rng, launch step), walks bounds[i]:bounds[i + 1]
+    stopped, held, tally, discarded, todo = [z], 0, 0, 0, 0
+    for t in itertools.count():
+        old = sum(s + MAX_STEPS <= t for _, s in chunks)  # the oldest come first
+        discarded += bounds[old]
+        z, chunks = z[bounds[old] :], chunks[old:]
+        bounds = [b - bounds[old] for b in bounds[old:]]
+        while todo < len(jobs) and (z.size == 0 or z.size + jobs[todo][1] <= BATCH * CHUNK):
+            rng, n = jobs[todo]
+            z = np.concatenate([z, start(rng, n)])
+            chunks.append((rng, t))
+            bounds.append(z.size)
+            todo += 1
+        if held >= BATCH * CHUNK or z.size == 0:
+            tally += absorb(np.concatenate(stopped))
+            stopped, held = [z[:0]], 0
+        if z.size == 0:
+            return tally, discarded
         lo, hi = query(z)
-        done = hi < cfg.stop_tol
+        done = hi < stop_tol
         live = np.flatnonzero(~done)
         if live.size < z.size:
             stopped.append(z[done])
-            z, lo, owner = z[live], lo[live], owner[live]
+            held += stopped[-1].size
+            z, lo = z[live], lo[live]
+            ends = live.searchsorted(bounds).tolist()
+            chunks = [c for c, a, b in zip(chunks, ends, ends[1:]) if b > a]
+            bounds = [0] + [b for a, b in zip(ends, ends[1:]) if b > a]
         del hi, done, live  # freed before the step allocates its temporaries
-        if z.size == 0:
-            break
-        step = _turn(_draws(rngs, owner))
-        step *= SHRINK * lo
-        z += step
-        del lo, step
-        _reenter(z, owner, rngs, center, radius)
-    return np.concatenate(stopped), z.size
+        if z.size:
+            rngs = [rng for rng, _ in chunks]
+            step = _turn(_draws(rngs, bounds))
+            step *= SHRINK * lo
+            z += step
+            del lo, step
+            _reenter(z, bounds, rngs, center, radius)
 
 
 def _walk_chunks(shape, fld, cfg: WalkConfig, jobs, stream: int = 0):
-    """Walk the chunks jobs = [(chunk_index, n), ...] as one array.
+    """Walk the chunks jobs = [(chunk_index, n), ...] in one refilled array.
 
-    Chunk c draws from the substream (seed, stream, c).  Returns the leaf
-    counts of all their stopped walks and the number of walks still live
-    after MAX_STEPS steps.
+    Chunk c launches n walks on the launch circle and draws from the
+    substream (seed, stream, c).  Returns the leaf counts of all their
+    stopped walks and the number of walks discarded at the step limit.
     """
-    rngs = [rng_stream(cfg.seed, stream, chunk_index) for chunk_index, _ in jobs]
-    owner = np.repeat(np.arange(len(jobs)), [n for _, n in jobs])
     center = shape.bounding_center
     launch = LAUNCH_FACTOR * shape.bounding_radius
-    z = center + launch * _turn(_draws(rngs, owner))
-    stopped, live = _walk(fld.query, z, owner, rngs, cfg, center, launch)
-    return np.bincount(fld.leaf(stopped), minlength=fld.leaf_count), live
+
+    def start(rng, n):
+        return center + launch * _turn(rng.random(n))
+
+    def absorb(stopped):
+        return np.bincount(fld.leaf(stopped), minlength=fld.leaf_count)
+
+    jobs = [(rng_stream(cfg.seed, stream, c), n) for c, n in jobs]
+    return _walk(fld.query, jobs, start, absorb, cfg.stop_tol, center, launch)
 
 
 def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> EmpiricalMeasure:
@@ -373,16 +401,12 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     if cfg.samples % CHUNK:
         sizes.append(cfg.samples % CHUNK)
     jobs = list(enumerate(sizes))
-    # near-equal batches of at most BATCH chunks, at least one per thread
-    n_batches = max(-(-len(jobs) // BATCH), min(cfg.threads, len(jobs)))
-    batches = [
-        jobs[len(jobs) * b // n_batches : len(jobs) * (b + 1) // n_batches]
-        for b in range(n_batches)
-    ]
+    k = min(cfg.threads, len(jobs))  # one contiguous, near-equal share per thread
+    shares = [jobs[len(jobs) * b // k : len(jobs) * (b + 1) // k] for b in range(k)]
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     discarded = 0
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs, stream), batches)
+        walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs, stream), shares)
         for c, d in walked:
             counts += c
             discarded += d
@@ -706,12 +730,16 @@ def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
         dp = np.abs(z - pole) - pole_radius
         return np.minimum(lo, dp), np.minimum(hi, dp)
 
-    z, owner = np.full(n, complex(z0)), np.zeros(n, dtype=np.intp)
-    stopped, _ = _walk(query, z, owner, [rng], cfg, center, enclose)
-    finished = stopped.size
+    def start(rng, n):
+        return np.full(n, complex(z0))
+
+    def absorb(stopped):  # the walks that stopped at the pole disc
+        return int(np.sum(np.abs(stopped - pole) - pole_radius < fld.query(stopped)[1]))
+
+    hits, lost = _walk(query, [(rng, n)], start, absorb, cfg.stop_tol, center, enclose)
+    finished = n - lost
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
-    hits = int(np.sum(np.abs(stopped - pole) - pole_radius < fld.query(stopped)[1]))
     return hits / finished, finished
 
 

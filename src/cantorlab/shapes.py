@@ -67,8 +67,10 @@ class Shape(Protocol):
 def binary_codes(depth: int) -> np.ndarray:
     """All binary words of a given length, lexicographic, as a (2^depth, depth) array.
 
-    Raises ResourceLimitError, before allocating, above PIECE_CAP words.
+    Raises ValueError below depth 0, ResourceLimitError (before allocating) above PIECE_CAP.
     """
+    if depth < 0:
+        raise ValueError("generation must be >= 0")
     if 1 << depth > PIECE_CAP:
         raise ResourceLimitError(f"depth {depth} has 2^{depth} pieces, cap {PIECE_CAP}")
     idx = np.arange(1 << depth, dtype=np.int64)

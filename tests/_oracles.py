@@ -285,12 +285,15 @@ def measure_from_csv(text: str) -> EmpiricalMeasure:
 
 # The two walk loops below are the sampler chunk and the pole-absorption
 # estimate as they were written before both became calls of one loop,
-# potential._walk, which also walks several chunks, each with its own random
-# stream, as one array.  They bin and count stopped walks inside the loop,
-# step by step, and draw from one stream, so equal results pin the merged
-# loop to the same draws and stops.  They map each random() draw u to the
-# direction _turn(u), where they once took exp(1j * uniform(0, 2 pi)) of
-# the same draw; test_turn_matches_the_complex_exp pins _turn to that.
+# potential._walk.  That loop keeps one array of live walks full: it launches
+# each chunk, with its own random stream, at the end of the array once the
+# walks of earlier chunks have stopped and left room, and counts each chunk's
+# step limit from its launch.  The references walk one chunk alone from step
+# zero, bin and count stopped walks inside the loop, step by step, and draw
+# from one stream, so equal results pin the merged loop to the same draws
+# and stops.  They map each random() draw u to the direction _turn(u), where
+# they once took exp(1j * uniform(0, 2 pi)) of the same draw;
+# test_turn_matches_the_complex_exp pins _turn to that.
 
 
 def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:

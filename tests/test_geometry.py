@@ -13,6 +13,7 @@ from cantorlab import (
     ConfigError,
     EscapeError,
     OverlapError,
+    QuadratureError,
     Repeller,
     ResourceLimitError,
     Segment,
@@ -465,6 +466,12 @@ def test_shell_sums_validation(thirds):
         shell_integral_sums(thirds, delta=1.0, a=3.0, kmax=2)
     with pytest.raises(ValueError):
         shell_integral_sums(thirds, delta=0.5, a=0.9, kmax=2)
+
+
+def test_shell_sums_refuse_a_tolerance_no_refinement_reaches(thirds):
+    # SHELL_MAX_REFINE doublings cannot bring two midpoint grids within 1e-12
+    with pytest.raises(QuadratureError, match="did not stabilize to rtol=1e-12"):
+        shell_integral_sums(thirds, delta=math.log(2) / math.log(3), a=3.0, kmax=2, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -206,11 +206,15 @@ def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, monkeypatch, argv
         (["regularity", "corner4", "--a", "0.5"], "scale base a must exceed 1"),
         (["lemma-l", "middle-thirds", "--delta", "2"], "delta must lie in (0, 1)"),
         (["build", "corner4", "--depth", "-1"], "generation must be >= 0"),
+        # the exact shapes refuse a negative depth with the repeller's message
+        (["build", "circle", "--depth", "-1"], "generation must be >= 0"),
+        (["build", "segment", "--depth", "-1"], "generation must be >= 0"),
         # the exact shapes' piece cap: 2^23 pieces, refused before any is built
         (["build", "circle", "--depth", "23"], f"cap {1 << 22}"),
         (["green", "circle", "--stop-tol", "2e-6", "--samples", "100"], f"cap {1 << 22}"),
     ],
-    ids=["kmax", "a", "delta", "depth", "build-cap", "stop_tol-cap"],
+    ids=["kmax", "a", "delta", "depth", "depth-circle", "depth-segment", "build-cap",
+         "stop_tol-cap"],
 )
 def test_cli_reports_out_of_range_keys_without_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "range"
@@ -430,6 +434,33 @@ def test_cli_build_writes_atoms(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--force" in err
     assert main(["--out", str(out), "--force", "build", "corner4"]) == 0
+
+
+#: sha256 of atoms.csv for each shape at depth 3, as the build command has
+#: always written it
+ATOMS_SHA256 = {
+    "corner4": "13e5579d974575cb9dc5ee1ab12e4b29456eac58e16398bfa401f2b3029c4edd",
+    "circle": "56d663188ffce76c197c61b1174eb081dc71849340137a273aa4ddd9446999f6",
+    "segment": "70c9ce1b47f81c0796fc61dca78bf6744b39bd1621110ef15365f1092fec5b22",
+    "middle-thirds": "ec220131ae8b8fb1b3b2d23718d140b8208e9721143007b315377caba7655280",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ATOMS_SHA256))
+def test_cli_build_writes_the_csv_only_with_out(tmp_path, capsys, monkeypatch, shape):
+    out = tmp_path / "atoms"
+    assert main(["--out", str(out), "build", shape, "--depth", "3"]) == 0
+    digest = hashlib.sha256((out / "atoms.csv").read_bytes()).hexdigest()
+    assert digest == ATOMS_SHA256[shape]
+    assert f"(sha256 {digest[:16]})" in capsys.readouterr().out
+    # without --out only the summary line is printed, and nothing is written
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    monkeypatch.chdir(bare)
+    assert main(["build", shape, "--depth", "3"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1 and "atoms at depth 3" in printed[0]
+    assert not any(bare.iterdir())
 
 
 def test_csv_cells_are_plain_numbers(tmp_path):

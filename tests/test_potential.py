@@ -106,7 +106,7 @@ def test_turn_matches_the_complex_exp():
     # drawn as the walk draws: the stream moves as far as uniform angles move it
     for m in (1, 1000, 4096):
         rng, twin = rng_stream(13, 1, m), rng_stream(13, 1, m)
-        drawn = potential._turn(potential._draws([rng], np.zeros(m, dtype=np.intp)))
+        drawn = potential._turn(potential._draws([rng], [0, m]))
         assert np.abs(drawn - np.exp(1j * twin.uniform(0.0, 2.0 * np.pi, m))).max() <= 2e-15
         assert rng.random() == twin.random()
 
@@ -348,8 +348,8 @@ def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
     """The one walk loop gives the old loops' counts, live walks and hits.
 
     The references walk one chunk on one stream and bin and count stopped
-    walks inside the loop, step by step; the merged loop walks a batch of
-    chunks as one array and bins them once.
+    walks inside the loop, step by step; the merged loop walks the chunks in
+    one refilled array and bins stopped walks in blocks.
     """
     shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
     cfg = WalkConfig(samples=1, seed=11).resolve(shape)
@@ -385,9 +385,52 @@ def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
     assert all(lv > 0 for lv in live_per_chunk())
 
 
+@pytest.mark.parametrize("max_steps", [None, 12])
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4"])
+def test_refilled_array_matches_chunks_walked_alone(name, max_steps, corner, monkeypatch):
+    """Chunks launched into a refilled array walk as they would alone.
+
+    At BATCH = 2 the first two chunks fill the array; the partial chunk of
+    20 walks launches mid-walk, once 20 walks have stopped, and the last two
+    as room frees up.  Every prefix of the jobs must give the summed counts
+    and live walks of its chunks walked one by one, so each chunk's own live
+    walks agree too, also when MAX_STEPS, counted from each chunk's launch,
+    leaves walks of every chunk live.
+    """
+    shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
+    cfg = WalkConfig(samples=1, seed=17).resolve(shape)
+    fld = shape.field(cfg.stop_tol / 4.0)
+    monkeypatch.setattr(potential, "BATCH", 2)
+    if max_steps is not None:
+        monkeypatch.setattr(potential, "MAX_STEPS", max_steps)
+        monkeypatch.setattr(_oracles, "MAX_STEPS", max_steps)
+    jobs = [(0, potential.CHUNK), (1, potential.CHUNK), (2, 20),
+            (3, potential.CHUNK), (4, potential.CHUNK)]
+    refs = [_oracles.walk_chunk(shape, fld, cfg, i, n) for i, n in jobs]
+    seen = []  # (walks queried, walks stopped) per step
+    query = fld.query
+
+    def counted(z):
+        lo, hi = query(z)
+        seen.append((z.size, int((hi < cfg.stop_tol).sum())))
+        return lo, hi
+
+    monkeypatch.setattr(fld, "query", counted)
+    for k in range(1, len(jobs) + 1):
+        seen.clear()
+        counts, live = potential._walk_chunks(shape, fld, cfg, jobs[:k])
+        assert np.array_equal(counts, sum(c for c, _ in refs[:k]))
+        assert live == sum(lv for _, lv in refs[:k])
+        assert max(a for a, _ in seen) <= 2 * potential.CHUNK
+    # some step queried more walks than the last one left live: a refill
+    assert any(0 < a - s < b for (a, s), (b, _) in zip(seen, seen[1:]))
+    live = [lv for _, lv in refs]
+    assert all(lv > 0 for lv in live) if max_steps else live == [0] * len(jobs)
+
+
 @pytest.mark.parametrize("name", ["circle", "corner4"])
 def test_sampling_ignores_batching_and_threads(name, corner, monkeypatch):
-    # ten chunks, the last one partial: four batches at BATCH = 3
+    # ten chunks, the last one partial: at BATCH = 1 and 3 the arrays refill
     shape = Circle() if name == "circle" else corner
     cfg = WalkConfig(samples=9 * potential.CHUNK + 1000, seed=8)
     ref = sample_harmonic_measure(shape, cfg)
@@ -404,7 +447,7 @@ def test_sampling_ignores_batching_and_threads(name, corner, monkeypatch):
 
 def test_sampler_holds_no_count_array_per_chunk():
     # forty chunks: holding a count array per chunk alone takes 40 * leaves * 8
-    # bytes; one thread, so no second batch's arrays are live at the peak
+    # bytes; one thread, so no second share's arrays are live at the peak
     shape = Circle()
     cfg = WalkConfig(samples=40 * potential.CHUNK, seed=4, threads=1)
     leaves = shape.field(cfg.resolve(shape).stop_tol / 4.0).leaf_count
