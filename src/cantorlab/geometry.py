@@ -132,19 +132,30 @@ class _Axis:
             i += below if step == 1 else below * step
         return i
 
-    def nearest(self, x: np.ndarray):
-        """Index of the axis value nearest each x, and its distance to x.
-
-        Exact ties go to the smaller value.
-        """
+    def _neighbours(self, x: np.ndarray):
+        """count_below(x), and the gaps from x to the values either side of it."""
         i = self.count_below(x)
         left = self.padded.take(i)
         np.subtract(x, left, out=left)
         right = self.padded[1:].take(i)
         right -= x
+        return i, left, right
+
+    def distance(self, x: np.ndarray) -> np.ndarray:
+        """Distance from each x to the nearest axis value."""
+        _, left, right = self._neighbours(x)
+        # an infinite x makes left or right inf - inf = NaN (and numpy warns);
+        # fmin skips that NaN
+        return np.fmin(left, right, out=left)
+
+    def nearest(self, x: np.ndarray):
+        """Index of the axis value nearest each x, and its distance to x.
+
+        Exact ties go to the smaller value.
+        """
+        i, left, right = self._neighbours(x)
         j = i - (right >= left)
-        # an infinite x makes left or right inf - inf = NaN (and numpy warns):
-        # at x = +inf the NaN sends j to n, so clamp it and skip the NaN
+        # at x = +inf the NaN right gap sends j to n, so clamp it
         np.minimum(j, self.last, out=j)
         return j, np.fmin(left, right, out=left)
 
@@ -164,6 +175,10 @@ class _LeafField:
     fields are cached per depth); its distance has the same bits as a
     KD-tree's, and exact ties go to the smaller coordinate.  Any other center
     set, say one from rotated maps, is searched with a cKDTree.
+
+    When every radius equals max_r (every preset), the upper bound is
+    d + max_r, so query needs only the distance d and builds no leaf index;
+    leaf, and query on fields with unequal radii, look the nearest leaf up.
     """
 
     def __init__(self, rep: "Repeller", depth: int):
@@ -172,6 +187,7 @@ class _LeafField:
         self.leaf_count = len(cs)
         self.radii = cs.radii
         self.rmax = float(cs.radii.max())
+        self._equal_radii = bool(np.all(cs.radii == self.rmax))
         ux, ix = np.unique(cs.centers.real, return_inverse=True)
         uy, iy = np.unique(cs.centers.imag, return_inverse=True)
         self._tree = None
@@ -183,26 +199,38 @@ class _LeafField:
         else:
             self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
 
-    def _nearest(self, z: np.ndarray):
+    def _nearest(self, z: np.ndarray, leaves: bool = True):
+        """Distance to the nearest center, and its index when leaves is set."""
         z = np.asarray(z)
         if self._tree is not None:
             return self._tree.query(np.column_stack([z.real, z.imag]))
         d = np.empty(z.shape)
-        idx = np.empty(z.shape, dtype=np.intp)
+        idx = np.empty(z.shape, dtype=np.intp) if leaves else None
+        ax, ay = self._axes
         for start in range(0, len(z), GRID_BLOCK):
             part = slice(start, start + GRID_BLOCK)
-            jx, dx = self._axes[0].nearest(z.real[part])
-            jy, dy = self._axes[1].nearest(z.imag[part])
+            # contiguous copies: an axis search reads its coordinates four times
+            x, y = z.real[part].copy(), z.imag[part].copy()
+            if leaves:
+                jx, dx = ax.nearest(x)
+                jy, dy = ay.nearest(y)
+                idx[part] = self._table[jx, jy]
+            else:
+                dx, dy = ax.distance(x), ay.distance(y)
             # not hypot: the tree also takes the root of the sum of squares
-            d[part] = np.sqrt(dx * dx + dy * dy)
-            idx[part] = self._table[jx, jy]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.sqrt(dx, out=d[part])
         return d, idx
 
     def query(self, z: np.ndarray):
-        d, idx = self._nearest(z)
-        lo = np.maximum(d - self.rmax, 0.0)
-        hi = d + self.radii[idx]
-        return lo, hi
+        d, idx = self._nearest(z, leaves=not self._equal_radii)
+        # maximum, not fmax: a NaN point keeps NaN bounds
+        lo = d - self.rmax
+        np.maximum(lo, 0.0, out=lo)
+        d += self.rmax if self._equal_radii else self.radii[idx]
+        return lo, d
 
     def leaf(self, z: np.ndarray) -> np.ndarray:
         return self._nearest(z)[1]

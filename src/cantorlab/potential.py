@@ -303,7 +303,8 @@ def _reenter(z, bounds, rngs, center: complex, radius: float) -> None:
     the inverted point; sampling that law exactly (a Moebius image of a
     uniform direction) caps outward excursions without biasing the walk.
     """
-    w = (z - center) / radius
+    w = z - center
+    w /= radius
     far = np.flatnonzero(np.abs(w) > 1.0)
     if far.size:
         a = 1.0 / np.conj(w[far])

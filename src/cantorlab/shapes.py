@@ -26,9 +26,10 @@ class DistanceField(Protocol):
     """Certified distance bounds from the leaf pieces of one generation.
 
     query(z) returns lower and upper bounds on dist(z, J), with gap at most
-    twice the resolution the field was built for.  leaf(z) returns the index
-    of the nearest of the leaf_count leaf pieces; the sampler asks for it
-    only at the points where walks stop.
+    twice the resolution the field was built for; when the leaf pieces share
+    one radius it needs no leaf index.  leaf(z) returns the index of the
+    nearest of the leaf_count leaf pieces; the sampler asks for it only at
+    the points where walks stop.
     """
 
     depth: int

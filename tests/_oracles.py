@@ -398,6 +398,19 @@ def atom_replicate_dimension(rep, em: EmpiricalMeasure, fit_ks, counts) -> float
     return float(np.polyfit(ks, hs, 1)[0] / np.polyfit(ks, ls, 1)[0])
 
 
+# -- certified distance ---------------------------------------------------------
+
+
+def leaf_bounds(fld, z):
+    """Distance bounds built from the nearest leaf, as every field once built them.
+
+    The lower bound is max(d - rmax, 0) and the upper one d plus the nearest
+    leaf's own radius, looked up through its index.
+    """
+    d, idx = fld._nearest(z)
+    return np.maximum(d - fld.rmax, 0.0), d + fld.radii[idx]
+
+
 # -- shell quadrature -----------------------------------------------------------
 
 

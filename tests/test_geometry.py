@@ -30,7 +30,8 @@ from cantorlab.geometry import CYLINDER_CAP, SHELL_BASE_CELLS, _shell_quadrature
 from cantorlab.potential import rng_stream
 from cantorlab.shapes import PIECE_CAP
 
-from _oracles import covering_components, distance_interval, shell_quadrature
+from _oracles import covering_components, distance_interval, leaf_bounds, shell_quadrature
+from test_curvature import golden_repeller
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -265,6 +266,19 @@ class _RecordingField:
         return self.fld.query(z)
 
 
+def _shell_points(rep, fld):
+    """Every point shell quadrature asks fld about for the three outer shells."""
+    rec = _RecordingField(fld)
+    a = 1.0 / rep.max_scale
+    for k in range(3):
+        shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
+    return np.concatenate(rec.points)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize("name", ["corner4", "middle-thirds", "middle-alpha:0.2"])
 @pytest.mark.parametrize("resolution", [1e-3, 2.5e-5, 1e-6, 10.0])
 def test_axis_bucket_count_is_searchsorted(name, resolution):
@@ -294,8 +308,12 @@ def test_axis_bucket_count_is_searchsorted(name, resolution):
         expected = np.where(u[hi] - x < x - u[lo], hi, lo)
         with np.errstate(invalid="ignore"):  # inf - inf at the infinite x
             j, dist = axis.nearest(x)
+            dist_only = axis.distance(x)
         assert np.array_equal(j, expected)
         assert np.array_equal(dist, np.abs(x - u[j]))
+        # the distance-only search gives the same bits, the infinite x included
+        assert _same_bits(dist_only, dist)
+        assert np.isposinf(dist_only[-2:]).all()
     # the finest fields put several values in one bucket
     assert (len(fld._axes[0].steps) > 1) == (resolution == 1e-6)
     if fld.depth == 0:
@@ -319,11 +337,7 @@ def test_grid_field_matches_kd_tree(name):
         r = 3.0 * rep.root_radius
         scattered = rep.root_center + rng.uniform(-r, r, 20_000) + 1j * rng.uniform(-r, r, 20_000)
         # the dyadic midpoints of shell quadrature, where exact distance ties occur
-        rec = _RecordingField(fld)
-        a = 1.0 / rep.max_scale
-        for k in range(3):
-            shell_quadrature(rep, rec, 1.0, a ** -(k + 1), a**-k, 8)
-        z = np.concatenate([scattered, *rec.points])
+        z = np.concatenate([scattered, _shell_points(rep, fld)])
         d, idx = fld._nearest(z)
         xy = np.column_stack([z.real, z.imag])
         d_tree, idx_tree = tree.query(xy)
@@ -336,6 +350,49 @@ def test_grid_field_matches_kd_tree(name):
         assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
         if name == "corner4":
             assert not unique.all()
+
+
+@pytest.mark.parametrize("name", ["corner4", "middle-thirds", "middle-alpha:0.2", "golden", "rotated"])
+def test_query_matches_the_leaf_bounds(name):
+    """query gives the bits of the bounds built from the nearest leaf's index.
+
+    The presets and rotated (a KD-tree field) have equal radii, so their
+    query looks no leaf up; golden's radii differ, so it keeps the lookup.
+    """
+    rep = {"golden": golden_repeller, "rotated": rotated_pair}.get(name, lambda: preset(name))()
+    # 1e-6 puts several axis values in one bucket and 10.0 is depth 0; golden
+    # would need 2^21 pieces for 1e-6, and rotated's tree has no buckets
+    resolutions = [1e-3, 2e-3, 2.5e-5, 4e-5, 10.0]
+    if name not in ("golden", "rotated"):
+        resolutions += [1e-6, 1.5e-6]
+    rng = rng_stream(12, 0)
+    r = 3.0 * rep.root_radius
+    scattered = rep.root_center + rng.uniform(-r, r, 20_000) + 1j * rng.uniform(-r, r, 20_000)
+    inf, nan = np.inf, np.nan
+    odd = np.array([complex(x, y) for x in (-inf, inf, nan, 0.1) for y in (-inf, inf, nan, 0.2)])
+    for resolution in resolutions:
+        fld = rep.field(resolution)
+        # depth 0 has one leaf, which fills a grid of one cell
+        assert (fld.depth == 0) == (resolution == 10.0)
+        assert fld._equal_radii == (name != "golden" or fld.depth == 0)
+        grid = fld._tree is None
+        assert grid == (name != "rotated" or fld.depth == 0)
+        if resolution < 2e-6:
+            assert len(fld._axes[0].steps) > 1
+        parts = [scattered, _shell_points(rep, fld)]
+        # a KD-tree refuses non-finite points with a ValueError
+        parts += [odd] if grid else []
+        z = np.concatenate(parts)
+        with np.errstate(invalid="ignore"):  # inf - inf at the infinite points
+            lo, hi = fld.query(z)
+            lo_ref, hi_ref = leaf_bounds(fld, z)
+            d = fld._nearest(z)[0]
+        assert _same_bits(lo, lo_ref)
+        assert _same_bits(hi, hi_ref)
+        assert np.array_equal(np.isnan(hi), np.isnan(z))
+        if name == "golden" and fld.depth > 0:
+            # unequal radii: d + rmax is not the nearest leaf's bound everywhere
+            assert (hi < d + fld.rmax)[np.isfinite(z)].any()
 
 
 def test_scaling_equivariance(thirds):
