@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError, SingularityError
-from .potential import EmpiricalMeasure, _atom_sum, natural_measure
+from .potential import ATOM_BLOCK, EmpiricalMeasure, _atom_sum, natural_measure
 
 #: largest atom count the energy accepts: 4**7, corner4 at generation 7, is
 #: 2.7e8 ordered pairs and about 2.3 s of CPU on a 2-core x86-64 VM; memory
@@ -132,25 +132,30 @@ def default_r_grid(em: EmpiricalMeasure) -> np.ndarray:
     return np.array(grid)
 
 
-def cauchy_truncations(em: EmpiricalMeasure, z: complex, r_grid=None):
+def cauchy_truncations(em: EmpiricalMeasure, z, r_grid=None):
     """Truncated transforms sum_{|atom - z| > r} w / (z - atom) for each r.
 
-    Returns (r_grid, complex values).  Suffix sums over atoms sorted by
-    distance from z make this O(n log n) for the whole grid.
+    Returns (r_grid, complex values), a row of values per point for an array
+    z.  Each atom's term goes to bin searchsorted(r_grid, |atom - z|), the
+    count of radii below its distance; bincount sums the bins and the value
+    at r_j is the sum of the bins past j, with no sort.  Points go in blocks
+    of at most ATOM_BLOCK pairs, and a point's values have the same bits
+    alone or in any array.  An atom at z itself lies beyond no radius.
     """
     if r_grid is None:
         r_grid = default_r_grid(em)
     r_grid = np.asarray(r_grid, dtype=float)
-    z = complex(z)
-    dist = np.abs(em.points - z)
-    order = np.argsort(dist, kind="stable")
-    dist = dist[order]
-    sep = z - em.points[order]
-    # an atom at z itself can never satisfy |atom - z| > r, so its (infinite)
-    # term is excluded from every truncation; zero it instead of dividing
-    contrib = np.zeros(len(sep), dtype=complex)
-    np.divide(em.weights[order], sep, out=contrib, where=sep != 0)
-    suffix = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0 + 0j]])
-    idx = np.searchsorted(dist, r_grid, side="right")
-    return r_grid, suffix[idx]
-
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    m = len(r_grid) + 1
+    out = np.empty((len(zs), len(r_grid)), dtype=complex)
+    block = max(1, ATOM_BLOCK // em.atom_count)
+    for start in range(0, len(zs), block):
+        sep = zs[start : start + block, None] - em.points[None, :]
+        keys = np.searchsorted(r_grid, np.abs(sep), side="left")
+        keys += m * np.arange(len(sep))[:, None]  # one run of m bins per point
+        contrib = np.divide(em.weights, sep, out=np.zeros_like(sep), where=sep != 0)
+        bins = np.empty((len(sep), m), dtype=complex)
+        bins.real = np.bincount(keys.ravel(), contrib.real.ravel(), bins.size).reshape(-1, m)
+        bins.imag = np.bincount(keys.ravel(), contrib.imag.ravel(), bins.size).reshape(-1, m)
+        out[start : start + block] = np.cumsum(bins[:, :0:-1], axis=1)[:, ::-1]
+    return r_grid, out[0] if np.ndim(z) == 0 else out

@@ -203,7 +203,11 @@ class _LeafField:
         """Distance to the nearest center, and its index when leaves is set."""
         z = np.asarray(z)
         if self._tree is not None:
-            return self._tree.query(np.column_stack([z.real, z.imag]))
+            # the tree refuses non-finite points: as on a grid, NaN where a part is NaN, else inf
+            ok = np.isfinite(z)
+            d, idx = np.abs(z.real) + np.abs(z.imag), np.zeros(z.shape, dtype=np.intp)
+            d[ok], idx[ok] = self._tree.query(np.column_stack([z.real[ok], z.imag[ok]]))
+            return d, idx
         d = np.empty(z.shape)
         idx = np.empty(z.shape, dtype=np.intp) if leaves else None
         ax, ay = self._axes

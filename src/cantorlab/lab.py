@@ -340,18 +340,15 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
     zs = em1.points[np.sort(rng.choice(em1.atom_count, size=n_eval, replace=False))]
     # the truncation grid depends on the measure only, not on z
     grid1, grid2 = default_r_grid(em1), default_r_grid(em2)
-    rows = []
-    max1 = np.empty(n_eval)
-    max2 = np.empty(n_eval)
-    for i, z in enumerate(zs):
-        grid, vals = cauchy_truncations(em1, z, r_grid=grid1)
-        mx = float(np.max(np.abs(vals)))
-        max1[i] = mx
-        for r, v in zip(grid, vals):
-            cells = (z.real, z.imag, r, v.real, v.imag, mx)
-            rows.append(",".join(repr(float(x)) for x in cells))
-        _, vals2 = cauchy_truncations(em2, z, r_grid=grid2)
-        max2[i] = float(np.max(np.abs(vals2)))
+    _, vals1 = cauchy_truncations(em1, zs, r_grid=grid1)
+    _, vals2 = cauchy_truncations(em2, zs, r_grid=grid2)
+    max1 = np.abs(vals1).max(axis=1)
+    max2 = np.abs(vals2).max(axis=1)
+    rows = [
+        ",".join(repr(float(x)) for x in (z.real, z.imag, r, v.real, v.imag, mx))
+        for z, vals, mx in zip(zs, vals1, max1)
+        for r, v in zip(grid1, vals)
+    ]
     med1, med2 = float(np.median(max1)), float(np.median(max2))
     rel = abs(med2 - med1) / med1 if med1 > 0 else math.inf
     st = _grade(rel, 0.1)

@@ -12,16 +12,17 @@ stopped walks are binned into the cylinder piece of radius about stop_tol
 that contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
 independent of chunk scheduling and thread count.  Each chunk of CHUNK walks
-draws from its own random stream.  A pool task walks one thread's share of
-the chunks in one array of at most BATCH chunks' worth of walks, launching
-the next chunk at its end whenever stopped walks leave room; a chunk holds
-a contiguous slice, its stream draws for its own walks in walk order and
-its step limit counts from its launch, so it sees the draws it would see
-alone.  A direction is one random() draw u per walk, turned into e^(2 pi i u)
-by a table of ROOTS roots of unity and a two-term series for the remaining
-angle (_turn), without a complex exp.  Pole absorption runs the
-same loop with one stream and the pole disc folded into the distance bounds,
-so a walk stops at J or at the disc, whichever it reaches first.
+draws from its own random stream.  A pool task walks a contiguous share of
+at least BATCH chunks (_shares: at most one share per thread) in one array
+of at most BATCH chunks' worth of walks, launching the next chunk at its end
+whenever stopped walks leave room; a chunk holds a contiguous slice, its
+stream draws for its own walks in walk order and its step limit counts from
+its launch, so it sees the draws it would see alone.  A direction is one
+random() draw u per walk, turned into e^(2 pi i u) by a table of ROOTS roots
+of unity and a two-term series for the remaining angle (_turn), without a
+complex exp.  Pole absorption runs the same loop with one stream and the
+pole disc folded into the distance bounds, so a walk stops at J or at the
+disc, whichever it reaches first.
 
 From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
@@ -58,6 +59,9 @@ CHUNK = 4096
 #: a pool task keeps up to this many chunks of walks live in one refilled
 #: array, so each step's numpy calls cover enough walks to amortize their cost
 BATCH = 8
+
+#: point-atom pairs per block of a potential or Cauchy sum (1 MB complex)
+ATOM_BLOCK = 1 << 16
 
 #: fraction of walks allowed to hit the step limit
 DISCARD_LIMIT = 0.01
@@ -113,6 +117,7 @@ class WalkConfig:
     stop_tol may be left as None and is then resolved against the shape as
     1e-4 * bounding radius.  Walks start on, and re-enter onto, the circle of
     LAUNCH_FACTOR * bounding radius, and each runs at most MAX_STEPS steps.
+    threads is a maximum: a run takes one per BATCH * CHUNK walks.
     """
 
     samples: int = 10_000
@@ -386,6 +391,13 @@ def _walk_chunks(shape, fld, cfg: WalkConfig, jobs, stream: int = 0):
     return _walk(fld.query, jobs, start, absorb, cfg.stop_tol, center, launch)
 
 
+def _shares(jobs, threads: int):
+    """At most threads contiguous, near-equal shares of jobs, each of at least
+    BATCH chunks unless it is the only one, so each fills a walk array."""
+    k = min(threads, max(1, len(jobs) // BATCH))
+    return [jobs[len(jobs) * b // k : len(jobs) * (b + 1) // k] for b in range(k)]
+
+
 def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> EmpiricalMeasure:
     """Sample harmonic measure of the complement of J seen from far away.
 
@@ -401,12 +413,10 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     sizes = [CHUNK] * (cfg.samples // CHUNK)
     if cfg.samples % CHUNK:
         sizes.append(cfg.samples % CHUNK)
-    jobs = list(enumerate(sizes))
-    k = min(cfg.threads, len(jobs))  # one contiguous, near-equal share per thread
-    shares = [jobs[len(jobs) * b // k : len(jobs) * (b + 1) // k] for b in range(k)]
+    shares = _shares(list(enumerate(sizes)), cfg.threads)
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     discarded = 0
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs, stream), shares)
         for c, d in walked:
             counts += c
@@ -440,14 +450,16 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
 def _atom_sum(em: EmpiricalMeasure, z, kernel, dtype):
     """Sum of w * kernel(z - atom, |z - atom|) over the atoms, at each z.
 
-    Points are taken in blocks of about 2e6 point-atom pairs; a point within
-    1e-14 of an atom raises SingularityError.  The kernel may overwrite its
-    arguments, so a block holds at most one complex and one real array.  A
-    scalar z gives a scalar of type dtype, an array z an array of that dtype.
+    Points are taken in cache-sized blocks of at most ATOM_BLOCK point-atom
+    pairs (or one point); a point's sum has the same bits in any block.  A
+    point within 1e-14 of an atom raises SingularityError.  The kernel may
+    overwrite its arguments, so a block holds at most one complex and one
+    real array.  A scalar z gives a scalar of type dtype, an array z an array
+    of that dtype.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(len(zs), dtype=dtype)
-    block = max(1, int(2e6) // max(em.atom_count, 1))
+    block = max(1, ATOM_BLOCK // em.atom_count)
     for start in range(0, len(zs), block):
         diff = zs[start : start + block, None] - em.points[None, :]
         dist = np.abs(diff)

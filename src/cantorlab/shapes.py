@@ -27,9 +27,10 @@ class DistanceField(Protocol):
 
     query(z) returns lower and upper bounds on dist(z, J), with gap at most
     twice the resolution the field was built for; when the leaf pieces share
-    one radius it needs no leaf index.  leaf(z) returns the index of the
-    nearest of the leaf_count leaf pieces; the sampler asks for it only at
-    the points where walks stop.
+    one radius it needs no leaf index.  Non-finite points get non-finite
+    bounds (on cylinder fields NaN where a part is NaN, else inf), no error.
+    leaf(z) returns the index of the nearest of the leaf_count leaf pieces;
+    the sampler asks for it only at the points where walks stop.
     """
 
     depth: int

@@ -145,15 +145,50 @@ def weighted_ks_distance(positions, weights, cdf) -> float:
     return float(max(below.max(), above.max()))
 
 
-def maximal_cauchy(em: EmpiricalMeasure, z: complex, r_grid=None) -> float:
+def maximal_cauchy(em: EmpiricalMeasure, z, r_grid=None):
     """Largest modulus of the truncated Cauchy transform over the grid.
 
+    A float for a scalar z, an array of one maximum per point for an array.
     The modulus sits outside the truncated sum; the variant with the modulus
     inside the sum grows without bound as the truncation shrinks whenever
     ball masses scale linearly, so it is not a useful statistic here.
     """
     _, vals = cauchy_truncations(em, z, r_grid)
-    return float(np.max(np.abs(vals)))
+    out = np.abs(vals).max(axis=-1)
+    return float(out) if np.ndim(z) == 0 else out
+
+
+def sorted_truncations(em: EmpiricalMeasure, z: complex, r_grid) -> np.ndarray:
+    """Truncated Cauchy transforms at one point from suffix sums over sorted atoms.
+
+    Sorts the atoms by distance from z, sums their terms from the farthest
+    in, and reads each truncation off the suffix sums at searchsorted of its
+    radius: the package's path before it binned the terms by radius.
+    """
+    r_grid = np.asarray(r_grid, dtype=float)
+    dist = np.abs(em.points - z)
+    order = np.argsort(dist, kind="stable")
+    sep = z - em.points[order]
+    contrib = np.zeros(len(sep), dtype=complex)
+    np.divide(em.weights[order], sep, out=contrib, where=sep != 0)
+    suffix = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0 + 0j]])
+    return suffix[np.searchsorted(dist[order], r_grid, side="right")]
+
+
+def wide_block_sum(em: EmpiricalMeasure, zs: np.ndarray, kernel, dtype) -> np.ndarray:
+    """Sum of w * kernel(z - atom, |z - atom|) over the atoms in 2e6-pair blocks.
+
+    The blocking the package's atom sums used before they took cache-sized
+    blocks; each point's sum must not depend on it.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    out = np.empty(len(zs), dtype=dtype)
+    block = max(1, int(2e6) // em.atom_count)
+    for start in range(0, len(zs), block):
+        diff = zs[start : start + block, None] - em.points[None, :]
+        kern = kernel(diff, np.abs(diff))
+        out[start : start + block] = np.einsum("ij,j->i", kern, em.weights)
+    return out
 
 
 def segment_green_exact(z: complex) -> float:

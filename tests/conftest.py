@@ -6,7 +6,7 @@ suite and the unit tests share one sampling run each.
 
 import pytest
 
-from cantorlab import Circle, Segment, WalkConfig, preset, sample_harmonic_measure
+from cantorlab import Circle, Segment, WalkConfig, potential, preset, sample_harmonic_measure
 from cantorlab.lab import _DOUBLING_STREAM
 
 
@@ -55,3 +55,18 @@ def corner_em_200k(corner):
     return sample_harmonic_measure(
         corner, WalkConfig(samples=200_000, seed=3, threads=4), stream=_DOUBLING_STREAM
     )
+
+
+@pytest.fixture
+def share_counts(monkeypatch):
+    """The number of shares each sampling run of the test splits its chunks into."""
+    counts = []
+    split = potential._shares
+
+    def shares(jobs, threads):
+        out = split(jobs, threads)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(potential, "_shares", shares)
+    return counts

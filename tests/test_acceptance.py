@@ -22,6 +22,7 @@ from cantorlab import (
     cauchy_transform,
     shell_integral_sums,
 )
+from cantorlab import potential
 from cantorlab.lab import ExperimentConfig, run_experiment
 from cantorlab.potential import rng_stream
 
@@ -173,8 +174,10 @@ def test_criterion_6_regularity_and_shell_sums(thirds):
     )
 
 
-def test_criterion_7_determinism_across_threads(tmp_path):
+def test_criterion_7_determinism_across_threads(tmp_path, monkeypatch, share_counts):
     """Identical config and seed give byte-identical files at 1, 4, 8 threads."""
+    # one chunk per array, so the 5 chunks of 20,000 walks split 1, 4, 5 ways
+    monkeypatch.setattr(potential, "BATCH", 1)
     manifests = {}
     for threads in (1, 4, 8):
         out = tmp_path / f"t{threads}"
@@ -195,10 +198,11 @@ def test_criterion_7_determinism_across_threads(tmp_path):
         manifests[1].files == manifests[4].files == manifests[8].files
         == rerun.files
     )
-    ok = files_equal and len(set(hashes.values())) == 1
+    ok = files_equal and len(set(hashes.values())) == 1 and share_counts == [1, 4, 5, 4]
     report(
         7, ok,
         f"checksums identical over threads 1/4/8 and re-run: {files_equal}, "
+        f"shares {share_counts}, "
         f"config_hash={manifests[1].config_hash[:12]}",
     )
 
@@ -208,13 +212,9 @@ def test_criterion_8_maximal_cauchy_stability(corner, corner_em_100k,
     """Truncated-transform maxima stable under walk doubling; far-field law."""
     centers = corner.cylinders(4).centers
     pts = centers[:: len(centers) // 100][:100]
-    rel = np.array([
-        abs(
-            maximal_cauchy(corner_em_200k, complex(z))
-            - maximal_cauchy(corner_em_100k, complex(z))
-        ) / maximal_cauchy(corner_em_100k, complex(z))
-        for z in pts
-    ])
+    # one truncation grid per measure: default_r_grid reads the measure only
+    base = maximal_cauchy(corner_em_100k, pts)
+    rel = np.abs(maximal_cauchy(corner_em_200k, pts) - base) / base
 
     rng = rng_stream(11, 1)
     far = rng.uniform(10.0, 100.0, 1000) * np.exp(

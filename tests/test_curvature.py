@@ -21,8 +21,9 @@ from cantorlab import (
     run_experiment,
 )
 from cantorlab import curvature
-from cantorlab.potential import EmpiricalMeasure, rng_stream
+from cantorlab.potential import EmpiricalMeasure, WalkConfig, rng_stream, sample_harmonic_measure
 
+import _oracles
 from _oracles import (
     curvature_squared,
     energy_numpy_loop,
@@ -298,6 +299,32 @@ def test_truncations_tolerate_atom_hit(corner):
     keep = np.abs(em.points - z) > r_grid[0]
     direct = np.sum(em.weights[keep] / (z - em.points[keep]))
     assert vals[0] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["walks", "natural"])
+def test_truncations_match_the_sorted_suffix_sums(name, corner):
+    """Binned truncations are the sorted suffix sums, at atoms too, and an
+    array of points gives each point the bits it gets alone."""
+    if name == "walks":
+        em = sample_harmonic_measure(corner, WalkConfig(samples=25_000, seed=1))
+    else:
+        em = natural_measure(corner, 3)
+    rng = rng_stream(5, 0)
+    atoms = em.points[rng.choice(em.atom_count, 20, replace=False)]
+    zs = np.concatenate([atoms, atoms[:10] + 0.003 + 0.001j, [2.0 + 0.5j]])
+    r_grid = default_r_grid(em)
+    _, vals = cauchy_truncations(em, zs, r_grid)
+    assert vals.shape == (len(zs), len(r_grid))
+    for z, row in zip(zs, vals):
+        assert np.array_equal(cauchy_truncations(em, z, r_grid)[1], row)
+        ref = _oracles.sorted_truncations(em, z, r_grid)
+        assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+    # radii equal to atom distances: an atom counts only strictly beyond one
+    z = atoms[0]
+    exact = np.unique(np.abs(em.points - z))[:6]
+    _, vals = cauchy_truncations(em, z, exact)
+    ref = _oracles.sorted_truncations(em, z, exact)
+    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_maximal_cauchy_is_grid_maximum(corner):

@@ -358,6 +358,8 @@ def test_query_matches_the_leaf_bounds(name):
 
     The presets and rotated (a KD-tree field) have equal radii, so their
     query looks no leaf up; golden's radii differ, so it keeps the lookup.
+    Grid and KD-tree fields alike give NaN bounds at NaN points and inf at
+    infinite ones.
     """
     rep = {"golden": golden_repeller, "rotated": rotated_pair}.get(name, lambda: preset(name))()
     # 1e-6 puts several axis values in one bucket and 10.0 is depth 0; golden
@@ -379,10 +381,7 @@ def test_query_matches_the_leaf_bounds(name):
         assert grid == (name != "rotated" or fld.depth == 0)
         if resolution < 2e-6:
             assert len(fld._axes[0].steps) > 1
-        parts = [scattered, _shell_points(rep, fld)]
-        # a KD-tree refuses non-finite points with a ValueError
-        parts += [odd] if grid else []
-        z = np.concatenate(parts)
+        z = np.concatenate([scattered, _shell_points(rep, fld), odd])
         with np.errstate(invalid="ignore"):  # inf - inf at the infinite points
             lo, hi = fld.query(z)
             lo_ref, hi_ref = leaf_bounds(fld, z)
@@ -390,6 +389,8 @@ def test_query_matches_the_leaf_bounds(name):
         assert _same_bits(lo, lo_ref)
         assert _same_bits(hi, hi_ref)
         assert np.array_equal(np.isnan(hi), np.isnan(z))
+        infinite = np.isinf(z) & ~np.isnan(z)
+        assert (lo[infinite] == np.inf).all() and (hi[infinite] == np.inf).all()
         if name == "golden" and fld.depth > 0:
             # unequal radii: d + rmax is not the nearest leaf's bound everywhere
             assert (hi < d + fld.rmax)[np.isfinite(z)].any()

@@ -21,6 +21,7 @@ from cantorlab import (
     ball_mass_scaling,
     bhp_holder_fit,
     boundary_probes,
+    cauchy_transform,
     comparability_fit,
     fit_holder_envelope,
     green_model,
@@ -111,12 +112,15 @@ def test_turn_matches_the_complex_exp():
         assert rng.random() == twin.random()
 
 
-def test_sampling_deterministic_across_threads_and_reruns():
+def test_sampling_deterministic_across_threads_and_reruns(monkeypatch, share_counts):
     shape = Circle()
+    # one chunk per array, so 4 threads walk 4 shares of the 5 chunks
+    monkeypatch.setattr(potential, "BATCH", 1)
     runs = [
         sample_harmonic_measure(shape, WalkConfig(samples=20_000, seed=5, threads=t))
         for t in (1, 4, 1)
     ]
+    assert share_counts == [1, 4, 1]
     for other in runs[1:]:
         assert np.array_equal(runs[0].codes, other.codes)
         assert np.array_equal(runs[0].points, other.points)
@@ -429,20 +433,64 @@ def test_refilled_array_matches_chunks_walked_alone(name, max_steps, corner, mon
 
 
 @pytest.mark.parametrize("name", ["circle", "corner4"])
-def test_sampling_ignores_batching_and_threads(name, corner, monkeypatch):
-    # ten chunks, the last one partial: at BATCH = 1 and 3 the arrays refill
+def test_sampling_ignores_batching_and_threads(name, corner, monkeypatch, share_counts):
+    # ten chunks, the last one partial: at BATCH = 1, 2 and 3 the arrays
+    # refill, and at BATCH = 2 two and three threads walk as many shares
     shape = Circle() if name == "circle" else corner
     cfg = WalkConfig(samples=9 * potential.CHUNK + 1000, seed=8)
     ref = sample_harmonic_measure(shape, cfg)
+    monkeypatch.setattr(potential, "BATCH", 2)
     runs = [sample_harmonic_measure(shape, replace(cfg, threads=t)) for t in (2, 3)]
     for batch in (1, 3):
         monkeypatch.setattr(potential, "BATCH", batch)
         runs.append(sample_harmonic_measure(shape, replace(cfg, threads=2)))
+    assert share_counts == [1, 2, 3, 2, 2]
     for em in runs:
         assert np.array_equal(em.codes, ref.codes)
         assert np.array_equal(em.points, ref.points)
         assert np.array_equal(em.weights, ref.weights)
         assert em.discarded == ref.discarded
+
+
+def test_shares_fill_a_walk_array():
+    """Contiguous shares of at least BATCH chunks, at most one per thread."""
+    for threads, chunks, k in [(2, 7, 1), (2, 13, 1), (2, 25, 2), (2, 98, 2), (8, 25, 3)]:
+        jobs = list(range(chunks))
+        shares = potential._shares(jobs, threads)
+        assert len(shares) == k
+        assert sum(shares, []) == jobs
+        assert min(map(len, shares)) >= min(potential.BATCH, chunks)
+
+
+@pytest.mark.parametrize("name", ["circle", "corner4"])
+def test_atom_sums_match_the_wide_blocks(name, circle_em, corner_em_100k):
+    """Cache-sized blocks give every point the bits the 2e6-pair blocks gave."""
+    em = circle_em if name == "circle" else corner_em_100k
+    rng = rng_stream(6, 0)
+    near = em.points[rng.choice(em.atom_count, 300)] + 1e-3 * np.exp(2j * np.pi * rng.random(300))
+    far = 3.0 * em.diameter * np.exp(2j * np.pi * rng.random(100))
+    zs = np.concatenate([near, far])
+    logs = _oracles.wide_block_sum(em, zs, lambda diff, dist: np.log(dist, out=dist), float)
+    assert np.array_equal(log_potential(em, zs), logs)
+    inverses = _oracles.wide_block_sum(em, zs, lambda diff, dist: np.divide(1.0, diff, out=diff), complex)
+    assert np.array_equal(cauchy_transform(em, zs), inverses)
+
+
+def test_log_potential_holds_one_cache_sized_block():
+    # 49,152 atoms: one point per block, where a 2e6-pair block took 40
+    # points and 47 MB of temporaries
+    n = 49_152
+    rng = rng_stream(7, 0)
+    em = EmpiricalMeasure(codes=np.zeros((n, 1)), points=rng.random(n) + 1j * rng.random(n),
+                          weights=np.full(n, 1.0 / n))
+    zs = 3.0 + 1j * rng.random(256)
+    tracemalloc.start()
+    try:
+        log_potential(em, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 24
 
 
 def test_sampler_holds_no_count_array_per_chunk():
