@@ -528,6 +528,27 @@ def _covering_generation(rep: Repeller, eps: float, k: int) -> int:
     return g
 
 
+def _first_level_gap(rep: Repeller) -> float:
+    """Smallest gap between two first-level cylinder discs."""
+    cs = rep.cylinders(1)
+    i, j = np.triu_indices(len(cs), 1)
+    return float(np.min(np.abs(cs.centers[i] - cs.centers[j]) - cs.radii[i] - cs.radii[j]))
+
+
+def _lattice_steps(rep: Repeller, a: float) -> list:
+    """Per branch, the m with scale * a^m == 1.0 in floats, else None.
+
+    Such a branch rescales the lattice radius a^-k to a^-(k-m), so renewal
+    steps take that radius as the lattice computes it and land on the same
+    memo keys as the shallower levels; the other branches divide by the scale.
+    """
+    steps = []
+    for b in rep.branches:
+        m = round(math.log(b.scale) / -math.log(a))
+        steps.append(m if b.scale * a**m == 1.0 else None)
+    return steps
+
+
 def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     """Count components of shrinking neighborhoods of J and fit their growth.
 
@@ -536,6 +557,14 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     neighborhoods of the enclosing discs meet.  The margin eps / 4 keeps
     clusters from bridging gaps wider than 3 eps, so counts match the true
     component counts for sets whose gaps shrink geometrically.
+
+    Past the separation scale, once 2 eps is below the smallest gap between
+    first-level discs, no link joins two first-level branches, and branch i's
+    links at eps are those of the whole set at eps / s_i, one generation up
+    (renewal: m(eps) = sum_i m(eps / s_i)).  There a cylinder's label is its
+    first letter combined with its tail's label at eps / s_i, so only scales
+    above the separation scale are clustered with a KD-tree; the diameters
+    still take the spans of the level's own generation of centers.
     """
     if a <= 1:
         raise ValueError("scale base a must exceed 1")
@@ -543,26 +572,51 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
         raise ValueError("kmax must be >= 1")
     # k = kmax needs the deepest generation: check the cap before building any
     _covering_generation(rep, float(a) ** (-kmax), kmax)
-    counts = []
-    diams = []
-    for k in range(kmax + 1):
-        eps = float(a) ** (-k)
-        cs = rep.cylinders(_covering_generation(rep, eps, k))
+    gap = _first_level_gap(rep)
+    steps = _lattice_steps(rep, float(a))
+    memo: dict = {}
+
+    def clusters(eps: float, g: int, k):
+        """Component count and labels of the generation-g cylinders at eps = a^-k."""
+        if (eps, g) in memo:
+            return memo[eps, g]
+        if g >= 1 and 2.0 * eps < gap:
+            parts = []
+            for b, m in zip(rep.branches, steps):
+                if k is None or m is None:
+                    parts.append(clusters(eps / b.scale, g - 1, None))
+                else:
+                    parts.append(clusters(float(a) ** -(k - m), g - 1, k - m))
+            # branch i's words form the i-th block of the lexicographic order
+            first = np.cumsum([0] + [n for n, _ in parts])
+            labels = np.concatenate([lab + f for (_, lab), f in zip(parts, first)])
+            memo[eps, g] = (int(first[-1]), labels)
+            return memo[eps, g]
+        cs = rep.cylinders(g)
         centers, radii = cs.centers, cs.radii
         tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         reach = 2.0 * eps + 2.0 * float(radii.max())
         i, j = tree.query_pairs(reach, output_type="ndarray").T
         near = np.abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps
         links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(len(cs),) * 2)
-        n, labels = connected_components(links, directed=False)
+        memo[eps, g] = connected_components(links, directed=False)
+        return memo[eps, g]
+
+    counts = []
+    diams = []
+    for k in range(kmax + 1):
+        eps = float(a) ** (-k)
+        g = _covering_generation(rep, eps, k)
+        n, labels = clusters(eps, g, k)
+        cs = rep.cylinders(g)
         counts.append(n)
         spans = []
-        for part in (centers.real, centers.imag):
+        for part in (cs.centers.real, cs.centers.imag):
             lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
             np.minimum.at(lo, labels, part)
             np.maximum.at(hi, labels, part)
             spans.append(hi - lo)
-        pad = 2.0 * (float(radii.max()) + eps)
+        pad = 2.0 * (float(cs.radii.max()) + eps)
         diams.append(max(math.hypot(w, h) + pad for w, h in zip(*spans)))
     ks = np.arange(kmax + 1)
     x = ks * math.log(a)
@@ -585,11 +639,13 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
 
 @dataclass(frozen=True)
 class ShellSumReport:
-    """Midpoint-quadrature integrals of dist^(-(1-delta)(2+delta)) over shells.
+    """Integrals of dist^(-(1-delta)(2+delta)) over shells.
 
-    Shell k is {z : a^-(k+1) <= dist(z, J) < a^-k}.  Geometric decay of the
-    sums with ratio about a^(-delta^2) is the integrability signature used by
-    the covering-based capacity estimates.
+    Shell k is {z : a^-(k+1) <= dist(z, J) < a^-k}.  Shells above a repeller's
+    separation scale are midpoint quadratures; deeper ones are exact renewal
+    sums of those.  Geometric decay of the sums with ratio about a^(-delta^2)
+    is the integrability signature used by the covering-based capacity
+    estimates.
     """
 
     delta: float
@@ -660,22 +716,53 @@ def shell_integral_sums(
 ) -> ShellSumReport:
     """Integrate dist(z, J)^(-(1-delta)(2+delta)) over geometric shells.
 
-    Each shell integral is computed on successively halved midpoint grids
-    until two refinements agree to rtol; failure to converge within
-    SHELL_MAX_REFINE doublings raises QuadratureError.  Shells run from the
-    deepest, whose grids are largest, so a grid above SHELL_CELL_CAP cells
-    raises ResourceLimitError in the first shell.
+    On a repeller, an annulus with r_out below half the smallest gap between
+    first-level discs lies in the disjoint neighborhoods of the first-level
+    images, so with p = (1-delta)(2+delta)
+    S(r_in, r_out) = sum_i s_i^(2-p) S(r_in / s_i, r_out / s_i) (renewal),
+    memoised on the exact radii.  Only the annuli above that scale, and every
+    shell of an exact shape, are integrated, on a field built for the deepest
+    of them: each on successively halved midpoint grids until two refinements
+    agree to rtol; failure to converge within SHELL_MAX_REFINE doublings
+    raises QuadratureError.  They run from the deepest, whose grids are
+    largest, so a grid above SHELL_CELL_CAP cells raises ResourceLimitError
+    in the first one.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if a <= 1:
         raise ValueError("scale base a must exceed 1")
     power = (1.0 - delta) * (2.0 + delta)
-    fld = shape.field(float(a) ** (-(kmax + 1)) / 8.0)
-    sums = []
-    for k in range(kmax, -1, -1):
-        r_out = float(a) ** (-k)
-        r_in = float(a) ** (-(k + 1))
+    a = float(a)
+    renewal = isinstance(shape, Repeller)
+    gap = _first_level_gap(shape) if renewal else 0.0
+    steps = _lattice_steps(shape, a) if renewal else []
+    renewals: dict = {}  # annulus -> [(weight, rescaled annulus)]
+    quadratures = set()
+
+    def plan(r_in, r_out, k):
+        """Sort an annulus (r_in = a^-(k+1), r_out = a^-k when k is set) and its children."""
+        if (r_in, r_out) in renewals or (r_in, r_out) in quadratures:
+            return
+        if r_out >= 0.5 * gap:
+            quadratures.add((r_in, r_out))
+            return
+        children = []
+        for b, m in zip(shape.branches, steps):
+            if k is None or m is None:
+                child = (r_in / b.scale, r_out / b.scale, None)
+            else:
+                child = (a ** -(k - m + 1), a ** -(k - m), k - m)
+            plan(*child)
+            children.append((b.scale ** (2.0 - power), child[:2]))
+        renewals[r_in, r_out] = children
+
+    shells = [(a ** -(k + 1), a ** -k) for k in range(kmax + 1)]
+    for k, (r_in, r_out) in enumerate(shells):
+        plan(r_in, r_out, k)
+    fld = shape.field(min(quadratures)[0] / 8.0)
+    sums: dict = {}
+    for r_in, r_out in sorted(quadratures):
         refinements = _shell_quadratures(shape, fld, power, r_in, r_out)
         prev = next(refinements)
         for _ in range(SHELL_MAX_REFINE):
@@ -686,7 +773,13 @@ def shell_integral_sums(
             prev = cur
         else:
             raise QuadratureError(
-                f"shell {k} quadrature did not stabilize to rtol={rtol}"
+                f"shell [{r_in:.6g}, {r_out:.6g}) quadrature did not stabilize to rtol={rtol}"
             )
-        sums.append(prev)
-    return ShellSumReport(delta=float(delta), a=float(a), sums=tuple(reversed(sums)))
+        sums[r_in, r_out] = prev
+
+    def total(annulus):
+        if annulus not in sums:
+            sums[annulus] = sum(w * total(child) for w, child in renewals[annulus])
+        return sums[annulus]
+
+    return ShellSumReport(delta=float(delta), a=a, sums=tuple(total(s) for s in shells))

@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from cantorlab.curvature import cauchy_truncations
 from cantorlab.errors import ExcessiveDiscardError, SingularityError
@@ -288,6 +291,38 @@ def covering_components(rep, eps: float) -> tuple[int, float]:
         for zs in clusters.values()
     )
     return len(clusters), diam
+
+
+def explicit_covering(rep, a: float, kmax: int) -> tuple[tuple, tuple]:
+    """Covering counts and diameters with every level clustered on its own.
+
+    At each k, the generation covering_counts uses is linked by a KD-tree pair
+    search and split by connected_components, with no renewal step, as every
+    level was computed before the renewal identity.
+    """
+    counts, diams = [], []
+    for k in range(kmax + 1):
+        eps = float(a) ** (-k)
+        g = 0
+        while rep.max_cylinder_radius(g) >= eps / 4.0:
+            g += 1
+        cs = rep.cylinders(g)
+        centers, radii = cs.centers, cs.radii
+        tree = cKDTree(np.column_stack([centers.real, centers.imag]))
+        i, j = tree.query_pairs(2.0 * eps + 2.0 * float(radii.max()), output_type="ndarray").T
+        near = np.abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps
+        links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(len(cs),) * 2)
+        n, labels = connected_components(links, directed=False)
+        spans = []
+        for part in (centers.real, centers.imag):
+            lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
+            np.minimum.at(lo, labels, part)
+            np.maximum.at(hi, labels, part)
+            spans.append(hi - lo)
+        pad = 2.0 * (float(radii.max()) + eps)
+        counts.append(n)
+        diams.append(max(math.hypot(w, h) + pad for w, h in zip(*spans)))
+    return tuple(counts), tuple(diams)
 
 
 def measure_from_csv(text: str) -> EmpiricalMeasure:

@@ -26,11 +26,23 @@ from cantorlab import (
     shell_integral_sums,
     similarity_dimension,
 )
-from cantorlab.geometry import CYLINDER_CAP, SHELL_BASE_CELLS, _shell_quadratures
+from cantorlab.geometry import (
+    CYLINDER_CAP,
+    SHELL_BASE_CELLS,
+    SHELL_MAX_REFINE,
+    _covering_generation,
+    _shell_quadratures,
+)
 from cantorlab.potential import rng_stream
 from cantorlab.shapes import PIECE_CAP
 
-from _oracles import covering_components, distance_interval, leaf_bounds, shell_quadrature
+from _oracles import (
+    covering_components,
+    distance_interval,
+    explicit_covering,
+    leaf_bounds,
+    shell_quadrature,
+)
 from test_curvature import golden_repeller
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
@@ -450,6 +462,33 @@ def test_covering_counts_match_pairwise_union_find(name, a, kmax):
         assert (cov.counts[k], cov.diameters[k]) == covering_components(rep, a ** (-k))
 
 
+@pytest.mark.parametrize(
+    "name,a,kmax",
+    [
+        ("corner4", 4.0, 6),
+        ("corner4", 2.0, 6),
+        ("middle-thirds", 3.0, 8),
+        ("middle-alpha:0.2", 5.0, 5),
+        ("golden", 2.0, 10),
+        ("golden", 3.0, 6),
+    ],
+)
+def test_covering_counts_equal_the_explicit_clustering(name, a, kmax):
+    """Renewal levels give the counts and diameters of clustering every level.
+
+    corner4 at a = 2 renews by two levels per branch step, golden's two
+    scales by one and two at a = 2 and by no lattice step at a = 3.
+    """
+    rep = golden_repeller() if name == "golden" else preset(name)
+    cov = covering_counts(rep, a=a, kmax=kmax)
+    assert (cov.counts, cov.diameters) == explicit_covering(rep, a, kmax)
+
+
+def test_covering_generations_need_not_step_by_one(thirds):
+    # 0.75 * 3^-(k+1) = 3^-k / 4 exactly, so rounding decides both levels
+    assert _covering_generation(thirds, 3.0**-1, 1) == _covering_generation(thirds, 3.0**-2, 2) == 3
+
+
 def test_covering_component_count_matches_flood_fill(thirds):
     """Rasterized neighborhood components agree with the cylinder clustering."""
     eps = 3.0**-2
@@ -532,16 +571,26 @@ def test_shell_sums_refuse_a_tolerance_no_refinement_reaches(thirds):
         shell_integral_sums(thirds, delta=math.log(2) / math.log(3), a=3.0, kmax=2, rtol=1e-12)
 
 
+#: first-level gaps of the presets: 2 corners 0.75 apart with radius 0.25 each,
+#: middle-thirds discs 2/3 apart with radius 1/4
+FIRST_GAP = {"corner4": 0.25, "middle-thirds": 1.0 / 6.0}
+
+
 @pytest.mark.parametrize(
     "name, delta, a, kmax",
     [("middle-thirds", math.log(2.0) / math.log(3.0), 3.0, 7), ("corner4", 0.5, 4.0, 3)],
 )
 def test_shell_refinements_equal_the_grids_built_from_the_root(name, delta, a, kmax):
+    # the shells with r_out at least half the first-level gap use quadrature,
+    # on the field built for the deepest of them; the renewal shells below
+    # are checked against quadrature by their own test
+    n_quad = sum(a**-k >= FIRST_GAP[name] / 2 for k in range(kmax + 1))
+    assert n_quad == {"middle-thirds": 3, "corner4": 2}[name]
     rep = preset(name)
     report = shell_integral_sums(rep, delta=delta, a=a, kmax=kmax)
     power = (1.0 - delta) * (2.0 + delta)
-    fld = rep.field(a ** -(kmax + 1) / 8.0)
-    for k, total in enumerate(report.sums):
+    fld = rep.field(a**-n_quad / 8.0)
+    for k, total in enumerate(report.sums[:n_quad]):
         r_in, r_out = a ** -(k + 1), a**-k
         refined = _shell_quadratures(rep, fld, power, r_in, r_out)
         # the refinements the sum used: up to the first that agrees with the last
@@ -556,11 +605,53 @@ def test_shell_refinements_equal_the_grids_built_from_the_root(name, delta, a, k
         assert total == got[-1]
 
 
+RENEWAL_CASES = [
+    ("middle-thirds", math.log(2.0) / math.log(3.0), 3.0),
+    ("corner4", 0.5, 4.0),
+]
+
+
+@pytest.mark.parametrize("name, delta, a", RENEWAL_CASES)
+def test_shell_sums_past_the_separation_scale_renew_exactly(name, delta, a):
+    rep = preset(name)
+    report = shell_integral_sums(rep, delta=delta, a=a, kmax=7)
+    power = (1.0 - delta) * (2.0 + delta)
+    renewal = rep.fan * rep.max_scale ** (2.0 - power)
+    past = [k for k in range(1, 8) if a**-k < FIRST_GAP[name] / 2]
+    assert past == list(range(3 if name == "middle-thirds" else 2, 8))
+    for k in past:
+        assert report.sums[k] / report.sums[k - 1] == pytest.approx(renewal, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, delta, a, kmax", [(*RENEWAL_CASES[0], 6), (*RENEWAL_CASES[1], 3)])
+def test_renewal_shells_match_their_own_quadrature(name, delta, a, kmax):
+    """Each renewal shell lies within the quadrature's rtol of a plain midpoint rule.
+
+    The reference integrates the shell itself, on a field built for it, and
+    refines until two grids agree to 0.02 as the sums do.
+    """
+    rep = preset(name)
+    report = shell_integral_sums(rep, delta=delta, a=a, kmax=kmax)
+    power = (1.0 - delta) * (2.0 + delta)
+    for k in range(kmax + 1):
+        r_in, r_out = a ** -(k + 1), a**-k
+        if r_out >= FIRST_GAP[name] / 2:
+            continue
+        fld = rep.field(r_in / 8.0)
+        grids = [shell_quadrature(rep, fld, power, r_in, r_out, SHELL_BASE_CELLS)]
+        for j in range(1, SHELL_MAX_REFINE + 1):
+            grids.append(shell_quadrature(rep, fld, power, r_in, r_out, SHELL_BASE_CELLS * 2**j))
+            if abs(grids[-1] - grids[-2]) <= 0.02 * grids[-1]:
+                break
+        assert report.sums[k] == pytest.approx(grids[-1], rel=0.02)
+
+
 def test_shell_cap_refuses_in_the_deepest_shell_before_querying(monkeypatch):
-    # corner4 at a = 4, kmax = 2: the deepest shell's grids reach 395,216 cells,
-    # the two shallower shells' stay below 70,000, so a 2^17 cap trips only
-    # in the deepest shell and only the shell order decides what ran before
-    cap = 2**17
+    # corner4 at a = 4, kmax = 2: shell 2 renews from shell 1, the deepest
+    # shell that uses quadrature, whose grids reach 72,624 cells; shell 0's
+    # stay below 7,400, so a 2^16 cap trips only in shell 1 and only the
+    # shell order decides what ran before
+    cap = 2**16
     monkeypatch.setattr("cantorlab.geometry.SHELL_CELL_CAP", cap)
     log = []
 
@@ -586,9 +677,42 @@ def test_shell_cap_refuses_in_the_deepest_shell_before_querying(monkeypatch):
     object.__setattr__(rep, "field", field)
     with pytest.raises(ResourceLimitError, match=f"cap {cap}"):
         shell_integral_sums(rep, delta=0.5, a=4.0, kmax=2)
-    assert [r for kind, r in log if kind == "shell"] == [4.0**-3]
+    assert [r for kind, r in log if kind == "shell"] == [4.0**-2]
     sizes = [n for kind, n in log if kind == "query"]
     assert sizes and max(sizes) <= cap < 4 * max(sizes)
+
+
+def test_renewal_levels_run_no_clustering_and_no_quadrature(monkeypatch):
+    """Past the separation scale neither a KD-tree nor a shell grid is built.
+
+    corner4 at a = 4 separates from k = 2 (2 * 4^-2 < 0.25): covering clusters
+    only levels 0 and 1, on generations 2 and 3, and every shell sum below
+    r_out = 0.125 comes from the shells above it.
+    """
+    trees, annuli = [], []
+
+    class CountedTree(cKDTree):
+        def __init__(self, data, *args, **kw):
+            trees.append(len(data))
+            super().__init__(data, *args, **kw)
+
+    def shells(shape, fld, power, r_in, r_out):
+        annuli.append((shape.name, r_in, r_out))
+        return _shell_quadratures(shape, fld, power, r_in, r_out)
+
+    monkeypatch.setattr("cantorlab.geometry.cKDTree", CountedTree)
+    monkeypatch.setattr("cantorlab.geometry._shell_quadratures", shells)
+    corner = preset("corner4")
+    cov = covering_counts(corner, a=4.0, kmax=8)
+    assert cov.counts == (1, 1) + tuple(4 ** (k - 1) for k in range(2, 9))
+    assert trees == [4**2, 4**3]
+    shell_integral_sums(corner, delta=0.5, a=4.0, kmax=6)
+    shell_integral_sums(preset("middle-thirds"), delta=LOG2_OVER_LOG3, a=3.0, kmax=7)
+    assert annuli == [
+        ("corner4", 4.0**-2, 4.0**-1), ("corner4", 4.0**-1, 1.0),
+        ("middle-thirds", 3.0**-3, 3.0**-2), ("middle-thirds", 3.0**-2, 3.0**-1),
+        ("middle-thirds", 3.0**-1, 1.0),
+    ]
 
 
 def test_shell_sums_point_fixture_closed_form():
@@ -642,6 +766,20 @@ def test_single_point_shape():
     assert p.distance(np.array([2.5 + 0j]))[0] == pytest.approx(2.0)
     codes, centers, radii = p.atoms(5)
     assert len(centers) == 1 and radii[0] == 0.0
+
+
+@pytest.mark.parametrize("shape", [Circle(), Segment(), SinglePoint()], ids=["circle", "segment", "point"])
+def test_exact_fields_give_non_finite_bounds_at_non_finite_points(shape):
+    # the DistanceField promise: non-finite bounds, no error (which of NaN
+    # and inf is left open; the cylinder fields' choice is tested above)
+    inf, nan = np.inf, np.nan
+    odd = np.array([complex(x, y) for x in (-inf, inf, nan, 0.1) for y in (-inf, inf, nan, 0.2)])
+    with np.errstate(all="ignore"):
+        lo, hi = shape.field(1e-3).query(odd)
+    bad = ~np.isfinite(odd)
+    assert bad.sum() == 15
+    assert not np.isfinite(lo[bad]).any() and not np.isfinite(hi[bad]).any()
+    assert np.isfinite(lo[~bad]).all() and (lo <= hi)[~bad].all()
 
 
 def test_repeller_diameter_bounded(corner, thirds):

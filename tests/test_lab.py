@@ -389,6 +389,31 @@ def test_curvature_profile_on_corners_passes_at_kmax_6(tmp_path):
     assert verdict.endswith("-> PASS (increments positive and non-vanishing)")
 
 
+@pytest.mark.parametrize(
+    "shape, params, first_renewal",
+    [
+        ("middle-thirds", {"kmax": 7}, 3),
+        # refused by the shell cell cap after 6.4 s and 1.9 GB when every
+        # shell was a quadrature; shells 2..6 now renew from shell 1
+        ("corner4", {"delta": 0.5, "a": 4.0, "kmax": 6}, 2),
+    ],
+)
+def test_lemma_l_rows_past_the_separation_scale_are_renewal_ratios(tmp_path, shape, params,
+                                                                   first_renewal):
+    out = tmp_path / "lemma"
+    run_experiment(ExperimentConfig(experiment="lemma-L", shape=shape, seed=1, out=str(out),
+                                    params=params))
+    rows = [ln.split(",") for ln in (out / "lemma_l.csv").read_text().splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == list(range(params["kmax"] + 1))
+    rep = resolve_shape(shape)
+    delta = params.get("delta", math.log(2.0) / math.log(3.0))
+    power = (1.0 - delta) * (2.0 + delta)
+    renewal = rep.fan * rep.max_scale ** (2.0 - power)
+    for k, s_k, ratio in rows[first_renewal:]:
+        assert float(ratio) == pytest.approx(renewal, rel=1e-12)
+    assert float(rows[first_renewal - 1][2]) != pytest.approx(renewal, rel=1e-6)
+
+
 def test_dimension_run_reports_gap(tmp_path):
     out = tmp_path / "dim"
     cfg = ExperimentConfig(
