@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError, SingularityError
+from .geometry import close_pairs
 from .potential import ATOM_BLOCK, EmpiricalMeasure, _atom_sum, natural_measure
 
 #: largest atom count the energy accepts: 4**7, corner4 at generation 7, is
@@ -119,12 +119,22 @@ def cauchy_transform(em: EmpiricalMeasure, z):
 
 
 def default_r_grid(em: EmpiricalMeasure) -> np.ndarray:
-    """Geometric truncation grid, ratio 2, from atom spacing to diameter."""
-    pts = np.column_stack([em.points.real, em.points.imag])
-    if len(pts) < 2:
+    """Geometric truncation grid, ratio 2, from atom spacing to diameter.
+
+    The spacing is the closest atom pair's distance, floored at 1e-300.  Any
+    pair's distance bounds it, so close_pairs at d0, the smallest distance
+    between atoms adjacent in lexicographic order, holds the closest pair;
+    its distance is taken as sqrt(dx*dx + dy*dy), the bits a KD-tree returns.
+    """
+    z = em.points
+    if len(z) < 2:
         return np.array([em.stop_tol or 1.0])
-    d, _ = cKDTree(pts).query(pts, k=2)
-    r = max(float(d[:, 1].min()), 1e-300)
+    d0 = float(np.abs(np.diff(z[np.lexsort((z.imag, z.real))])).min())
+    r = 1e-300
+    if d0 > 0:  # coincident atoms are adjacent and give d0 = 0
+        i, j = close_pairs(z, d0)
+        dx, dy = z.real[i] - z.real[j], z.imag[i] - z.imag[j]
+        r = max(float(np.sqrt(dx * dx + dy * dy).min()), r)
     top = max(em.diameter, r * 2.0)
     grid = [r]
     while grid[-1] < top:

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
@@ -174,7 +171,8 @@ class _LeafField:
     found through the axis's bucket table (_Axis, built once per field, and
     fields are cached per depth); its distance has the same bits as a
     KD-tree's, and exact ties go to the smaller coordinate.  Any other center
-    set, say one from rotated maps, is searched with a cKDTree.
+    set, say one from rotated maps, is searched with a scipy cKDTree,
+    imported only then: no preset loads scipy.
 
     When every radius equals max_r (every preset), the upper bound is
     d + max_r, so query needs only the distance d and builds no leaf index;
@@ -197,6 +195,8 @@ class _LeafField:
             self._table = np.empty((len(ux), len(uy)), dtype=np.intp)
             self._table[ix, iy] = np.arange(len(cs))
         else:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
 
     def _nearest(self, z: np.ndarray, leaves: bool = True):
@@ -491,6 +491,63 @@ def similarity_dimension(rep: Repeller) -> float:
     return 0.5 * (lo + hi)
 
 
+# -- close pairs and connected components -------------------------------------
+
+
+def close_pairs(z: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays i, j of candidate pairs that hold every pair within reach.
+
+    Each unordered pair i != j appears at most once.  The points go in square
+    cells a little wider than reach (and wider still when the extent passes
+    2^30 reaches, so cell keys fit in int64), so rounding never puts a pair
+    within reach in cells that are not neighbours; each cell is paired with
+    itself and its four forward neighbours.  Callers apply their own exact test.
+    """
+    if not (math.isfinite(reach) and reach > 0):
+        raise ValueError(f"reach must be positive and finite, got {reach}")
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real - z.real.min(), z.imag - z.imag.min()
+    width = max(reach * (1.0 + 1e-6), max(x.max(), y.max()) * 2.0**-30)
+    cx, cy = (x / width).astype(np.int64), (y / width).astype(np.int64)
+    # a spare row, so the cells one row down and up never wrap into a neighbouring column
+    rows = int(cy.max()) + 2
+    key = cx * rows + cy
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    cell = np.repeat(np.arange(len(cells)), count)  # of each point in sorted order
+    pos = np.arange(len(z))
+    # each point pairs with the later points of its own cell, each pair once,
+    # and with every point of each of its cell's forward neighbours
+    firsts, sizes = [pos + 1], [(start + count)[cell] - pos - 1]
+    for step in (1, rows - 1, rows, rows + 1):
+        at = np.minimum(np.searchsorted(cells, cells + step), len(cells) - 1)
+        firsts.append(start[at][cell])
+        sizes.append(np.where(cells[at] == cells + step, count[at], 0)[cell])
+    first, n = np.concatenate(firsts), np.concatenate(sizes)
+    i = np.repeat(np.tile(pos, 5), n)
+    j = np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
+    return order[i], order[j]
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and labels 0..count-1 of the graph on n nodes with edges (i, j).
+
+    Each round hooks every root an edge joins to another root onto the smaller
+    of the roots it is offered, then jumps pointers until each node points at
+    its root.  Parents only decrease, so a root is its tree's smallest node.
+    """
+    parent = np.arange(n)
+    while len(i):
+        ri, rj = parent[i], parent[j]
+        live = ri != rj
+        i, j, ri, rj = i[live], j[live], ri[live], rj[live]
+        np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    roots, labels = np.unique(parent, return_inverse=True)
+    return len(roots), labels
+
+
 # -- covering counts and the regularity exponent ------------------------------
 
 
@@ -563,8 +620,9 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     links at eps are those of the whole set at eps / s_i, one generation up
     (renewal: m(eps) = sum_i m(eps / s_i)).  There a cylinder's label is its
     first letter combined with its tail's label at eps / s_i, so only scales
-    above the separation scale are clustered with a KD-tree; the diameters
-    still take the spans of the level's own generation of centers.
+    above the separation scale are clustered, from the close_pairs candidates
+    that pass the link test; the diameters still take the spans of the
+    level's own generation of centers.
     """
     if a <= 1:
         raise ValueError("scale base a must exceed 1")
@@ -594,12 +652,9 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
             return memo[eps, g]
         cs = rep.cylinders(g)
         centers, radii = cs.centers, cs.radii
-        tree = cKDTree(np.column_stack([centers.real, centers.imag]))
-        reach = 2.0 * eps + 2.0 * float(radii.max())
-        i, j = tree.query_pairs(reach, output_type="ndarray").T
+        i, j = close_pairs(centers, 2.0 * eps + 2.0 * float(radii.max()))
         near = np.abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps
-        links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(len(cs),) * 2)
-        memo[eps, g] = connected_components(links, directed=False)
+        memo[eps, g] = _components(len(cs), i[near], j[near])
         return memo[eps, g]
 
     counts = []

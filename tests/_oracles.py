@@ -325,6 +325,28 @@ def explicit_covering(rep, a: float, kmax: int) -> tuple[tuple, tuple]:
     return tuple(counts), tuple(diams)
 
 
+def pairs_within(z, reach: float) -> set:
+    """Every unordered index pair of points at most reach apart, by brute force."""
+    z = np.asarray(z, dtype=complex)
+    i, j = np.triu_indices(len(z), 1)
+    near = np.abs(z[i] - z[j]) <= reach
+    return set(zip(i[near].tolist(), j[near].tolist()))
+
+
+def tree_spacing(points) -> float:
+    """The closest-pair distance default_r_grid starts from, by a KD-tree
+    query for each atom's second-nearest atom, floored at 1e-300."""
+    pts = np.column_stack([points.real, points.imag])
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return max(float(d[:, 1].min()), 1e-300)
+
+
+def csgraph_components(n: int, i, j) -> tuple[int, np.ndarray]:
+    """Component count and labels from scipy's connected_components."""
+    links = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return connected_components(links, directed=False)
+
+
 def measure_from_csv(text: str) -> EmpiricalMeasure:
     """Read back the text EmpiricalMeasure.csv_text writes."""
     lines = text.splitlines()

@@ -30,6 +30,7 @@ from _oracles import (
     energy_python_loop,
     maximal_cauchy,
     menger_curvature,
+    tree_spacing,
     triple_slice_energy,
 )
 from test_potential import uniform_circle_measure
@@ -269,6 +270,25 @@ def test_truncation_grid_spans_spacing_to_diameter(corner):
     gaps = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(gaps, np.inf)
     assert grid[0] == pytest.approx(gaps.min(), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["corner_em_100k", "corner_em_200k", "circle_em", "segment_em", "natural"])
+def test_truncation_grid_starts_at_the_kd_tree_spacing(name, request, corner):
+    em = natural_measure(corner, 5) if name == "natural" else request.getfixturevalue(name)
+    grid = default_r_grid(em)
+    assert grid[0] == tree_spacing(em.points)
+    assert grid[0] > 1e-300
+
+
+def test_truncation_grid_floors_coincident_atoms_without_cells(monkeypatch):
+    def no_cells(z, reach):
+        raise AssertionError("close_pairs called for coincident atoms")
+
+    monkeypatch.setattr(curvature, "close_pairs", no_cells)
+    em = EmpiricalMeasure(codes=np.zeros((3, 1)), points=[0.5j, 1.0, 0.5j], weights=np.ones(3))
+    grid = default_r_grid(em)
+    assert grid[0] == tree_spacing(em.points) == 1e-300
+    assert grid[-1] >= em.diameter
 
 
 def test_truncations_interpolate_full_and_empty_sums(corner):

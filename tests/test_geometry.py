@@ -30,17 +30,21 @@ from cantorlab.geometry import (
     CYLINDER_CAP,
     SHELL_BASE_CELLS,
     SHELL_MAX_REFINE,
+    _components,
     _covering_generation,
     _shell_quadratures,
+    close_pairs,
 )
 from cantorlab.potential import rng_stream
 from cantorlab.shapes import PIECE_CAP
 
 from _oracles import (
     covering_components,
+    csgraph_components,
     distance_interval,
     explicit_covering,
     leaf_bounds,
+    pairs_within,
     shell_quadrature,
 )
 from test_curvature import golden_repeller
@@ -520,6 +524,93 @@ def test_covering_counts_validation(thirds, corner):
         covering_counts(corner, a=4.0, kmax=9)
 
 
+# -- close pairs and components ---------------------------------------------------
+
+
+def _pair_set(i, j) -> set:
+    """The pairs as sorted tuples, checking that each comes once and i != j."""
+    pairs = [tuple(sorted(p)) for p in zip(i.tolist(), j.tolist())]
+    assert all(a != b for a, b in pairs)
+    assert len(set(pairs)) == len(pairs)
+    return set(pairs)
+
+
+def _close_pair_cases():
+    rng = rng_stream(20, 0)
+    scatter = rng.uniform(-1.0, 1.0, 600) + 1j * rng.uniform(-1.0, 1.0, 600)
+    yield "random", scatter, 0.05
+    yield "random-wide", scatter * 1e3 + 7.0, 20.0
+    yield "column", 0.5 + 1j * rng.uniform(0.0, 1.0, 300), 0.01
+    yield "duplicates", np.repeat(scatter[:40], 3), 0.1
+    # a lattice of step exactly reach: every horizontal and vertical neighbour is
+    # exactly reach apart
+    yield "lattice", (np.arange(12)[:, None] * 0.25 + 1j * np.arange(12)[None, :] * 0.25).ravel(), 0.25
+    yield "single", np.array([0.3 + 0.1j]), 1.0
+
+
+@pytest.mark.parametrize("case", list(_close_pair_cases()), ids=lambda c: c[0])
+def test_close_pairs_hold_every_pair_within_reach(case):
+    _, z, reach = case
+    got = _pair_set(*close_pairs(z, reach))
+    assert pairs_within(z, reach) <= got
+    if len(z) == 1:
+        assert got == set()
+
+
+@pytest.mark.parametrize("reach,base", [(0.1, 0.05), (0.3, -7.3), (1.0 / 3.0, 1.0)])
+def test_close_pairs_keep_rounded_neighbours_reach_apart(reach, base):
+    """Points a rounded reach apart along a row: each neighbour pair whose
+    computed distance is within reach must survive the rounding of the cells."""
+    z = base + np.arange(100_000) * reach + 0j
+    want = {(k, k + 1) for k in np.flatnonzero(np.abs(np.diff(z)) <= reach).tolist()}
+    assert want <= _pair_set(*close_pairs(z, reach))
+
+
+def test_close_pairs_keys_fit_when_the_extent_dwarfs_the_reach():
+    # extent/reach of 1e12 would need 1e24 cells on a reach-wide grid, past
+    # int64 keys: the cells widen to 2^-30 of the extent instead
+    corners = np.array([0.0, 1.0, 1j, 1.0 + 1j])
+    z = np.concatenate([corners, corners + 1e-12 * (1 + 1j) / math.sqrt(2.0), [0.5 + 0.5j, 0.5 + 0.5j + 1e-11]])
+    reach = 1.5e-12
+    got = _pair_set(*close_pairs(z, reach))
+    assert pairs_within(z, reach) == {(0, 4), (1, 5), (2, 6), (3, 7)}
+    assert pairs_within(z, reach) <= got
+    assert (8, 9) in got
+
+
+@pytest.mark.parametrize("reach", [0.0, -1.0, math.nan, math.inf])
+def test_close_pairs_reject_a_bad_reach(reach):
+    with pytest.raises(ValueError):
+        close_pairs(np.array([0j, 1.0 + 0j]), reach)
+
+
+def _same_partition(a, b) -> bool:
+    joint = len(set(zip(np.asarray(a).tolist(), np.asarray(b).tolist())))
+    return joint == len(set(np.asarray(a).tolist())) == len(set(np.asarray(b).tolist()))
+
+
+@pytest.mark.parametrize("n,edges", [(1, 0), (50, 0), (400, 150), (400, 400), (400, 1200), (3000, 2900)])
+def test_components_match_csgraph_on_random_graphs(n, edges):
+    rng = rng_stream(21, n + edges)
+    i, j = rng.integers(0, n, edges), rng.integers(0, n, edges)
+    count, labels = _components(n, i, j)
+    ref_count, ref_labels = csgraph_components(n, i, j)
+    assert count == ref_count
+    assert sorted(set(labels.tolist())) == list(range(count))
+    assert _same_partition(labels, ref_labels)
+
+
+def test_components_join_a_permuted_path():
+    n = 100_000
+    perm = rng_stream(22, 0).permutation(n)
+    for i, j in ((perm[:-1], perm[1:]), (perm[:n // 2 - 1], perm[1:n // 2])):
+        count, labels = _components(n, i, j)
+        ref_count, ref_labels = csgraph_components(n, i, j)
+        assert count == ref_count
+        assert _same_partition(labels, ref_labels)
+    assert _components(n, perm[:-1], perm[1:])[0] == 1
+
+
 # -- config parsing -----------------------------------------------------------------
 
 
@@ -683,29 +774,28 @@ def test_shell_cap_refuses_in_the_deepest_shell_before_querying(monkeypatch):
 
 
 def test_renewal_levels_run_no_clustering_and_no_quadrature(monkeypatch):
-    """Past the separation scale neither a KD-tree nor a shell grid is built.
+    """Past the separation scale no level is clustered and no shell grid is built.
 
     corner4 at a = 4 separates from k = 2 (2 * 4^-2 < 0.25): covering clusters
     only levels 0 and 1, on generations 2 and 3, and every shell sum below
     r_out = 0.125 comes from the shells above it.
     """
-    trees, annuli = [], []
+    clustered, annuli = [], []
 
-    class CountedTree(cKDTree):
-        def __init__(self, data, *args, **kw):
-            trees.append(len(data))
-            super().__init__(data, *args, **kw)
+    def pairs(z, reach):
+        clustered.append(len(z))
+        return close_pairs(z, reach)
 
     def shells(shape, fld, power, r_in, r_out):
         annuli.append((shape.name, r_in, r_out))
         return _shell_quadratures(shape, fld, power, r_in, r_out)
 
-    monkeypatch.setattr("cantorlab.geometry.cKDTree", CountedTree)
+    monkeypatch.setattr("cantorlab.geometry.close_pairs", pairs)
     monkeypatch.setattr("cantorlab.geometry._shell_quadratures", shells)
     corner = preset("corner4")
     cov = covering_counts(corner, a=4.0, kmax=8)
     assert cov.counts == (1, 1) + tuple(4 ** (k - 1) for k in range(2, 9))
-    assert trees == [4**2, 4**3]
+    assert clustered == [4**2, 4**3]
     shell_integral_sums(corner, delta=0.5, a=4.0, kmax=6)
     shell_integral_sums(preset("middle-thirds"), delta=LOG2_OVER_LOG3, a=3.0, kmax=7)
     assert annuli == [

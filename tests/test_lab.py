@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -597,3 +599,27 @@ def test_cli_flags_follow_the_config_key_table():
             assert type(got) is key_type and got == key_type(raw), (command, key)
             experiments.add(cfg.experiment)
     assert experiments == set(EXPERIMENT_NAMES)
+
+
+_NO_SCIPY_RUN = """
+import sys
+import cantorlab
+from cantorlab.lab import ExperimentConfig, run_experiment
+for name, params in (("cauchy", {"samples": 4000}), ("regularity", {"kmax": 4})):
+    run_experiment(ExperimentConfig(experiment=name, shape="corner4", seed=1, threads=2,
+                                    out=f"{sys.argv[1]}/{name}", params=params))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_and_preset_runs_load_no_scipy(tmp_path):
+    """The import and a cauchy and a regularity run on corner4 load no scipy
+    module, in a fresh interpreter: only fields of rotated maps need scipy."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "cauchy" / "cauchy.csv").exists()
+    assert (tmp_path / "regularity" / "regularity.csv").exists()
