@@ -1,10 +1,11 @@
 """Harmonic measure sampling and logarithmic potential theory.
 
 Every walk-on-spheres estimate goes through one loop, _walk: each live walk
-repeatedly jumps to a uniform point on a circle of radius SHRINK * (certified
-distance lower bound) and stops once the certified distance upper bound drops
-below stop_tol.  A walk that leaves its enclosing circle re-enters it by the
-exact exterior Poisson kernel, so that circle sets the cost, not the law.
+repeatedly jumps to a uniform point on the circle of radius its certified
+distance lower bound, which is at least stop_tol / 2, and stops once the
+certified upper bound drops below stop_tol.  A walk that leaves its
+enclosing circle re-enters it by the exact exterior Poisson kernel, so that
+circle sets the cost, not the law.
 
 The sampler realizes the pole at infinity as a launch circle of
 LAUNCH_FACTOR times the root radius: walks start uniformly on it, and the
@@ -69,9 +70,6 @@ DISCARD_LIMIT = 0.01
 #: step limit of every walk from its chunk's launch, sampling and pole
 #: absorption alike
 MAX_STEPS = 10_000
-
-#: each walk step jumps this fraction of the certified distance lower bound
-SHRINK = 0.9
 
 #: walk directions are roots of unity from a table of this many, each turned
 #: by at most pi / ROOTS through a two-term series (see _turn)
@@ -323,14 +321,15 @@ def _walk(query, jobs, start, absorb, stop_tol: float, center: complex, radius: 
     A chunk's n walks launch at start(rng, n), at the end of the array, once
     it is empty or they fit in BATCH * CHUNK; live chunk i holds the slice
     bounds[i]:bounds[i + 1].  query(z) returns certified lower and upper bounds
-    on the distance to the absorbing set; a walk stops where the upper bound
-    drops below stop_tol and otherwise jumps SHRINK * (lower bound) in a
-    direction _turn maps from one random() draw of its chunk's rng, which
-    draws for its chunk's walks in walk order, and re-enters the circle
-    |z - center| = radius when it leaves it.  Walks still live MAX_STEPS steps
-    after their chunk launched are discarded.  Stopped positions go to absorb
-    in blocks of about one array.  Returns the sum of what absorb returned
-    and the number of walks discarded.
+    on the distance to the absorbing set, at most stop_tol / 2 apart; a walk
+    stops where the upper bound drops below stop_tol and otherwise jumps the
+    whole lower bound, so at least stop_tol / 2, in a direction _turn maps
+    from one random() draw of its chunk's rng, which draws for its chunk's
+    walks in walk order, and re-enters the circle |z - center| = radius when
+    it leaves it.  Walks still live MAX_STEPS steps after their chunk
+    launched are discarded.  Stopped positions go to absorb in blocks of
+    about one array.  Returns the sum of what absorb returned and the number
+    of walks discarded.
     """
     z = np.empty(0, dtype=complex)
     bounds, chunks = [0], []  # chunks[i] = (rng, launch step), walks bounds[i]:bounds[i + 1]
@@ -365,7 +364,7 @@ def _walk(query, jobs, start, absorb, stop_tol: float, center: complex, radius: 
         if z.size:
             rngs = [rng for rng, _ in chunks]
             step = _turn(_draws(rngs, bounds))
-            step *= SHRINK * lo
+            step *= lo
             z += step
             del lo, step
             _reenter(z, bounds, rngs, center, radius)

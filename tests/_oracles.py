@@ -20,7 +20,6 @@ from cantorlab.errors import ExcessiveDiscardError, SingularityError
 from cantorlab.potential import (
     LAUNCH_FACTOR,
     MAX_STEPS,
-    SHRINK,
     EmpiricalMeasure,
     WalkConfig,
     _turn,
@@ -423,7 +422,7 @@ def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
             lo = lo[keep]
         if z.size == 0:
             break
-        z = z + SHRINK * lo * _turn(rng.random(z.size))
+        z = z + lo * _turn(rng.random(z.size))
         z = _reenter(z, center, launch, rng)
     return counts, z.size
 
@@ -448,7 +447,7 @@ def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
             z, lo, dp = z[keep], lo[keep], dp[keep]
         if z.size == 0:
             break
-        z = z + SHRINK * np.minimum(lo, dp) * _turn(rng.random(z.size))
+        z = z + np.minimum(lo, dp) * _turn(rng.random(z.size))
         z = _reenter(z, center, enclose, rng)
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")

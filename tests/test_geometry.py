@@ -19,10 +19,13 @@ from cantorlab import (
     Segment,
     SimilarityMap,
     SinglePoint,
+    WalkConfig,
     covering_counts,
     parse_repeller_spec,
+    potential,
     preset,
     resolve_shape,
+    sample_harmonic_measure,
     shell_integral_sums,
     similarity_dimension,
 )
@@ -856,6 +859,73 @@ def test_single_point_shape():
     assert p.distance(np.array([2.5 + 0j]))[0] == pytest.approx(2.0)
     codes, centers, radii = p.atoms(5)
     assert len(centers) == 1 and radii[0] == 0.0
+
+
+def _points_near_pieces(shape, fld, rng):
+    """Points of the pieces themselves and points inside the leaf discs."""
+    if isinstance(shape, Repeller):
+        # fixed points of the branches and their images, all in J
+        on = np.array([b.translation / (1.0 - b.factor) for b in shape.branches])
+        for _ in range(6):
+            on = np.concatenate([b(on) for b in shape.branches])
+        cs = shape.cylinders(fld.depth)
+        centers, radii = cs.centers, cs.radii
+    else:
+        on = shape.atoms(fld.depth + 3)[1]
+        _, centers, radii = shape.atoms(fld.depth)
+    pick = rng.integers(0, len(centers), 20_000)
+    inside = centers[pick] + radii[pick] * rng.random(20_000) * np.exp(2j * np.pi * rng.random(20_000))
+    return np.concatenate([on, centers, inside])
+
+
+@pytest.mark.parametrize(
+    "name", ["circle", "segment", "point", "corner4", "middle-thirds", "rotated", "golden"]
+)
+def test_zero_lower_bound_means_stopped(name, monkeypatch):
+    """Bounds at most 2r apart, so lo = 0 forces hi < 4r, the sampler's stop_tol.
+
+    A walk at lo = 0 would never move; the full jump relies on such a walk
+    having stopped.  Checked on grid, KD-tree, unequal-radius and exact
+    fields at random points, on the pieces and inside the leaf discs, and
+    on every walk one sampler run leaves live.
+    """
+    shape = {
+        "circle": Circle, "segment": Segment, "point": SinglePoint,
+        "rotated": rotated_pair, "golden": golden_repeller,
+    }.get(name, lambda: preset(name))()
+    rng = rng_stream(14, 0)
+    zeros = 0
+    for r in (1e-3 * shape.bounding_radius, 2.5e-5 * shape.bounding_radius):
+        fld = shape.field(r)
+        w = 3.0 * shape.bounding_radius
+        scattered = shape.bounding_center + rng.uniform(-w, w, 20_000) + 1j * rng.uniform(-w, w, 20_000)
+        z = np.concatenate([scattered, _points_near_pieces(shape, fld, rng)])
+        lo, hi = fld.query(z)
+        assert (0.0 <= lo).all() and (lo <= hi).all()
+        # each bound and their difference round once, each by at most half a spacing of hi
+        assert (hi - lo <= 2.0 * r + 2.0 * np.spacing(hi)).all()
+        assert (hi[lo == 0.0] < 4.0 * r).all()
+        zeros += int((lo == 0.0).sum())
+    assert zeros > 0
+
+    if name == "point":
+        return  # walks never reach a point, so it has no sampler run
+    # every walk a sampler run leaves live moves at least stop_tol / 2
+    cfg = WalkConfig(samples=potential.CHUNK, seed=14).resolve(shape)
+    fld = shape.field(cfg.stop_tol / 4.0)
+    field_type, live = type(fld), []
+    query = field_type.query
+
+    def recorded(f, z):
+        lo, hi = query(f, z)
+        live.append(lo[hi >= cfg.stop_tol])
+        return lo, hi
+
+    monkeypatch.setattr(field_type, "query", recorded)
+    sample_harmonic_measure(shape, cfg)
+    live = np.concatenate(live)
+    assert live.size > potential.CHUNK
+    assert live.min() >= cfg.stop_tol / 2.0
 
 
 @pytest.mark.parametrize("shape", [Circle(), Segment(), SinglePoint()], ids=["circle", "segment", "point"])

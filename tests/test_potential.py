@@ -147,6 +147,37 @@ def test_segment_arcsine_law():
     assert weighted_ks_distance(em.points.real, em.weights, arcsine_cdf) < 0.01
 
 
+def test_circle_uniform_law():
+    # the twin of the segment test: harmonic measure of the circle from far
+    # away is the uniform arc measure, which the full jump must keep
+    em = sample_harmonic_measure(Circle(), WalkConfig(samples=1 << 15, seed=12))
+    assert em.discarded == 0
+    turns = (np.angle(em.points) / (2.0 * np.pi)) % 1.0
+    assert weighted_ks_distance(turns, em.weights, lambda t: t) < 0.01
+
+
+@pytest.mark.parametrize("name, bound", [("circle", 16.4), ("segment", 22.7), ("corner4", 33.5)])
+def test_walks_jump_the_whole_lower_bound(name, bound, corner, monkeypatch):
+    """Field query points per walk over two chunks at seed 1, a fixed count.
+
+    Jumping 0.9 of the lower bound took 21.8, 30.2 and 44.7 per walk; the
+    whole bound takes 13.0, 18.0 and 30.0.  The bounds are 0.75 of the former.
+    """
+    shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
+    cfg = WalkConfig(samples=2 * potential.CHUNK, seed=1).resolve(shape)
+    field_type = type(shape.field(cfg.stop_tol / 4.0))
+    query, points = field_type.query, []
+
+    def counted(fld, z):
+        points.append(z.size)
+        return query(fld, z)
+
+    monkeypatch.setattr(field_type, "query", counted)
+    em = sample_harmonic_measure(shape, cfg)
+    assert em.discarded == 0
+    assert sum(points) / cfg.samples < bound
+
+
 def test_step_limit_discards_are_capped(monkeypatch):
     monkeypatch.setattr(potential, "MAX_STEPS", 2)
     with pytest.raises(ExcessiveDiscardError):
