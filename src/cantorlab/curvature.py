@@ -8,11 +8,13 @@ c^2(z1, z2, z3) = sum over permutations s of 1 / ((z_s1 - z_s3) conj(z_s2 - z_s3
 minus its holomorphic twin (which sums to 0), gives
 c^2 = 2 sum_s g(z_s1 - z_s3) g(z_s2 - z_s3) with g(u) = Im u / |u|^2, so the
 energy is 12 sum_c w_c (G_c^2 - Q_c) with G_c = sum_{a != c} w_a g(z_a - z_c)
-and Q_c = sum_{a != c} w_a^2 g(z_a - z_c)^2.  Every g vanishes on a
-horizontal line, and atoms spread further vertically than horizontally are
-first multiplied by 1j (exact in floating point), so atoms on a horizontal or
-vertical line give exactly 0.0.  Per-atom terms are combined in one fixed
-order by compensated summation, with no thread partitioning.
+and Q_c = sum_{a != c} w_a^2 g(z_a - z_c)^2.  g is odd and g^2 is even, so
+each unordered atom pair is evaluated once and feeds both of its atoms.
+Every g vanishes on a horizontal line, and atoms spread further vertically
+than horizontally are first multiplied by 1j (exact in floating point), so
+atoms on a horizontal or vertical line give exactly 0.0.  Per-atom terms are
+combined in one fixed order by compensated summation, with no thread
+partitioning.
 """
 
 from __future__ import annotations
@@ -27,12 +29,9 @@ from .geometry import close_pairs
 from .potential import ATOM_BLOCK, EmpiricalMeasure, _atom_sum, natural_measure
 
 #: largest atom count the energy accepts: 4**7, corner4 at generation 7, is
-#: 2.7e8 ordered pairs and about 2.3 s of CPU on a 2-core x86-64 VM; memory
-#: stays bounded by PAIR_BLOCK
+#: 1.3e8 unordered pairs and 0.7-0.9 s of process CPU (all threads) on a
+#: 2-core x86-64 VM; memory stays bounded by ATOM_BLOCK
 EXACT_CAP = 4**7
-
-#: atom pairs per row block of the exact energy (temporaries of a few MB)
-PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,24 +43,41 @@ class CurvatureEstimate:
 
 
 def _exact_energy(z: np.ndarray, w: np.ndarray) -> float:
-    """Ordered energy 12 sum_c w_c (G_c^2 - Q_c) of Melnikov's identity."""
+    """Ordered energy 12 sum_c w_c (G_c^2 - Q_c) of Melnikov's identity.
+
+    Each unordered pair {a, c}, a > c, is evaluated once, in row blocks of
+    atoms c against the columns a >= the block's first row, of at most
+    ATOM_BLOCK pairs; entries with a <= c in the diagonal square are masked.
+    Since g is odd, one block of g gives the row terms G_c and, negated, the
+    column terms G_a; since g^2 is even, one block of g^2 gives Q both ways.
+    The per-atom terms are combined by math.fsum in atom order.
+    """
     if np.ptp(z.imag) > np.ptp(z.real):
         z = z * 1j
+    x, y = z.real.copy(), z.imag.copy()
     n = len(z)
-    rows = max(1, PAIR_BLOCK // n)
     w2 = w * w
-    parts = []
-    for lo in range(0, n, rows):
-        c = np.arange(lo, min(lo + rows, n))
-        u = z[None, :] - z[c, None]
-        nu = u.real**2 + u.imag**2
-        nu[np.arange(len(c)), c] = np.inf
+    G, Q = np.zeros(n), np.zeros(n)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, ATOM_BLOCK // (n - lo)))
+        nu = x[lo:] - x[lo:hi, None]
+        g = y[lo:] - y[lo:hi, None]
+        nu *= nu
+        nu += g * g
+        nu[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = np.inf  # a <= c
         if not nu.all():
             raise SingularityError("measure has coincident atoms")
-        g = u.imag / nu
-        gw = g @ w
-        parts.append(w[c] * (gw * gw - (g * g) @ w2))
-    return 12.0 * math.fsum(np.concatenate(parts))
+        g /= nu
+        # @, not einsum: blocks have at least ATOM_BLOCK / EXACT_CAP = 4 rows,
+        # and these products kept OpenBLAS on one thread (CPU at wall time)
+        G[lo:hi] += g @ w[lo:]
+        G[lo:] -= w[lo:hi] @ g
+        g *= g
+        Q[lo:hi] += g @ w2[lo:]
+        Q[lo:] += w2[lo:hi] @ g
+        lo = hi
+    return 12.0 * math.fsum(w * (G * G - Q))
 
 
 def curvature_energy(em: EmpiricalMeasure) -> CurvatureEstimate:

@@ -505,6 +505,16 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
+def _refuse_clashes(out: str, names) -> None:
+    """Raise OutputCollisionError if any of the named files exists in out."""
+    clashes = [n for n in names if os.path.exists(os.path.join(out, n))]
+    if clashes:
+        raise OutputCollisionError(
+            f"output files exist in {out}: {', '.join(sorted(clashes))} "
+            "(pass --force to overwrite)"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig, force: bool = False) -> RunManifest:
     """Run one experiment and persist tables, summary, and manifest."""
     from . import __version__
@@ -512,6 +522,8 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> RunManifest:
     if not cfg.out:
         raise ConfigError("no output directory (set key 'out' or pass --out)")
     shape = resolve_shape(cfg.shape)
+    if not force:  # every run writes these two, so refuse before running
+        _refuse_clashes(cfg.out, ["summary.txt", "manifest.json"])
     start = time.perf_counter()
     tables, summary = _EXPERIMENTS[cfg.experiment].run(shape, cfg)
     wall = time.perf_counter() - start
@@ -522,13 +534,7 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> RunManifest:
 
     os.makedirs(cfg.out, exist_ok=True)
     if not force:
-        clashes = [n for n in [*tables, "manifest.json"]
-                   if os.path.exists(os.path.join(cfg.out, n))]
-        if clashes:
-            raise OutputCollisionError(
-                f"output files exist in {cfg.out}: {', '.join(sorted(clashes))} "
-                "(pass --force to overwrite)"
-            )
+        _refuse_clashes(cfg.out, tables)
     checksums = {}
     for name, text in sorted(tables.items()):
         data = text.encode()

@@ -61,7 +61,9 @@ CHUNK = 4096
 #: array, so each step's numpy calls cover enough walks to amortize their cost
 BATCH = 8
 
-#: point-atom pairs per block of a potential or Cauchy sum (1 MB complex)
+#: pairs per block of every pair sum (1 MB complex): point-atom pairs of the
+#: log potential, the Cauchy transform and its truncations, and atom pairs of
+#: the Menger energy
 ATOM_BLOCK = 1 << 16
 
 #: fraction of walks allowed to hit the step limit

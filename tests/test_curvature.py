@@ -1,6 +1,7 @@
 """Menger curvature kernel, triple-integral energies, Cauchy transforms."""
 
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -187,6 +188,67 @@ def test_exact_energy_rejects_coincident_atoms(corner):
     w = np.append(em.weights, em.weights[5])
     with pytest.raises(SingularityError):
         curvature_energy(atoms(np.append(em.points, em.points[5]), w / w.sum()))
+
+
+def uneven_clouds():
+    rng = rng_stream(31, 0)
+    for n in (50, 300, 1001):
+        w = rng.uniform(0.1, 1.0, size=n)
+        yield atoms(rng.normal(size=n) + 1j * rng.normal(size=n), w / w.sum())
+
+
+def last_block_rows(n, block):
+    """Rows of the last row block, and the rows the pair cap would allow it."""
+    lo = 0
+    while True:
+        rows = max(1, block // (n - lo))
+        if lo + rows >= n:
+            return n - lo, rows
+        lo += rows
+
+
+def test_half_pair_energy_matches_the_ordered_pair_sum(corner, monkeypatch):
+    cases = [natural_measure(corner, k) for k in range(1, 7)]
+    cases += [natural_measure(golden_repeller(), k) for k in range(2, 9)]
+    cases += [natural_measure(rotated_repeller(), k) for k in range(1, 7)]
+    cases += list(uneven_clouds())
+    # 1,001 atoms end on a partial row block: 212 rows where 309 would fit
+    rows, cap = last_block_rows(1001, curvature.ATOM_BLOCK)
+    assert rows < cap
+    for em in cases:
+        oracle = _oracles.ordered_pair_energy(em.points, em.weights)
+        assert abs(curvature_energy(em).value - oracle) <= 1e-13 * abs(oracle)
+    # many blocks, each with a masked diagonal square
+    monkeypatch.setattr(curvature, "ATOM_BLOCK", 256)
+    for em in [natural_measure(rotated_repeller(), 4), *uneven_clouds()]:
+        oracle = _oracles.ordered_pair_energy(em.points, em.weights)
+        assert abs(curvature_energy(em).value - oracle) <= 1e-13 * abs(oracle)
+
+
+def test_half_pair_energy_is_zero_on_lines_and_rejects_coincident_atoms(monkeypatch):
+    monkeypatch.setattr(curvature, "ATOM_BLOCK", 256)
+    t = np.linspace(-1.0, 1.0, 40)
+    w = np.full(40, 1 / 40)
+    assert curvature_energy(atoms(t + 0.25j, w)).value == 0.0
+    assert curvature_energy(atoms(0.3 + 1j * t, w)).value == 0.0
+    # 40 atoms at 256 pairs: the first row block holds rows 0..5
+    z = np.exp(1j * t)
+    for i, j in [(1, 4), (2, 30)]:  # inside the first diagonal square; rows apart
+        hit = z.copy()
+        hit[j] = hit[i]
+        with pytest.raises(SingularityError):
+            curvature_energy(atoms(hit, w))
+
+
+def test_exact_energy_holds_cache_sized_blocks(corner):
+    em = natural_measure(corner, 6)
+    tracemalloc.start()
+    try:
+        curvature_energy(em)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * curvature.ATOM_BLOCK * 8
 
 
 def test_exact_energy_thread_count_is_invisible(tmp_path):

@@ -381,6 +381,30 @@ def test_curvature_run_end_to_end(tmp_path):
         assert again[name] == files[name]
 
 
+@pytest.mark.parametrize("held", ["manifest.json", "summary.txt"])
+def test_used_output_directory_is_refused_before_the_run(tmp_path, monkeypatch, held):
+    exp = lab._EXPERIMENTS["curvature-profile"]
+    calls = []
+
+    def run(shape, cfg):
+        calls.append(cfg)
+        return exp.run(shape, cfg)
+
+    monkeypatch.setitem(lab._EXPERIMENTS, "curvature-profile", exp._replace(run=run))
+    out = tmp_path / "used"
+    out.mkdir()
+    (out / held).write_text("old\n")
+    cfg = ExperimentConfig(experiment="curvature-profile", shape="corner4", seed=1,
+                           out=str(out), params={"kmax": 3})
+    with pytest.raises(OutputCollisionError, match=f"{held} \\(pass --force"):
+        run_experiment(cfg)
+    assert calls == []
+    manifest = run_experiment(cfg, force=True)
+    assert len(calls) == 1
+    assert (out / held).read_text() != "old\n"
+    assert set(os.listdir(out)) == {*manifest.files, "manifest.json"}
+
+
 def test_curvature_profile_on_corners_passes_at_kmax_6(tmp_path):
     # every generation is an exact sum, so the increments after k = 3 (2.998,
     # 3.019, 3.024) stay above half the k = 3 one and grade PASS
