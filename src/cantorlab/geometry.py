@@ -556,9 +556,10 @@ class CoveringReport:
     """Component counts of distance neighborhoods and the fitted growth rate.
 
     counts[k] is the number of connected components of {z : dist(z, J) < a^-k};
-    delta_reg the least-squares slope of log counts against k log a; c_count
-    and c_diam the largest observed ratios count / a^(delta_reg k) and
-    diameter * a^k.
+    diameters[k] an upper bound on the widest component's diameter (see
+    covering_counts); delta_reg the least-squares slope of log counts against
+    k log a; c_count and c_diam the largest observed ratios
+    count / a^(delta_reg k) and diameter * a^k.
     """
 
     a: float
@@ -618,24 +619,33 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     Past the separation scale, once 2 eps is below the smallest gap between
     first-level discs, no link joins two first-level branches, and branch i's
     links at eps are those of the whole set at eps / s_i, one generation up
-    (renewal: m(eps) = sum_i m(eps / s_i)).  There a cylinder's label is its
-    first letter combined with its tail's label at eps / s_i, so only scales
-    above the separation scale are clustered, from the close_pairs candidates
-    that pass the link test; the diameters still take the spans of the
-    level's own generation of centers.
+    (renewal: m(eps) = sum_i m(eps / s_i)).  So only scales above the
+    separation scale are clustered, from the close_pairs candidates that pass
+    the link test, and no deeper generation is built.
+
+    A level's diameter is its widest component's diagonal plus the pad
+    2 (r_max + eps), r_max the generation's largest cylinder radius.  Above
+    the separation scale the diagonal is that of the bounding box of the
+    component's centers; below it, the largest s_i times its tail's diagonal
+    at eps / s_i.  With rotations by multiples of pi/2 the two agree up to
+    rounding (exactly when the scales are powers of two).  Other rotations
+    turn the bounding box, and the renewal value is then a different upper
+    bound on the center spread, since diam(S_i K) = s_i diam(K).
     """
     if a <= 1:
         raise ValueError("scale base a must exceed 1")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    # k = kmax needs the deepest generation: check the cap before building any
+    # the cylinder cap still bounds the deepest covering generation, though
+    # renewal no longer builds it: checked before any work
     _covering_generation(rep, float(a) ** (-kmax), kmax)
     gap = _first_level_gap(rep)
     steps = _lattice_steps(rep, float(a))
     memo: dict = {}
 
     def clusters(eps: float, g: int, k):
-        """Component count and labels of the generation-g cylinders at eps = a^-k."""
+        """Component count and largest bounding-box diagonal of the centers of
+        the generation-g cylinders at eps = a^-k."""
         if (eps, g) in memo:
             return memo[eps, g]
         if g >= 1 and 2.0 * eps < gap:
@@ -645,16 +655,19 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
                     parts.append(clusters(eps / b.scale, g - 1, None))
                 else:
                     parts.append(clusters(float(a) ** -(k - m), g - 1, k - m))
-            # branch i's words form the i-th block of the lexicographic order
-            first = np.cumsum([0] + [n for n, _ in parts])
-            labels = np.concatenate([lab + f for (_, lab), f in zip(parts, first)])
-            memo[eps, g] = (int(first[-1]), labels)
+            ns, diags = zip(*parts)
+            memo[eps, g] = (sum(ns), max(b.scale * d for b, d in zip(rep.branches, diags)))
             return memo[eps, g]
         cs = rep.cylinders(g)
         centers, radii = cs.centers, cs.radii
         i, j = close_pairs(centers, 2.0 * eps + 2.0 * float(radii.max()))
         near = np.abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps
-        memo[eps, g] = _components(len(cs), i[near], j[near])
+        n, labels = _components(len(cs), i[near], j[near])
+        xy = np.column_stack([centers.real, centers.imag])
+        lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
+        np.minimum.at(lo, labels, xy)
+        np.maximum.at(hi, labels, xy)
+        memo[eps, g] = (n, max(math.hypot(w, h) for w, h in hi - lo))
         return memo[eps, g]
 
     counts = []
@@ -662,17 +675,9 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     for k in range(kmax + 1):
         eps = float(a) ** (-k)
         g = _covering_generation(rep, eps, k)
-        n, labels = clusters(eps, g, k)
-        cs = rep.cylinders(g)
+        n, diag = clusters(eps, g, k)
         counts.append(n)
-        spans = []
-        for part in (cs.centers.real, cs.centers.imag):
-            lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
-            np.minimum.at(lo, labels, part)
-            np.maximum.at(hi, labels, part)
-            spans.append(hi - lo)
-        pad = 2.0 * (float(cs.radii.max()) + eps)
-        diams.append(max(math.hypot(w, h) + pad for w, h in zip(*spans)))
+        diams.append(diag + 2.0 * (rep.max_cylinder_radius(g) + eps))
     ks = np.arange(kmax + 1)
     x = ks * math.log(a)
     y = np.log(counts)

@@ -47,6 +47,7 @@ from .potential import (
     comparability_fit,
     green_model,
     natural_measure,
+    quantile,
     rng_stream,
     sample_harmonic_measure,
 )
@@ -239,8 +240,7 @@ def _exp_measure_scaling(shape, cfg: ExperimentConfig):
         for c, e in zip(centers, report.exponents)
     ]
     med = report.exponent_median
-    q1, q3 = np.quantile(report.exponents, [0.25, 0.75])
-    iqr = float(q3 - q1)
+    iqr = quantile(report.exponents, 0.75) - quantile(report.exponents, 0.25)
     if iqr > 0.2:
         st = "INCONCLUSIVE"
     else:
@@ -349,7 +349,7 @@ def _exp_cauchy(shape, cfg: ExperimentConfig):
         for z, vals, mx in zip(zs, vals1, max1)
         for r, v in zip(grid1, vals)
     ]
-    med1, med2 = float(np.median(max1)), float(np.median(max2))
+    med1, med2 = quantile(max1), quantile(max2)
     rel = abs(med2 - med1) / med1 if med1 > 0 else math.inf
     st = _grade(rel, 0.1)
     # far-field law: z*C(z) -> 1 with error bounded by 2*diam/|z|

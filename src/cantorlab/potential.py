@@ -513,6 +513,29 @@ def boundary_probes(
     return np.concatenate(out)[:n]
 
 
+def quantile(values, q: float | None = None) -> float:
+    """np.quantile(values, q) by numpy's default linear rule, or np.median
+    (values) when q is None, to the same bits.
+
+    Sorts a copy: at x = (n - 1) q between sorted neighbours a and b, the
+    value is a + (b - a) t, or b - (b - a)(1 - t) when t = x - floor(x) is at
+    least 0.5, and the last value once x >= n - 1; a median is the middle
+    value or (a + b) / 2.  values must hold no NaN.  numpy's own first call
+    imports numpy.ma (np.unique calls np.ma.is_masked), which costs tens of
+    milliseconds of CPU and over a megabyte.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    n = len(v)
+    if q is None:
+        return float(v[n // 2] if n % 2 else (v[n // 2 - 1] + v[n // 2]) / 2)
+    x = (n - 1) * q
+    if x >= n - 1:
+        return float(v[-1])
+    i = math.floor(x)
+    a, b, t = v[i], v[i + 1], x - i
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def robin_constant(em: EmpiricalMeasure, probes: np.ndarray) -> float:
     """Robin constant as minus the trimmed mean of near-boundary potentials.
 
@@ -524,7 +547,7 @@ def robin_constant(em: EmpiricalMeasure, probes: np.ndarray) -> float:
     if len(probes) < 8:
         raise ValueError("need at least 8 probes")
     vals = np.sort(log_potential(em, probes))
-    spread = float(np.quantile(vals, 0.9) - np.quantile(vals, 0.1))
+    spread = quantile(vals, 0.9) - quantile(vals, 0.1)
     if spread > DISPERSION_LIMIT:
         raise DispersionError(
             f"probe potential spread {spread:.3g} exceeds {DISPERSION_LIMIT}"
@@ -650,7 +673,7 @@ class ScalingReport:
 
     @property
     def exponent_median(self) -> float:
-        return float(np.median(self.exponents))
+        return quantile(self.exponents)
 
 
 def ball_mass_scaling(
@@ -677,7 +700,7 @@ def ball_mass_scaling(
         masses[:, j] = inside @ em.weights
     logr = np.log(radii)
     slopes = [float(np.polyfit(logr, np.log(m), 1)[0]) for m in masses]
-    med = float(np.median(slopes))
+    med = quantile(slopes)
     consts = masses / radii[None, :] ** med
     return ScalingReport(
         exponents=tuple(slopes),
@@ -724,7 +747,7 @@ def fit_holder_envelope(
         in_bin = (lx >= edges[b]) & (lx < edges[b + 1])
         if in_bin.sum() >= 3:
             xs.append(0.5 * (edges[b] + edges[b + 1]))
-            ys.append(float(np.quantile(ly[in_bin], ENVELOPE_QUANTILE)))
+            ys.append(quantile(ly[in_bin], ENVELOPE_QUANTILE))
     if len(xs) < 3:
         raise FitDegeneracyError("fewer than 3 populated separation buckets")
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from _oracles import (
     pairs_within,
     shell_quadrature,
 )
-from test_curvature import golden_repeller
+from test_curvature import golden_repeller, rotated_repeller
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -463,10 +464,18 @@ def test_covering_counts_middle_thirds_sequence(name, a, counts, diam):
     [("corner4", 2.0, 4), ("middle-alpha:0.2", 5.0, 4), ("middle-thirds", 3.0, 5)],
 )
 def test_covering_counts_match_pairwise_union_find(name, a, kmax):
+    """Counts are exact.  Renewal diameters are s_i times the tail's, which
+    moves them by rounding only: exact on corner4, whose scales are powers of
+    two, within 1e-13 relative on the interval sets (2.0e-15 measured)."""
     rep = preset(name)
     cov = covering_counts(rep, a=a, kmax=kmax)
     for k in range(kmax + 1):
-        assert (cov.counts[k], cov.diameters[k]) == covering_components(rep, a ** (-k))
+        n, diam = covering_components(rep, a ** (-k))
+        assert cov.counts[k] == n
+        if name == "corner4":
+            assert cov.diameters[k] == diam
+        else:
+            assert cov.diameters[k] == pytest.approx(diam, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -484,11 +493,62 @@ def test_covering_counts_equal_the_explicit_clustering(name, a, kmax):
     """Renewal levels give the counts and diameters of clustering every level.
 
     corner4 at a = 2 renews by two levels per branch step, golden's two
-    scales by one and two at a = 2 and by no lattice step at a = 3.
+    scales by one and two at a = 2 and by no lattice step at a = 3.  Counts
+    are exact; diameters too where the scales are powers of two (corner4,
+    golden), and within 1e-13 relative on the interval sets, where s_i times
+    the tail's diagonal rounds differently (3.4e-14 measured).
     """
     rep = golden_repeller() if name == "golden" else preset(name)
     cov = covering_counts(rep, a=a, kmax=kmax)
-    assert (cov.counts, cov.diameters) == explicit_covering(rep, a, kmax)
+    counts, diams = explicit_covering(rep, a, kmax)
+    assert cov.counts == counts
+    if name in ("corner4", "golden"):
+        assert cov.diameters == diams
+    else:
+        assert cov.diameters == pytest.approx(diams, rel=1e-13, abs=0)
+
+
+def test_covering_counts_build_no_generation_below_the_clustered_ones(monkeypatch):
+    """corner4 at a = 4 to kmax 8 clusters generations 2 and 3 and renews the
+    rest from them, counts and diameters alike: it asks for no deeper
+    generation (its level 8 would be generation 10, 4^10 cylinders) and
+    traces under 1 MB."""
+    asked = []
+    cylinders = Repeller.cylinders
+
+    def record(self, k):
+        asked.append(k)
+        return cylinders(self, k)
+
+    monkeypatch.setattr(Repeller, "cylinders", record)
+    corner = preset("corner4")
+    tracemalloc.start()
+    try:
+        covering_counts(corner, a=4.0, kmax=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(asked) <= 3
+    assert peak < 2**20
+
+
+def test_rotated_covering_diameters_bound_every_component():
+    """Under rotations that are no multiple of pi/2 renewal keeps the counts,
+    and s_i times the tail's diagonal still bounds each component: no
+    diameter is below the widest center distance within a component plus
+    the pad 2 (r_max + eps)."""
+    rep = rotated_repeller()
+    a, kmax = 3.0, 5
+    cov = covering_counts(rep, a=a, kmax=kmax)
+    assert cov.counts == explicit_covering(rep, a, kmax)[0]
+    for k in range(kmax + 1):
+        eps = a ** (-k)
+        cs = rep.cylinders(_covering_generation(rep, eps, k))
+        dist = np.abs(cs.centers[:, None] - cs.centers[None, :])
+        i, j = np.nonzero(dist <= cs.radii[:, None] + cs.radii[None, :] + 2.0 * eps)
+        n, labels = csgraph_components(len(cs), i, j)
+        widest = max(dist[np.ix_(labels == c, labels == c)].max() for c in range(n))
+        assert cov.diameters[k] >= widest + 2.0 * (float(cs.radii.max()) + eps)
 
 
 def test_covering_generations_need_not_step_by_one(thirds):

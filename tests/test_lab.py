@@ -629,16 +629,20 @@ _NO_SCIPY_RUN = """
 import sys
 import cantorlab
 from cantorlab.lab import ExperimentConfig, run_experiment
-for name, params in (("cauchy", {"samples": 4000}), ("regularity", {"kmax": 4})):
-    run_experiment(ExperimentConfig(experiment=name, shape="corner4", seed=1, threads=2,
+for name, shape, params in (("cauchy", "corner4", {"samples": 4000}),
+                            ("regularity", "corner4", {"kmax": 4}),
+                            ("green-comparability", "circle", {"samples": 20000})):
+    run_experiment(ExperimentConfig(experiment=name, shape=shape, seed=1, threads=2,
                                     out=f"{sys.argv[1]}/{name}", params=params))
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
 def test_import_and_preset_runs_load_no_scipy(tmp_path):
-    """The import and a cauchy and a regularity run on corner4 load no scipy
-    module, in a fresh interpreter: only fields of rotated maps need scipy."""
+    """The import, a cauchy and a regularity run on corner4 and a
+    green-comparability run on the circle load no scipy module and not
+    numpy.ma, in a fresh interpreter: only fields of rotated maps need scipy,
+    and order statistics go through potential.quantile, not np.quantile."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], env=env,
@@ -647,3 +651,4 @@ def test_import_and_preset_runs_load_no_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "cauchy" / "cauchy.csv").exists()
     assert (tmp_path / "regularity" / "regularity.csv").exists()
+    assert (tmp_path / "green-comparability" / "summary.txt").exists()

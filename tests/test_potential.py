@@ -31,7 +31,7 @@ from cantorlab import (
     sample_harmonic_measure,
 )
 from cantorlab import potential
-from cantorlab.potential import _absorbed_fraction, rng_stream
+from cantorlab.potential import _absorbed_fraction, quantile, rng_stream
 
 import _oracles
 from _oracles import arcsine_cdf, measure_from_csv, weighted_ks_distance
@@ -282,6 +282,24 @@ def test_robin_constant_input_validation():
     )
     with pytest.raises(DispersionError):
         robin_constant(em, spread)
+
+
+def test_quantile_matches_numpy_bit_for_bit():
+    """quantile gives np.quantile's linear rule and np.median to the bit, ties
+    included; only a zero's sign may differ, where sort and partition order
+    -0.0 and 0.0 differently."""
+    rng = np.random.default_rng(5)
+    ours, numpys = [], []
+    for _ in range(500):
+        v = rng.normal(size=int(rng.integers(1, 60))) * 10.0 ** int(rng.integers(-3, 4))
+        if rng.random() < 0.5:
+            v = np.round(v, 1)
+        for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, float(rng.random())):
+            ours.append(quantile(v, q))
+            numpys.append(np.quantile(v, q))
+        ours.append(quantile(v))
+        numpys.append(np.median(v))
+    assert ours == [float(x) for x in numpys]
 
 
 # -- comparability fit -------------------------------------------------------------------
