@@ -165,8 +165,9 @@ def cauchy_truncations(em: EmpiricalMeasure, z, r_grid=None):
     z.  Each atom's term goes to bin searchsorted(r_grid, |atom - z|), the
     count of radii below its distance; bincount sums the bins and the value
     at r_j is the sum of the bins past j, with no sort.  Points go in blocks
-    of at most ATOM_BLOCK pairs, and a point's values have the same bits
-    alone or in any array.  An atom at z itself lies beyond no radius.
+    of at most ATOM_BLOCK pairs, whose terms overwrite their separations, and
+    a point's values have the same bits alone or in any array.  An atom at z
+    itself lies beyond no radius.
     """
     if r_grid is None:
         r_grid = default_r_grid(em)
@@ -179,9 +180,12 @@ def cauchy_truncations(em: EmpiricalMeasure, z, r_grid=None):
         sep = zs[start : start + block, None] - em.points[None, :]
         keys = np.searchsorted(r_grid, np.abs(sep), side="left")
         keys += m * np.arange(len(sep))[:, None]  # one run of m bins per point
-        contrib = np.divide(em.weights, sep, out=np.zeros_like(sep), where=sep != 0)
+        keys = keys.ravel()
+        # each term w / sep in place of its separation; a zero one stays 0
+        np.divide(em.weights, sep, out=sep, where=sep != 0)
         bins = np.empty((len(sep), m), dtype=complex)
-        bins.real = np.bincount(keys.ravel(), contrib.real.ravel(), bins.size).reshape(-1, m)
-        bins.imag = np.bincount(keys.ravel(), contrib.imag.ravel(), bins.size).reshape(-1, m)
+        bins.real = np.bincount(keys, sep.real.ravel(), bins.size).reshape(-1, m)
+        bins.imag = np.bincount(keys, sep.imag.ravel(), bins.size).reshape(-1, m)
         out[start : start + block] = np.cumsum(bins[:, :0:-1], axis=1)[:, ::-1]
+        del sep, keys  # before the next block's separations
     return r_grid, out[0] if np.ndim(z) == 0 else out

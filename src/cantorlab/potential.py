@@ -13,12 +13,14 @@ stopped walks are binned into the cylinder piece of radius about stop_tol
 that contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
 independent of chunk scheduling and thread count.  Each chunk of CHUNK walks
-draws from its own random stream.  A pool task walks a contiguous share of
-at least BATCH chunks (_shares: at most one share per thread) in one array
-of at most BATCH chunks' worth of walks, launching the next chunk at its end
-whenever stopped walks leave room; a chunk holds a contiguous slice, its
-stream draws for its own walks in walk order and its step limit counts from
-its launch, so it sees the draws it would see alone.  A direction is one
+draws from its own random stream.  The chunks are cut into contiguous
+shares of at least BATCH chunks (_shares: at most one share per thread); the
+calling thread walks the first share and one helper thread walks each other
+share.  A share is walked in one array of at most BATCH chunks' worth of
+walks, launching the next chunk at its end whenever stopped walks leave
+room; a chunk holds a contiguous slice, its stream draws for its own walks
+in walk order and its step limit counts from its launch, so it sees the
+draws it would see alone.  A direction is one
 random() draw u per walk, turned into e^(2 pi i u) by a table of ROOTS roots
 of unity and a two-term series for the remaining angle (_turn), without a
 complex exp.  Pole absorption runs the same loop with one stream and the
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +59,7 @@ TWO_PI = 2.0 * np.pi
 #: stream, so no draw depends on batching or thread count
 CHUNK = 4096
 
-#: a pool task keeps up to this many chunks of walks live in one refilled
+#: each thread keeps up to this many chunks of walks live in one refilled
 #: array, so each step's numpy calls cover enough walks to amortize their cost
 BATCH = 8
 
@@ -117,7 +119,8 @@ class WalkConfig:
     stop_tol may be left as None and is then resolved against the shape as
     1e-4 * bounding radius.  Walks start on, and re-enter onto, the circle of
     LAUNCH_FACTOR * bounding radius, and each runs at most MAX_STEPS steps.
-    threads is a maximum: a run takes one per BATCH * CHUNK walks.
+    threads is a maximum: a run takes one per BATCH * CHUNK walks, the
+    calling thread walking the first share and one helper thread each other.
     """
 
     samples: int = 10_000
@@ -407,7 +410,9 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     ExcessiveDiscardError when over 1% of walks exhaust MAX_STEPS.  Chunk c
     walks on the substream (seed, stream, c); two runs at one seed are
     independent when their stream keys differ, and otherwise the smaller
-    run's walks are the first walks of the larger.
+    run's walks are the first walks of the larger.  A share that raises
+    fails the run once every helper thread has ended, with the error of the
+    first failing share.
     """
     cfg = cfg.resolve(shape)
     fld = shape.field(cfg.stop_tol / 4.0)
@@ -415,13 +420,28 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     if cfg.samples % CHUNK:
         sizes.append(cfg.samples % CHUNK)
     shares = _shares(list(enumerate(sizes)), cfg.threads)
+    walked = [None] * len(shares)
+
+    def walk(b):
+        try:
+            walked[b] = _walk_chunks(shape, fld, cfg, shares[b], stream)
+        except BaseException as exc:
+            walked[b] = exc
+
+    # share 0 reuses the calling thread's warm heap instead of idling on a join
+    helpers = [threading.Thread(target=walk, args=(b,)) for b in range(1, len(shares))]
+    for t in helpers:
+        t.start()
+    walk(0)
+    for t in helpers:
+        t.join()
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     discarded = 0
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        walked = pool.map(lambda jobs: _walk_chunks(shape, fld, cfg, jobs, stream), shares)
-        for c, d in walked:
-            counts += c
-            discarded += d
+    for out in walked:
+        if isinstance(out, BaseException):
+            raise out
+        counts += out[0]
+        discarded += out[1]
     if discarded > DISCARD_LIMIT * cfg.samples:
         raise ExcessiveDiscardError(
             f"{discarded} of {cfg.samples} walks hit the step limit "
@@ -664,16 +684,13 @@ def comparability_fit(
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Per-center fits of log mass(B(z, r)) against log r."""
+    """Per-center fits of log mass(B(z, r)) against log r, and their median."""
 
     exponents: tuple[float, ...]
+    exponent_median: float
     radii: tuple[float, ...]
     c_min: float
     c_max: float
-
-    @property
-    def exponent_median(self) -> float:
-        return quantile(self.exponents)
 
 
 def ball_mass_scaling(
@@ -704,6 +721,7 @@ def ball_mass_scaling(
     consts = masses / radii[None, :] ** med
     return ScalingReport(
         exponents=tuple(slopes),
+        exponent_median=med,
         radii=tuple(float(r) for r in radii),
         c_min=float(consts.min()),
         c_max=float(consts.max()),

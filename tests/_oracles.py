@@ -100,21 +100,39 @@ def energy_numpy_loop(points, weights) -> float:
     return 6.0 * math.fsum(totals)
 
 
-def _middle_slice_sum(z: np.ndarray, w: np.ndarray, j: int) -> float:
-    """Weighted sum of c^2 over triples (i, j, k) with i < j < k."""
+def _middle_slice_sum(z: np.ndarray, w: np.ndarray, j: int, bufs) -> float:
+    """Weighted sum of c^2 over triples (i, j, k) with i < j < k.
+
+    The (j, n - j - 1) kernel is written into the leading part of the three
+    flat buffers bufs, one op at a time in the order of
+    4 cross^2 / (|a|^2 |b|^2 |a - b|^2), so no array is allocated per j.
+    """
     if j == 0 or j == len(z) - 1:
         return 0.0
     a = z[:j] - z[j]
     b = z[j + 1 :] - z[j]
     na = a.real**2 + a.imag**2
     nb = b.real**2 + b.imag**2
-    cross = a.real[:, None] * b.imag[None, :] - a.imag[:, None] * b.real[None, :]
-    dot = a.real[:, None] * b.real[None, :] + a.imag[:, None] * b.imag[None, :]
-    nab = na[:, None] + nb[None, :] - 2.0 * dot
-    den = na[:, None] * nb[None, :] * nab
-    if np.any(den == 0.0):
+    ar, ai = a.real[:, None], a.imag[:, None]
+    cross, dot, nab = (buf[: j * len(b)].reshape(j, len(b)) for buf in bufs)
+    np.multiply(ar, b.imag, out=cross)
+    np.multiply(ai, b.real, out=dot)
+    np.subtract(cross, dot, out=cross)
+    np.multiply(ar, b.real, out=dot)
+    np.multiply(ai, b.imag, out=nab)
+    np.add(dot, nab, out=dot)
+    np.multiply(2.0, dot, out=dot)
+    np.add(na[:, None], nb, out=nab)
+    np.subtract(nab, dot, out=nab)
+    den = dot
+    np.multiply(na[:, None], nb, out=den)
+    np.multiply(den, nab, out=den)
+    if not den.all():
         raise SingularityError("measure has coincident atoms")
-    c2 = 4.0 * cross**2 / den
+    c2 = cross
+    np.square(c2, out=c2)
+    np.multiply(4.0, c2, out=c2)
+    np.divide(c2, den, out=c2)
     return float(w[j] * (w[:j] @ c2 @ w[j + 1 :]))
 
 
@@ -123,11 +141,15 @@ def triple_slice_energy(z, w) -> float:
 
     Each middle index j reduces its triples (i, j, k), i < j < k, with the
     cross-product kernel; the slices are combined by compensated summation.
-    This is the exact-mode sum the package used before the pair form.
+    This is the exact-mode sum the package used before the pair form.  The
+    kernels share three buffers sized for the widest slice, so the sum's
+    speed does not hang on how malloc maps a fresh array per slice.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=float)
-    parts = [_middle_slice_sum(z, w, j) for j in range(len(z))]
+    n = len(z)
+    bufs = [np.empty(((n - 1) // 2) * (n // 2)) for _ in range(3)]
+    parts = [_middle_slice_sum(z, w, j, bufs) for j in range(n)]
     return 6.0 * math.fsum(parts)
 
 

@@ -395,7 +395,17 @@ def test_truncations_match_the_sorted_suffix_sums(name, corner):
     atoms = em.points[rng.choice(em.atom_count, 20, replace=False)]
     zs = np.concatenate([atoms, atoms[:10] + 0.003 + 0.001j, [2.0 + 0.5j]])
     r_grid = default_r_grid(em)
-    _, vals = cauchy_truncations(em, zs, r_grid)
+    tracemalloc.start()
+    try:
+        _, vals = cauchy_truncations(em, zs, r_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if name == "walks":
+        # 8 points a block on 7,875 atoms: the separations, their moduli and
+        # the bin keys (2.0 MB), not a second complex array of terms (3.7 MB)
+        assert em.atom_count == 7875
+        assert peak < 2.5e6
     assert vals.shape == (len(zs), len(r_grid))
     for z, row in zip(zs, vals):
         assert np.array_equal(cauchy_truncations(em, z, r_grid)[1], row)

@@ -628,9 +628,11 @@ def test_cli_flags_follow_the_config_key_table():
 _NO_SCIPY_RUN = """
 import sys
 import cantorlab
+print(sorted(m for m in sys.modules if m in ("concurrent.futures", "logging")))
 from cantorlab.lab import ExperimentConfig, run_experiment
 for name, shape, params in (("cauchy", "corner4", {"samples": 4000}),
                             ("regularity", "corner4", {"kmax": 4}),
+                            ("measure-scaling", "corner4", {"samples": 20000}),
                             ("green-comparability", "circle", {"samples": 20000})):
     run_experiment(ExperimentConfig(experiment=name, shape=shape, seed=1, threads=2,
                                     out=f"{sys.argv[1]}/{name}", params=params))
@@ -639,16 +641,20 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split("."
 
 
 def test_import_and_preset_runs_load_no_scipy(tmp_path):
-    """The import, a cauchy and a regularity run on corner4 and a
-    green-comparability run on the circle load no scipy module and not
-    numpy.ma, in a fresh interpreter: only fields of rotated maps need scipy,
-    and order statistics go through potential.quantile, not np.quantile."""
+    """The import, a cauchy, a regularity and a measure-scaling run on
+    corner4 and a green-comparability run on the circle load no scipy module
+    and not numpy.ma, in a fresh interpreter: only fields of rotated maps need
+    scipy, and order statistics go through potential.quantile, not
+    np.quantile.  The import loads neither concurrent.futures nor logging:
+    the sampler starts plain threads."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "[]"
     assert run.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "cauchy" / "cauchy.csv").exists()
     assert (tmp_path / "regularity" / "regularity.csv").exists()
+    assert (tmp_path / "measure-scaling" / "scaling.csv").exists()
     assert (tmp_path / "green-comparability" / "summary.txt").exists()

@@ -1,6 +1,7 @@
 """Walk-on-spheres sampling, potentials, Robin constants, regression fits."""
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -509,6 +510,58 @@ def test_shares_fill_a_walk_array():
         assert len(shares) == k
         assert sum(shares, []) == jobs
         assert min(map(len, shares)) >= min(potential.BATCH, chunks)
+
+
+def test_the_calling_thread_walks_the_first_share(monkeypatch, share_counts):
+    """A one-share run starts no thread and a two-share run starts one: share
+    0 is walked on the calling thread, and every helper is joined."""
+    started, walkers = [], {}
+    start, walk = threading.Thread.start, potential._walk_chunks
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def recorded_walk(shape, fld, cfg, jobs, stream=0):
+        walkers[jobs[0][0]] = threading.get_ident()
+        return walk(shape, fld, cfg, jobs, stream)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(potential, "_walk_chunks", recorded_walk)
+    monkeypatch.setattr(potential, "BATCH", 1)
+    before = threading.active_count()
+    for threads, samples in ((1, 2 * potential.CHUNK), (2, 1000)):
+        sample_harmonic_measure(Circle(), WalkConfig(samples=samples, seed=2, threads=threads))
+    assert started == []
+    assert walkers == {0: threading.get_ident()}
+    sample_harmonic_measure(Circle(), WalkConfig(samples=2 * potential.CHUNK, seed=2, threads=2))
+    assert share_counts == [1, 1, 2]
+    assert len(started) == 1 and not started[0].is_alive()
+    assert walkers[0] == threading.get_ident() != walkers[1]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)])
+def test_a_failing_share_raises_after_every_helper_joins(failing, monkeypatch):
+    """The first failing share's error, in share order, propagates from the
+    sampler once every helper thread has ended, share 0 failing included."""
+    walk = potential._walk_chunks
+    walkers = {}
+
+    def failing_walk(shape, fld, cfg, jobs, stream=0):
+        share = jobs[0][0]
+        walkers[share] = threading.get_ident()
+        if share in failing:
+            raise RuntimeError(f"share {share} failed")
+        return walk(shape, fld, cfg, jobs, stream)
+
+    monkeypatch.setattr(potential, "_walk_chunks", failing_walk)
+    monkeypatch.setattr(potential, "BATCH", 1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"share {failing[0]} failed"):
+        sample_harmonic_measure(Circle(), WalkConfig(samples=2 * potential.CHUNK, seed=2, threads=2))
+    assert threading.active_count() == before
+    assert walkers[0] == threading.get_ident() != walkers[1]
 
 
 @pytest.mark.parametrize("name", ["circle", "corner4"])
