@@ -157,6 +157,63 @@ class _Axis:
         return j, np.fmin(left, right, out=left)
 
 
+def _product_axes(rep: "Repeller", depth: int):
+    """The sorted x and y center coordinates of generation depth, each with its
+    axis word's base-fan offset, and the leaf coefficients, when J is a product
+    set; else None.
+
+    J is a product when no map rotates, the letters biject onto the pairs
+    (a, b) of distinct translation parts (x_a, y_b) as letter = a w_x + b w_y,
+    and either all ratios are equal or J lies on a coordinate axis through the
+    root center (a line set with unequal ratios).  The leaf index of the word
+    (a_1 b_1 .. a_k b_k) is then the sum of its two axis words' offsets.  Each
+    axis is built as cylinders builds centers, so its values have the bits of
+    np.unique over the generation's center coordinates.  The coefficients are
+    one shared value when all ratios are equal, else one per leaf.  Generation
+    0, the root disc alone, is a grid of one cell whatever the maps.
+    """
+    f = np.array([m.factor for m in rep.branches])
+    equal = bool(np.all(f == f[0]))
+    axes, on_axis = [], False
+    for part in ("real", "imag"):
+        t = [getattr(m.translation, part) for m in rep.branches]
+        values = list(dict.fromkeys(t))
+        index = [values.index(v) for v in t]
+        on_axis |= values == [0.0] and getattr(rep.root_center, part) == 0.0
+        # if the map is additive, the first letter with axis letter 1 has 0 on the other
+        axes.append((np.array(values), index, index.index(1) if len(values) > 1 else 0))
+    (xs, a, wx), (ys, b, wy) = axes
+    if depth and not (
+        (equal or on_axis)
+        and np.all(f.imag == 0.0)
+        and len(xs) * len(ys) == rep.fan
+        and all(letter == i * wx + j * wy for letter, (i, j) in enumerate(zip(a, b)))
+    ):
+        return None
+    built = []
+    for (values, _, w), root in zip(axes, (rep.root_center.real, rep.root_center.imag)):
+        # a line set's one axis has every letter, and any coefficient keeps its
+        # other axis at 0
+        n = len(values)
+        scale = f.real if n == rep.fan else np.full(n, f.real[0] if equal else 1.0)
+        coeff, off, word = np.ones(1), np.zeros(1), np.zeros(1, dtype=np.intp)
+        for _ in range(depth):
+            off = (coeff[:, None] * values[None, :] + off[:, None]).ravel()
+            coeff = (coeff[:, None] * scale[None, :]).ravel()
+            word = (word[:, None] * rep.fan + w * np.arange(n)).ravel()
+        u = coeff * root + off
+        order = np.argsort(u, kind="stable")
+        u = u[order]
+        if not np.all(u[1:] > u[:-1]):
+            return None  # two centers round to one coordinate: no grid
+        built.append((u, word[order], coeff))
+    (ux, xoff, cx), (uy, yoff, cy) = built
+    if equal:
+        return (ux, xoff), (uy, yoff), cx[:1]
+    # a line set: one axis is a single word, and the other's words are the leaves
+    return (ux, xoff), (uy, yoff), cx if len(cy) == 1 else cy
+
+
 class _LeafField:
     """Vectorized certified distance bounds from one cylinder generation.
 
@@ -164,40 +221,42 @@ class _LeafField:
     |z - c_n| + r_n (n the nearest center) an upper bound, since every
     cylinder disc contains points of J.  The bound gap is at most 2 * max_r.
 
-    Two searches find the nearest center and feed the same bounds.  When
-    the distinct real and imaginary parts of the centers span a grid with
-    exactly one center per cell (every preset: corner4 is C x C, the middle
-    sets C x {0}), the nearest center pairs the nearest value on each axis,
-    found through the axis's bucket table (_Axis, built once per field, and
-    fields are cached per depth); its distance has the same bits as a
-    KD-tree's, and exact ties go to the smaller coordinate.  Any other center
-    set, say one from rotated maps, is searched with a scipy cKDTree,
-    imported only then: no preset loads scipy.
+    Two searches find the nearest center and feed the same bounds.  When J is
+    a product set (_product_axes; every preset: corner4 is C x C, the middle
+    sets C x {0}), the centers fill a grid with one center per cell, and the
+    nearest center pairs the nearest value on each axis, found through the
+    axis's bucket table (_Axis, built once per field, and fields are cached
+    per depth).  Its distance has the same bits as a KD-tree's, exact ties go
+    to the smaller coordinate, and its leaf index is the sum of the two axis
+    words' offsets; no generation of cylinders is built.  Any other IFS, say
+    one with rotated maps, builds the generation and searches its centers
+    with a scipy cKDTree, imported only then: no preset loads scipy.
 
-    When every radius equals max_r (every preset), the upper bound is
-    d + max_r, so query needs only the distance d and builds no leaf index;
-    leaf, and query on fields with unequal radii, look the nearest leaf up.
+    When every radius equals max_r (every preset), radii is that one value
+    broadcast over the leaves, and the upper bound is d + max_r, so query
+    needs only the distance d and builds no leaf index; leaf, and query on
+    fields with unequal radii, look the nearest leaf up.
     """
 
     def __init__(self, rep: "Repeller", depth: int):
-        cs = rep.cylinders(depth)
         self.depth = depth
-        self.leaf_count = len(cs)
-        self.radii = cs.radii
-        self.rmax = float(cs.radii.max())
-        self._equal_radii = bool(np.all(cs.radii == self.rmax))
-        ux, ix = np.unique(cs.centers.real, return_inverse=True)
-        uy, iy = np.unique(cs.centers.imag, return_inverse=True)
+        self.leaf_count = rep.fan**depth
         self._tree = None
-        if len(ux) * len(uy) == len(cs):
-            # the centers are distinct, so they fill every cell once
-            self._axes = (_Axis(ux), _Axis(uy))
-            self._table = np.empty((len(ux), len(uy)), dtype=np.intp)
-            self._table[ix, iy] = np.arange(len(cs))
-        else:
+        product = _product_axes(rep, depth)
+        if product is None:
             from scipy.spatial import cKDTree
 
+            cs = rep.cylinders(depth)
+            radii = cs.radii
             self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
+        else:
+            (ux, xoff), (uy, yoff), coeff = product
+            radii = coeff * rep.root_radius
+            self._axes = (_Axis(ux), _Axis(uy))
+            self._offsets = (xoff, yoff)
+        self.radii = np.broadcast_to(radii, (self.leaf_count,))
+        self.rmax = float(radii.max())
+        self._equal_radii = bool(np.all(radii == self.rmax))
 
     def _nearest(self, z: np.ndarray, leaves: bool = True):
         """Distance to the nearest center, and its index when leaves is set."""
@@ -210,7 +269,7 @@ class _LeafField:
             return d, idx
         d = np.empty(z.shape)
         idx = np.empty(z.shape, dtype=np.intp) if leaves else None
-        ax, ay = self._axes
+        (ax, ay), (xoff, yoff) = self._axes, self._offsets
         for start in range(0, len(z), GRID_BLOCK):
             part = slice(start, start + GRID_BLOCK)
             # contiguous copies: an axis search reads its coordinates four times
@@ -218,7 +277,7 @@ class _LeafField:
             if leaves:
                 jx, dx = ax.nearest(x)
                 jy, dy = ay.nearest(y)
-                idx[part] = self._table[jx, jy]
+                np.add(xoff.take(jx), yoff.take(jy), out=idx[part])
             else:
                 dx, dy = ax.distance(x), ay.distance(y)
             # not hypot: the tree also takes the root of the sum of squares

@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 
 from cantorlab.curvature import cauchy_truncations
 from cantorlab.errors import ExcessiveDiscardError, SingularityError
+from cantorlab.geometry import _Axis
 from cantorlab.potential import (
     LAUNCH_FACTOR,
     MAX_STEPS,
@@ -541,6 +542,41 @@ def atom_replicate_dimension(rep, em: EmpiricalMeasure, fit_ks, counts) -> float
 
 
 # -- certified distance ---------------------------------------------------------
+
+
+class GridField:
+    """Nearest-center search over a whole generation through np.unique axes.
+
+    The construction product fields replaced: the distinct real and imaginary
+    parts of every cylinder center (np.unique with return_inverse), one _Axis
+    bucket table each, and a 2-D table of leaf indices by cell.  Only for
+    center sets that fill a grid with one center per cell.  Its bounds are
+    leaf_bounds.
+    """
+
+    def __init__(self, rep, depth: int):
+        cs = rep.cylinders(depth)
+        self.depth, self.leaf_count, self.radii = depth, len(cs), cs.radii
+        self.rmax = float(cs.radii.max())
+        ux, ix = np.unique(cs.centers.real, return_inverse=True)
+        uy, iy = np.unique(cs.centers.imag, return_inverse=True)
+        assert len(ux) * len(uy) == len(cs), "the centers fill no grid"
+        self.values = (ux, uy)
+        self.axes = (_Axis(ux), _Axis(uy))
+        self.table = np.empty((len(ux), len(uy)), dtype=np.intp)
+        self.table[ix, iy] = np.arange(len(cs))
+
+    def _nearest(self, z):
+        z = np.asarray(z)
+        jx, dx = self.axes[0].nearest(z.real.copy())
+        jy, dy = self.axes[1].nearest(z.imag.copy())
+        return np.sqrt(dx * dx + dy * dy), self.table[jx, jy]
+
+    def query(self, z):
+        return leaf_bounds(self, z)
+
+    def leaf(self, z):
+        return self._nearest(z)[1]
 
 
 def leaf_bounds(fld, z):

@@ -207,6 +207,23 @@ def test_criterion_7_determinism_across_threads(tmp_path, monkeypatch, share_cou
     )
 
 
+def test_criterion_7_holds_at_a_fine_stop_tol(tmp_path, monkeypatch, share_counts):
+    """dimension-gap on corner4 at stop_tol 1e-5 (a depth-10 field, depth-9
+    atoms) writes byte-identical files at 1 and 2 threads."""
+    monkeypatch.setattr(potential, "BATCH", 1)
+    manifests = {}
+    for threads in (1, 2):
+        cfg = ExperimentConfig(
+            experiment="dimension-gap", shape="corner4", seed=2, threads=threads,
+            out=str(tmp_path / f"t{threads}"), params={"samples": 12_288, "stop_tol": 1e-5},
+        )
+        manifests[threads] = run_experiment(cfg)
+    files_equal = manifests[1].files == manifests[2].files
+    ok = files_equal and share_counts == [1, 2]
+    report(7, ok, f"stop_tol 1e-5: checksums identical over threads 1/2: {files_equal}, "
+                  f"shares {share_counts}")
+
+
 def test_criterion_8_maximal_cauchy_stability(corner, corner_em_100k,
                                               corner_em_200k):
     """Truncated-transform maxima stable under walk doubling; far-field law."""

@@ -47,6 +47,7 @@ from _oracles import (
     csgraph_components,
     distance_interval,
     explicit_covering,
+    GridField,
     leaf_bounds,
     pairs_within,
     shell_quadrature,
@@ -414,6 +415,124 @@ def test_query_matches_the_leaf_bounds(name):
         if name == "golden" and fld.depth > 0:
             # unequal radii: d + rmax is not the nearest leaf's bound everywhere
             assert (hi < d + fld.rmax)[np.isfinite(z)].any()
+
+
+def _near_j(fld, centers, rng):
+    """Leaf centers and points within a few leaf radii of them."""
+    pick = centers[:: max(1, len(centers) // 2000)]
+    r = 3.0 * fld.rmax
+    jitter = rng.uniform(-r, r, (4, len(pick))) + 1j * rng.uniform(-r, r, (4, len(pick)))
+    return np.concatenate([pick, (pick + jitter).ravel()])
+
+
+@pytest.mark.parametrize("name", ["corner4", "middle-thirds", "middle-alpha:0.2", "golden"])
+def test_product_field_matches_the_unique_grid_oracle(name):
+    """The axes built from the maps give the bits of the np.unique grid over the
+    whole generation: axis values, query bounds, leaf indices, rmax and
+    leaf_count.  2.5e-6 is corner4's depth-10 field; golden would need 2^21
+    pieces for 1e-6."""
+    rep = golden_repeller() if name == "golden" else preset(name)
+    resolutions = [10.0, 1e-3, 2.5e-5, 2.5e-6] + ([] if name == "golden" else [1e-6])
+    rng = rng_stream(13, 0)
+    r = 3.0 * rep.root_radius
+    scattered = rep.root_center + rng.uniform(-r, r, 20_000) + 1j * rng.uniform(-r, r, 20_000)
+    inf, nan = np.inf, np.nan
+    odd = np.array([complex(x, y) for x in (-inf, inf, nan, 0.1) for y in (-inf, inf, nan, 0.2)])
+    for resolution in resolutions:
+        fld = rep.field(resolution)
+        ref = GridField(rep, fld.depth)
+        assert fld._tree is None
+        assert fld.leaf_count == ref.leaf_count
+        assert fld.rmax == ref.rmax
+        for axis, u in zip(fld._axes, ref.values):
+            assert _same_bits(axis.padded[1 : axis.last + 2], u)
+        centers = rep.cylinders(fld.depth).centers
+        near = _near_j(fld, centers, rng)
+        z = np.concatenate([scattered, _shell_points(rep, fld), near, odd])
+        with np.errstate(invalid="ignore"):  # inf - inf at the infinite points
+            lo, hi = fld.query(z)
+            lo_ref, hi_ref = ref.query(z)
+            leaf, leaf_ref = fld.leaf(z), ref.leaf(z)
+        assert _same_bits(lo, lo_ref)
+        assert _same_bits(hi, hi_ref)
+        assert leaf.dtype == leaf_ref.dtype and np.array_equal(leaf, leaf_ref)
+        # each leaf center is its own nearest center
+        assert np.array_equal(fld.leaf(centers), np.arange(len(centers)))
+    assert fld.depth == {"corner4": 10, "middle-thirds": 13, "middle-alpha:0.2": 9}.get(name, 19)
+
+
+def corner_in_order(*corners):
+    """corner4's four maps, listed in the letter order of the given corners."""
+    maps = [SimilarityMap(0.25, 0.0, complex(0.75 * x, 0.75 * y)) for x, y in corners]
+    return Repeller(maps, 0.5 + 0.5j, 1.0, name="corner4-reordered")
+
+
+@pytest.mark.parametrize(
+    "name, product",
+    [("rotated", False), ("non-additive", False), ("additive", True), ("golden", True),
+     ("rounded", False)],
+)
+def test_product_detection_keeps_the_nearest_leaf(name, product):
+    """Only maps without rotation whose letters are a w_x + b w_y take the axes.
+
+    corner4 listed as (0,0), (1,1), (0,1), (1,0) fills the same grid, but no
+    w_x, w_y give its letters, so it takes the KD-tree; listed as (0,0),
+    (0,1), (1,0), (1,1) its letters are 2a + b.  golden is a line set with
+    unequal ratios.  middle-alpha:0.001 at depth 7 has centers near 1 closer
+    than an ulp, which round to one value: no grid.  Either way leaf is a
+    brute-force nearest center.
+    """
+    rep = {
+        "rotated": rotated_pair,
+        "non-additive": lambda: corner_in_order((0, 0), (1, 1), (0, 1), (1, 0)),
+        "additive": lambda: corner_in_order((0, 0), (0, 1), (1, 0), (1, 1)),
+        "golden": golden_repeller,
+        "rounded": lambda: preset("middle-alpha:0.001"),
+    }[name]()
+    fld = rep.field(1e-21 if name == "rounded" else 1e-2)
+    assert (fld._tree is None) == product
+    assert fld._equal_radii == (name != "golden")
+    if name == "additive":
+        # letters 2a + b: every x word offset is twice a y word offset
+        assert np.array_equal(np.sort(fld._offsets[0]), 2 * np.sort(fld._offsets[1]))
+    rng = rng_stream(9, 1)
+    r = 1.5 * rep.bounding_radius
+    z = rep.bounding_center + rng.uniform(-r, r, 500) + 1j * rng.uniform(-r, r, 500)
+    _, centers, _ = rep.atoms(fld.depth)
+    assert len(centers) == fld.leaf_count
+    if name == "rounded":
+        assert len(np.unique(centers.real)) < len(centers)
+    # at the least distance to the bit, as centers that round together tie;
+    # the root of the sum of squares, as both searches take it
+    dx, dy = z.real[:, None] - centers.real, z.imag[:, None] - centers.imag
+    d = np.sqrt(dx * dx + dy * dy)
+    assert np.array_equal(d[np.arange(len(z)), fld.leaf(z)], d.min(axis=1))
+
+
+def test_product_field_builds_no_generation():
+    """corner4's depth-10 field comes from two axes of 1,024 values: the
+    generation and the np.unique grid it replaced peaked at 83 MB traced."""
+    rep = preset("corner4")
+    tracemalloc.start()
+    try:
+        fld = rep.field(2.5e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.depth == 10 and fld.leaf_count == 4**10
+    assert peak < 4_000_000
+    assert rep._cyl_cache == {}
+
+
+def test_sampler_builds_no_generation_below_its_atoms():
+    """At the default stop_tol the corner4 sampler walks on a depth-8 field and
+    bins into depth-7 atoms; generation 8 is never built."""
+    rep = preset("corner4")
+    cfg = WalkConfig(samples=4096, seed=1).resolve(rep)
+    sample_harmonic_measure(rep, cfg)
+    assert rep.field(cfg.stop_tol / 4.0).depth == 8
+    assert rep.atom_depth(cfg.stop_tol) == 7
+    assert max(rep._cyl_cache) == 7
 
 
 def test_scaling_equivariance(thirds):
