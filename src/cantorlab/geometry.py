@@ -37,6 +37,10 @@ SHELL_MAX_REFINE = 3
 #: hard cap on the cells of one shell quadrature grid, checked before it is built
 SHELL_CELL_CAP = 2**25
 
+#: a shell grid level is expanded, queried and pruned SHELL_BLOCK parent
+#: cells at a time, so no field query takes more than 4 * SHELL_BLOCK points
+SHELL_BLOCK = 1024
+
 #: the grid nearest-center search takes at most GRID_BLOCK points at a time,
 #: so its temporaries stay a few MB even for shell grids of millions of cells
 GRID_BLOCK = 1 << 16
@@ -800,7 +804,9 @@ def _shell_quadratures(
     Halving the target adds exactly one halving to the grid, and pruning at a
     level does not depend on the target, so each grid continues from the kept
     centres of the one before; the midpoint values are those of the last
-    level's query.
+    level's query.  A level is checked against SHELL_CELL_CAP whole, then
+    expanded, queried and pruned SHELL_BLOCK parents at a time, and only the
+    kept centres and their midpoint values are joined, once per level.
     """
     h = shape.bounding_radius + r_out
     target = r_in / SHELL_BASE_CELLS
@@ -813,15 +819,21 @@ def _shell_quadratures(
                 raise ResourceLimitError(
                     f"shell grid needs {4 * len(centers)} cells, cap {SHELL_CELL_CAP}"
                 )
-            mid = None  # free the last grid's values before the fourfold expansion
+            mid = None  # free the last grid's values before the next level's
             h *= 0.5
             off = np.array([h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h])
-            centers = (centers[:, None] + off[None, :]).ravel()
-            lo, hi = fld.query(centers)
             pad = h * sq2
-            keep = (hi + pad >= r_in) & (lo - pad < r_out)
-            centers, mid = centers[keep], 0.5 * (lo[keep] + hi[keep])
-            del lo, hi, keep
+            kept, mids = [], []
+            for start in range(0, len(centers), SHELL_BLOCK):
+                block = (centers[start : start + SHELL_BLOCK, None] + off).ravel()
+                lo, hi = fld.query(block)
+                keep = (hi + pad >= r_in) & (lo - pad < r_out)
+                kept.append(block[keep])
+                mids.append(0.5 * (lo[keep] + hi[keep]))
+            centers = np.concatenate(kept)  # frees the parents
+            del kept
+            mid = np.concatenate(mids)
+            del mids
         yield _midpoint_sum(mid, power, r_in, r_out, (2.0 * h) ** 2)
         target *= 0.5
 
@@ -845,7 +857,8 @@ def shell_integral_sums(
     agree to rtol; failure to converge within SHELL_MAX_REFINE doublings
     raises QuadratureError.  They run from the deepest, whose grids are
     largest, so a grid above SHELL_CELL_CAP cells raises ResourceLimitError
-    in the first one.
+    in the first one.  Each grid level is queried and pruned SHELL_BLOCK
+    parent cells at a time, and only its kept cells are held.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

@@ -379,17 +379,23 @@ def _walk_chunks(shape, fld, cfg: WalkConfig, jobs, stream: int = 0):
     """Walk the chunks jobs = [(chunk_index, n), ...] in one refilled array.
 
     Chunk c launches n walks on the launch circle and draws from the
-    substream (seed, stream, c).  Returns the leaf counts of all their
-    stopped walks and the number of walks discarded at the step limit.
+    substream (seed, stream, c).  Returns the atom counts of all their
+    stopped walks and the number of walks discarded at the step limit.  The
+    atoms, generation atom_depth(stop_tol), are contiguous runs of group
+    field leaves, so a stopped walk's atom is its leaf // group.
     """
     center = shape.bounding_center
     launch = LAUNCH_FACTOR * shape.bounding_radius
+    n_atoms = shape.fan ** shape.atom_depth(cfg.stop_tol)
+    group = fld.leaf_count // n_atoms
 
     def start(rng, n):
         return center + launch * _turn(rng.random(n))
 
     def absorb(stopped):
-        return np.bincount(fld.leaf(stopped), minlength=fld.leaf_count)
+        atom = fld.leaf(stopped)
+        atom //= group
+        return np.bincount(atom, minlength=n_atoms)
 
     jobs = [(rng_stream(cfg.seed, stream, c), n) for c, n in jobs]
     return _walk(fld.query, jobs, start, absorb, cfg.stop_tol, center, launch)
@@ -406,7 +412,9 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     """Sample harmonic measure of the complement of J seen from far away.
 
     Returns an EmpiricalMeasure whose atoms sit at the centers of the pieces
-    of radius about stop_tol, weighted by stopped-walk counts.  Raises
+    of radius about stop_tol, weighted by stopped-walk counts, which each
+    share tallies per atom: no array spans the leaves of the stop_tol / 4
+    field the walks run on.  Raises
     ExcessiveDiscardError when over 1% of walks exhaust MAX_STEPS.  Chunk c
     walks on the substream (seed, stream, c); two runs at one seed are
     independent when their stream keys differ, and otherwise the smaller
@@ -435,22 +443,18 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     walk(0)
     for t in helpers:
         t.join()
-    counts = np.zeros(fld.leaf_count, dtype=np.int64)
-    discarded = 0
+    atom_counts, discarded = 0, 0
     for out in walked:
         if isinstance(out, BaseException):
             raise out
-        counts += out[0]
+        atom_counts += out[0]
         discarded += out[1]
     if discarded > DISCARD_LIMIT * cfg.samples:
         raise ExcessiveDiscardError(
             f"{discarded} of {cfg.samples} walks hit the step limit "
             f"{MAX_STEPS} (allowed {DISCARD_LIMIT:.0%})"
         )
-    atom_k = shape.atom_depth(cfg.stop_tol)
-    codes, centers, _ = shape.atoms(atom_k)
-    group = fld.leaf_count // len(centers)
-    atom_counts = counts.reshape(len(centers), group).sum(axis=1)
+    codes, centers, _ = shape.atoms(shape.atom_depth(cfg.stop_tol))
     occupied = atom_counts > 0
     weights = atom_counts[occupied].astype(float)
     return EmpiricalMeasure(

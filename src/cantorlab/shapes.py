@@ -48,11 +48,13 @@ class Shape(Protocol):
     field(resolution) certifies distances to within 2 * resolution;
     atom_depth(target_radius) is the piece generation whose radius first
     drops to target_radius, and atoms(depth) gives the codes, centers and
-    radii of all pieces at a generation.  in_outer_domain(z) marks points
-    of the unbounded complementary component.
+    radii of all pieces at a generation: fan**depth of them, each piece
+    split into fan contiguous ones at the next generation.
+    in_outer_domain(z) marks points of the unbounded complementary component.
     """
 
     name: str
+    fan: int
 
     @property
     def bounding_center(self) -> complex: ...
@@ -101,6 +103,8 @@ class _ExactField:
 
 class _ExactShape:
     """Closed-form shape whose generation-k pieces have radius piece_radius(k)."""
+
+    fan = 2  # each piece halves
 
     def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
         return np.ones(np.asarray(z).shape, dtype=bool)

@@ -479,6 +479,16 @@ def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     return counts, z.size
 
 
+def atom_counts(shape, cfg: WalkConfig, leaf_counts):
+    """Fold per-leaf counts into counts of the sampler's atoms.
+
+    The atoms are the pieces of generation atom_depth(stop_tol), built here
+    to count them; each is a contiguous run of equally many leaves.
+    """
+    n_atoms = len(shape.atoms(shape.atom_depth(cfg.stop_tol))[0])
+    return leaf_counts.reshape(n_atoms, -1).sum(axis=1)
+
+
 def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
     """Fraction of walks from z0 hitting the pole disc before J."""
     z = np.full(n, complex(z0))

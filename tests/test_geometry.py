@@ -923,9 +923,11 @@ def test_shell_cap_refuses_in_the_deepest_shell_before_querying(monkeypatch):
     # corner4 at a = 4, kmax = 2: shell 2 renews from shell 1, the deepest
     # shell that uses quadrature, whose grids reach 72,624 cells; shell 0's
     # stay below 7,400, so a 2^16 cap trips only in shell 1 and only the
-    # shell order decides what ran before
+    # shell order decides what ran before; with blocks of cap / 4 parents,
+    # every level within the cap is one query
     cap = 2**16
     monkeypatch.setattr("cantorlab.geometry.SHELL_CELL_CAP", cap)
+    monkeypatch.setattr("cantorlab.geometry.SHELL_BLOCK", cap // 4)
     log = []
 
     def shells(shape, fld, power, r_in, r_out):
@@ -953,6 +955,43 @@ def test_shell_cap_refuses_in_the_deepest_shell_before_querying(monkeypatch):
     assert [r for kind, r in log if kind == "shell"] == [4.0**-2]
     sizes = [n for kind, n in log if kind == "query"]
     assert sizes and max(sizes) <= cap < 4 * max(sizes)
+
+
+def test_shell_grids_are_queried_a_block_at_a_time():
+    """middle-thirds at a = 3, kmax = 7 expands each grid level 1,024 parents
+    at a time: its finest level, 70,400 points in one query when levels were
+    queried whole, takes queries of at most 4,096."""
+    rep, sizes = preset("middle-thirds"), []
+    build = rep.field
+
+    def field(resolution):
+        fld = build(resolution)
+        query = fld.query
+
+        def counted(z):
+            sizes.append(len(z))
+            return query(z)
+
+        fld.query = counted
+        return fld
+
+    object.__setattr__(rep, "field", field)
+    shell_integral_sums(rep, delta=LOG2_OVER_LOG3, a=3.0, kmax=7)
+    assert max(sizes) <= 4 * 1024
+    assert sum(sizes) > 70_400
+
+
+def test_shell_sums_hold_no_whole_level_of_queries():
+    """The same sums peak below 4 MB traced (4.8 MB when a level was expanded,
+    queried and pruned whole), field build included."""
+    rep = preset("middle-thirds")
+    tracemalloc.start()
+    try:
+        shell_integral_sums(rep, delta=LOG2_OVER_LOG3, a=3.0, kmax=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_renewal_levels_run_no_clustering_and_no_quadrature(monkeypatch):

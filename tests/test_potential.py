@@ -28,6 +28,7 @@ from cantorlab import (
     green_model,
     log_potential,
     natural_measure,
+    preset,
     robin_constant,
     sample_harmonic_measure,
 )
@@ -403,7 +404,7 @@ def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
 
     The references walk one chunk on one stream and bin and count stopped
     walks inside the loop, step by step; the merged loop walks the chunks in
-    one refilled array and bins stopped walks in blocks.
+    one refilled array and bins stopped walks into atoms in blocks.
     """
     shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
     cfg = WalkConfig(samples=1, seed=11).resolve(shape)
@@ -413,7 +414,7 @@ def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
     def live_per_chunk():
         counts, live = potential._walk_chunks(shape, fld, cfg, jobs)
         refs = [_oracles.walk_chunk(shape, fld, cfg, i, n) for i, n in jobs]
-        assert np.array_equal(counts, sum(c for c, _ in refs))
+        assert np.array_equal(counts, _oracles.atom_counts(shape, cfg, sum(c for c, _ in refs)))
         assert live == sum(lv for _, lv in refs)
         assert counts.sum() + live == sum(n for _, n in jobs)
         return [lv for _, lv in refs]
@@ -473,7 +474,7 @@ def test_refilled_array_matches_chunks_walked_alone(name, max_steps, corner, mon
     for k in range(1, len(jobs) + 1):
         seen.clear()
         counts, live = potential._walk_chunks(shape, fld, cfg, jobs[:k])
-        assert np.array_equal(counts, sum(c for c, _ in refs[:k]))
+        assert np.array_equal(counts, _oracles.atom_counts(shape, cfg, sum(c for c, _ in refs[:k])))
         assert live == sum(lv for _, lv in refs[:k])
         assert max(a for a, _ in seen) <= 2 * potential.CHUNK
     # some step queried more walks than the last one left live: a refill
@@ -608,6 +609,29 @@ def test_sampler_holds_no_count_array_per_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 10 * leaves * 8
+
+
+def test_sampler_counts_atoms_not_leaves():
+    """At stop_tol 1e-5 corner4 walks on the depth-10 field, 4^10 leaves, and
+    bins into the 4^9 depth-9 atoms.  Stopped walks are counted per atom, so
+    no array over the leaves is built: counted per leaf, two chunks on one
+    thread peaked at 19.5 MB traced with the atoms and the field built first."""
+    rep = preset("corner4")
+    cfg = WalkConfig(samples=2 * potential.CHUNK, seed=5, stop_tol=1e-5, threads=1)
+    n_atoms = len(rep.cylinders(9).centers)
+    fld = rep.field(cfg.stop_tol / 4.0)
+    assert (fld.leaf_count, n_atoms) == (4**10, 4**9)
+    tracemalloc.start()
+    try:
+        em = sample_harmonic_measure(rep, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert em.code_depth == 9
+    counts, discarded = potential._walk_chunks(rep, fld, cfg, [(0, potential.CHUNK)])
+    assert len(counts) == n_atoms
+    assert counts.sum() + discarded == potential.CHUNK
 
 
 def test_bhp_fit_identical_poles_has_zero_envelope():
