@@ -41,10 +41,6 @@ SHELL_CELL_CAP = 2**25
 #: cells at a time, so no field query takes more than 4 * SHELL_BLOCK points
 SHELL_BLOCK = 1024
 
-#: the grid nearest-center search takes at most GRID_BLOCK points at a time,
-#: so its temporaries stay a few MB even for shell grids of millions of cells
-GRID_BLOCK = 1 << 16
-
 #: a grid axis is searched through at most AXIS_BUCKET_CAP buckets of one
 #: smallest gap each; finer axes share buckets and take more in-bucket steps
 AXIS_BUCKET_CAP = 1 << 16
@@ -161,6 +157,18 @@ class _Axis:
         return j, np.fmin(left, right, out=left)
 
 
+def _compose(factor: np.ndarray, shift: np.ndarray, depth: int):
+    """Per word of depth letters, in lexicographic order, the coeff and off of
+    its map z -> coeff * z + off, where letter a is z -> factor[a] * z + shift[a]
+    and a word's first letter is applied last."""
+    coeff = np.ones(1, dtype=np.result_type(factor, shift))
+    off = np.zeros_like(coeff)
+    for _ in range(depth):
+        off = (coeff[:, None] * shift[None, :] + off[:, None]).ravel()
+        coeff = (coeff[:, None] * factor[None, :]).ravel()
+    return coeff, off
+
+
 def _product_axes(rep: "Repeller", depth: int):
     """The sorted x and y center coordinates of generation depth, each with its
     axis word's base-fan offset, and the leaf coefficients, when J is a product
@@ -200,10 +208,9 @@ def _product_axes(rep: "Repeller", depth: int):
         # other axis at 0
         n = len(values)
         scale = f.real if n == rep.fan else np.full(n, f.real[0] if equal else 1.0)
-        coeff, off, word = np.ones(1), np.zeros(1), np.zeros(1, dtype=np.intp)
+        coeff, off = _compose(scale, values, depth)
+        word = np.zeros(1, dtype=np.intp)
         for _ in range(depth):
-            off = (coeff[:, None] * values[None, :] + off[:, None]).ravel()
-            coeff = (coeff[:, None] * scale[None, :]).ravel()
             word = (word[:, None] * rep.fan + w * np.arange(n)).ravel()
         u = coeff * root + off
         order = np.argsort(u, kind="stable")
@@ -271,25 +278,21 @@ class _LeafField:
             d, idx = np.abs(z.real) + np.abs(z.imag), np.zeros(z.shape, dtype=np.intp)
             d[ok], idx[ok] = self._tree.query(np.column_stack([z.real[ok], z.imag[ok]]))
             return d, idx
-        d = np.empty(z.shape)
-        idx = np.empty(z.shape, dtype=np.intp) if leaves else None
         (ax, ay), (xoff, yoff) = self._axes, self._offsets
-        for start in range(0, len(z), GRID_BLOCK):
-            part = slice(start, start + GRID_BLOCK)
-            # contiguous copies: an axis search reads its coordinates four times
-            x, y = z.real[part].copy(), z.imag[part].copy()
-            if leaves:
-                jx, dx = ax.nearest(x)
-                jy, dy = ay.nearest(y)
-                np.add(xoff.take(jx), yoff.take(jy), out=idx[part])
-            else:
-                dx, dy = ax.distance(x), ay.distance(y)
-            # not hypot: the tree also takes the root of the sum of squares
-            dx *= dx
-            dy *= dy
-            dx += dy
-            np.sqrt(dx, out=d[part])
-        return d, idx
+        # contiguous copies: an axis search reads its coordinates four times
+        x, y = z.real.copy(), z.imag.copy()
+        idx = None
+        if leaves:
+            jx, dx = ax.nearest(x)
+            jy, dy = ay.nearest(y)
+            idx = xoff.take(jx) + yoff.take(jy)
+        else:
+            dx, dy = ax.distance(x), ay.distance(y)
+        # not hypot: the tree also takes the root of the sum of squares
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx), idx
 
     def query(self, z: np.ndarray):
         d, idx = self._nearest(z, leaves=not self._equal_radii)
@@ -303,13 +306,15 @@ class _LeafField:
         return self._nearest(z)[1]
 
 
-class Repeller:
+class Repeller(Shape):
     """A separated similarity IFS together with its root disc.
 
     Raises OverlapError if two branch images of the root disc come closer
     than SEPARATION_MARGIN * root_radius, and EscapeError if any image is
     not strictly inside the root disc.
     """
+
+    piece_cap = CYLINDER_CAP
 
     def __init__(
         self,
@@ -379,43 +384,17 @@ class Repeller:
         span = np.hypot(d.real, d.imag) + r[:, None] + r[None, :]
         return min(float(span.max()), 2.0 * self.root_radius)
 
-    def max_cylinder_radius(self, k: int) -> float:
+    def piece_radius(self, k: int) -> float:
         return self.root_radius * self.max_scale**k
-
-    def atom_depth(self, target_radius: float) -> int:
-        """Smallest generation whose largest cylinder radius is <= target."""
-        if target_radius <= 0:
-            raise ValueError("target radius must be positive")
-        k = 0
-        while self.max_cylinder_radius(k) > target_radius:
-            k += 1
-            if self.fan**k > CYLINDER_CAP:
-                raise ResourceLimitError(
-                    f"atom depth {k} needs more than {CYLINDER_CAP} cylinders"
-                )
-        return k
 
     def cylinders(self, k: int) -> CylinderSet:
         """All generation-k cylinders in lexicographic code order."""
-        if k < 0:
-            raise ValueError("generation must be >= 0")
-        if self.fan**k > CYLINDER_CAP:
-            raise ResourceLimitError(
-                f"generation {k} has {self.fan ** k} cylinders, cap {CYLINDER_CAP}"
-            )
         if k in self._cyl_cache:
             return self._cyl_cache[k]
+        codes = self.words(k)
         bf = np.array([b.factor for b in self.branches])
         bt = np.array([b.translation for b in self.branches])
-        coeffs = np.array([1.0 + 0j])
-        offsets = np.array([0j])
-        codes = np.zeros((1, 0), dtype=np.uint8)
-        for _ in range(k):
-            new_coeffs = (coeffs[:, None] * bf[None, :]).ravel()
-            new_offsets = (coeffs[:, None] * bt[None, :] + offsets[:, None]).ravel()
-            letter = np.tile(np.arange(self.fan, dtype=np.uint8), len(coeffs))
-            codes = np.column_stack([np.repeat(codes, self.fan, axis=0), letter])
-            coeffs, offsets = new_coeffs, new_offsets
+        coeffs, offsets = _compose(bf, bt, k)
         cs = CylinderSet(
             codes=codes,
             centers=coeffs * self.root_center + offsets,
@@ -428,10 +407,6 @@ class Repeller:
     def atoms(self, depth: int):
         cs = self.cylinders(depth)
         return cs.codes, cs.centers, cs.radii
-
-    def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
-        # totally disconnected set: the complement is one connected piece
-        return np.ones(np.asarray(z).shape, dtype=bool)
 
     # -- certified distance ------------------------------------------------
 
@@ -640,7 +615,7 @@ class CoveringReport:
 def _covering_generation(rep: Repeller, eps: float, k: int) -> int:
     """Coarsest generation whose cylinders all have radius below eps / 4."""
     g = 0
-    while rep.max_cylinder_radius(g) >= eps / 4.0:
+    while rep.piece_radius(g) >= eps / 4.0:
         g += 1
         if rep.fan**g > CYLINDER_CAP:
             raise ResourceLimitError(
@@ -740,7 +715,7 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
         g = _covering_generation(rep, eps, k)
         n, diag = clusters(eps, g, k)
         counts.append(n)
-        diams.append(diag + 2.0 * (rep.max_cylinder_radius(g) + eps))
+        diams.append(diag + 2.0 * (rep.piece_radius(g) + eps))
     ks = np.arange(kmax + 1)
     x = ks * math.log(a)
     y = np.log(counts)

@@ -50,7 +50,7 @@ from .errors import (
     SingularityError,
     VarianceError,
 )
-from .geometry import Repeller
+from .geometry import Repeller, similarity_dimension
 from .shapes import Shape
 
 TWO_PI = 2.0 * np.pi
@@ -227,8 +227,6 @@ def natural_measure(rep: Repeller, k: int) -> EmpiricalMeasure:
     Weights follow the Moran rule (product of scale^dimension along the
     word), which for equal scales is the uniform distribution on cylinders.
     """
-    from .geometry import similarity_dimension
-
     cs = rep.cylinders(k)
     delta = similarity_dimension(rep)
     w = (cs.radii / rep.root_radius) ** delta

@@ -2,8 +2,8 @@
 
 The shapes here have closed-form distance functions, so their fields are
 exact and the leaf index only matters when stopped walks are binned into
-atoms.  Fractal repellers implement the same :class:`Shape` surface in
-:mod:`cantorlab.geometry` with a tree-based field.
+atoms.  Fractal repellers in :mod:`cantorlab.geometry` inherit the same
+:class:`Shape` base, with a tree-based field.
 """
 
 from __future__ import annotations
@@ -40,49 +40,58 @@ class DistanceField(Protocol):
     def leaf(self, z: np.ndarray) -> np.ndarray: ...
 
 
-class Shape(Protocol):
-    """What the sampling and quadrature code uses of a compact set J.
+class Shape:
+    """What the sampling and quadrature code uses of a compact set J: the base
+    class of every boundary, exact shapes and repellers alike.
 
     name labels file headers; the disc of bounding_center and
     bounding_radius contains J, and diameter is that of J itself.
-    field(resolution) certifies distances to within 2 * resolution;
-    atom_depth(target_radius) is the piece generation whose radius first
-    drops to target_radius, and atoms(depth) gives the codes, centers and
-    radii of all pieces at a generation: fan**depth of them, each piece
-    split into fan contiguous ones at the next generation.
-    in_outer_domain(z) marks points of the unbounded complementary component.
+    field(resolution) certifies distances to within 2 * resolution.  The
+    pieces of generation k number fan**k, each piece split into fan
+    contiguous ones at the next generation, and have radius at most
+    piece_radius(k); atoms(depth) gives the codes, centers and radii of all
+    pieces at a generation, and no generation of more than piece_cap pieces
+    is built.  in_outer_domain(z) marks points of the unbounded
+    complementary component.
     """
 
     name: str
     fan: int
+    piece_cap: int
 
-    @property
-    def bounding_center(self) -> complex: ...
-    @property
-    def bounding_radius(self) -> float: ...
-    @property
-    def diameter(self) -> float: ...
-    def field(self, resolution: float) -> DistanceField: ...
-    def atom_depth(self, target_radius: float) -> int: ...
-    def atoms(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-    def in_outer_domain(self, z: np.ndarray) -> np.ndarray: ...
+    def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
+        # a set with no holes: the complement is one connected piece
+        return np.ones(np.asarray(z).shape, dtype=bool)
 
+    def atom_depth(self, target_radius: float) -> int:
+        """Smallest generation whose pieces all have radius <= target_radius."""
+        if target_radius <= 0:
+            raise ValueError("target radius must be positive")
+        k = 0
+        while self.piece_radius(k) > target_radius:
+            k += 1
+            if self.fan**k > self.piece_cap:
+                raise ResourceLimitError(f"{self.name} pieces of radius {target_radius:g} "
+                                         f"number more than the cap {self.piece_cap}")
+        return k
 
-def binary_codes(depth: int) -> np.ndarray:
-    """All binary words of a given length, lexicographic, as a (2^depth, depth) array.
+    def words(self, depth: int) -> np.ndarray:
+        """All words of depth letters, lexicographic, as a (fan**depth, depth) uint8 array.
 
-    Raises ValueError below depth 0, ResourceLimitError (before allocating) above PIECE_CAP.
-    """
-    if depth < 0:
-        raise ValueError("generation must be >= 0")
-    if 1 << depth > PIECE_CAP:
-        raise ResourceLimitError(f"depth {depth} has 2^{depth} pieces, cap {PIECE_CAP}")
-    idx = np.arange(1 << depth, dtype=np.int64)
-    # column by column, so no int64 array of the full table is ever built
-    codes = np.empty((1 << depth, depth), dtype=np.uint8)
-    for j in range(depth):
-        codes[:, j] = (idx >> (depth - 1 - j)) & 1
-    return codes
+        Raises ValueError below depth 0, ResourceLimitError (before allocating)
+        above piece_cap words.
+        """
+        if depth < 0:
+            raise ValueError("generation must be >= 0")
+        n = self.fan**depth
+        if n > self.piece_cap:
+            raise ResourceLimitError(f"generation {depth} has {n} pieces, cap {self.piece_cap}")
+        codes = np.empty((n, depth), dtype=np.uint8)
+        letters = np.arange(self.fan, dtype=np.uint8)[:, None]
+        for j in range(depth):
+            # letter j runs through 0..fan-1 in blocks of fan**(depth - 1 - j) rows
+            codes.reshape(self.fan**j, self.fan, -1, depth)[..., j] = letters
+        return codes
 
 
 class _ExactField:
@@ -101,25 +110,28 @@ class _ExactField:
         return self.shape.leaf_index(z, self.depth)
 
 
-class _ExactShape:
-    """Closed-form shape whose generation-k pieces have radius piece_radius(k)."""
+class _ExactShape(Shape):
+    """Closed-form shape whose generation-k pieces have radius piece_radius(k).
+
+    The pieces of generation k split a parameter t in [0, 1] into 2^k equal
+    intervals: _param(z) is the parameter of z's nearest point on the shape,
+    and _center(m, n) the point at parameter m / n.
+    """
 
     fan = 2  # each piece halves
-
-    def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
-        return np.ones(np.asarray(z).shape, dtype=bool)
-
-    def atom_depth(self, target_radius: float) -> int:
-        k = 0
-        while self.piece_radius(k) > target_radius:
-            k += 1
-            if 1 << k > PIECE_CAP:
-                raise ResourceLimitError(f"{self.name} pieces of radius {target_radius:g} "
-                                         f"number more than the cap {PIECE_CAP}")
-        return k
+    piece_cap = PIECE_CAP
 
     def field(self, resolution: float) -> _ExactField:
         return _ExactField(self, self.atom_depth(resolution))
+
+    def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
+        n = self.fan**depth
+        return np.minimum((self._param(z) * n).astype(np.int64), n - 1)
+
+    def atoms(self, depth: int):
+        codes = self.words(depth)
+        n = len(codes)
+        return codes, self._center(np.arange(n) + 0.5, n), np.full(n, self.piece_radius(depth))
 
 
 @dataclass(frozen=True)
@@ -159,22 +171,15 @@ class Circle(_ExactShape):
         # the circle bounds a hole; probes must avoid the enclosed disc
         return np.abs(np.asarray(z) - self.center) > self.radius
 
-    def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
-        rel = np.asarray(z) - self.center
-        frac = (np.arctan2(rel.imag, rel.real) / TWO_PI) % 1.0
-        return np.minimum((frac * (1 << depth)).astype(np.int64), (1 << depth) - 1)
+    def _param(self, z: np.ndarray) -> np.ndarray:
+        return (np.angle(np.asarray(z) - self.center) / TWO_PI) % 1.0
+
+    def _center(self, m: np.ndarray, n: int) -> np.ndarray:
+        return self.center + self.radius * np.exp(1j * (TWO_PI * m / n))
 
     def piece_radius(self, depth: int) -> float:
         # half arc length bounds the distance from arc midpoint to any arc point
         return np.pi * self.radius / (1 << depth)
-
-    def atoms(self, depth: int):
-        codes = binary_codes(depth)
-        n = len(codes)
-        ang = TWO_PI * (np.arange(n) + 0.5) / n
-        centers = self.center + self.radius * np.exp(1j * ang)
-        radii = np.full(n, self.piece_radius(depth))
-        return codes, centers, radii
 
 
 @dataclass(frozen=True)
@@ -215,20 +220,11 @@ class Segment(_ExactShape):
         t = self._param(z)
         return np.abs(np.asarray(z) - (self.a + t * (self.b - self.a)))
 
-    def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
-        t = self._param(z)
-        return np.minimum((t * (1 << depth)).astype(np.int64), (1 << depth) - 1)
+    def _center(self, m: np.ndarray, n: int) -> np.ndarray:
+        return self.a + m / n * (self.b - self.a)
 
     def piece_radius(self, depth: int) -> float:
         return abs(self.b - self.a) / (2 << depth)
-
-    def atoms(self, depth: int):
-        codes = binary_codes(depth)
-        n = len(codes)
-        t = (np.arange(n) + 0.5) / n
-        centers = self.a + t * (self.b - self.a)
-        radii = np.full(n, self.piece_radius(depth))
-        return codes, centers, radii
 
 
 @dataclass(frozen=True)

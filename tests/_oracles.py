@@ -317,7 +317,7 @@ def covering_components(rep, eps: float) -> tuple[int, float]:
     pairwise comparison, and merges links with a Python union-find.
     """
     g = 0
-    while rep.max_cylinder_radius(g) >= eps / 4.0:
+    while rep.piece_radius(g) >= eps / 4.0:
         g += 1
     cs = rep.cylinders(g)
     centers, radii = cs.centers, cs.radii
@@ -355,7 +355,7 @@ def explicit_covering(rep, a: float, kmax: int) -> tuple[tuple, tuple]:
     for k in range(kmax + 1):
         eps = float(a) ** (-k)
         g = 0
-        while rep.max_cylinder_radius(g) >= eps / 4.0:
+        while rep.piece_radius(g) >= eps / 4.0:
             g += 1
         cs = rep.cylinders(g)
         centers, radii = cs.centers, cs.radii
@@ -514,6 +514,63 @@ def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
     if finished < 0.99 * n:
         raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
     return hits / finished, finished
+
+
+# -- piece generations ------------------------------------------------------------
+#
+# The references below are the cylinder and exact-shape piece generations as they
+# were written before every shape read one lexicographic word table: cylinder
+# codes stacked a column per generation with np.repeat and np.tile, binary
+# codes from the bits of the row index, and each exact shape's own formulas.
+
+
+def binary_codes(depth: int) -> np.ndarray:
+    """All binary words of a given length, lexicographic: row i holds the bits of i."""
+    idx = np.arange(1 << depth, dtype=np.int64)
+    codes = np.empty((1 << depth, depth), dtype=np.uint8)
+    for j in range(depth):
+        codes[:, j] = (idx >> (depth - 1 - j)) & 1
+    return codes
+
+
+def stacked_cylinders(rep, k: int):
+    """Codes, centers and radii of generation k, one generation at a time."""
+    bf = np.array([b.factor for b in rep.branches])
+    bt = np.array([b.translation for b in rep.branches])
+    coeffs = np.array([1.0 + 0j])
+    offsets = np.array([0j])
+    codes = np.zeros((1, 0), dtype=np.uint8)
+    for _ in range(k):
+        new_coeffs = (coeffs[:, None] * bf[None, :]).ravel()
+        new_offsets = (coeffs[:, None] * bt[None, :] + offsets[:, None]).ravel()
+        letter = np.tile(np.arange(rep.fan, dtype=np.uint8), len(coeffs))
+        codes = np.column_stack([np.repeat(codes, rep.fan, axis=0), letter])
+        coeffs, offsets = new_coeffs, new_offsets
+    return codes, coeffs * rep.root_center + offsets, np.abs(coeffs) * rep.root_radius
+
+
+def exact_pieces(shape, depth: int):
+    """Codes, centers and radii of a circle's arcs or a segment's intervals."""
+    codes = binary_codes(depth)
+    n = len(codes)
+    if hasattr(shape, "radius"):
+        ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        centers = shape.center + shape.radius * np.exp(1j * ang)
+    else:
+        t = (np.arange(n) + 0.5) / n
+        centers = shape.a + t * (shape.b - shape.a)
+    return codes, centers, np.full(n, shape.piece_radius(depth))
+
+
+def exact_leaf_index(shape, z: np.ndarray, depth: int) -> np.ndarray:
+    """Index of the arc or interval of a generation holding each point's nearest point."""
+    if hasattr(shape, "radius"):
+        rel = z - shape.center
+        t = (np.arctan2(rel.imag, rel.real) / (2.0 * np.pi)) % 1.0
+    else:
+        u = shape.b - shape.a
+        t = np.clip(((z - shape.a) * np.conj(u)).real / abs(u) ** 2, 0.0, 1.0)
+    return np.minimum((t * (1 << depth)).astype(np.int64), (1 << depth) - 1)
 
 
 # -- cylinder partitions and the dimension bootstrap ---------------------------

@@ -43,14 +43,18 @@ from cantorlab.potential import rng_stream
 from cantorlab.shapes import PIECE_CAP
 
 from _oracles import (
+    binary_codes,
     covering_components,
     csgraph_components,
     distance_interval,
+    exact_leaf_index,
+    exact_pieces,
     explicit_covering,
     GridField,
     leaf_bounds,
     pairs_within,
     shell_quadrature,
+    stacked_cylinders,
 )
 from test_curvature import golden_repeller, rotated_repeller
 
@@ -219,7 +223,74 @@ def test_exact_shape_piece_cap_enforced():
 def test_atom_depth_monotone(thirds):
     assert thirds.atom_depth(0.75) == 0
     k = thirds.atom_depth(1e-3)
-    assert thirds.max_cylinder_radius(k) <= 1e-3 < thirds.max_cylinder_radius(k - 1)
+    assert thirds.piece_radius(k) <= 1e-3 < thirds.piece_radius(k - 1)
+
+
+@pytest.mark.parametrize(
+    "name, kmax", [("corner4", 9), ("middle-thirds", 15), ("golden", 13), ("rotated", 13)]
+)
+def test_cylinders_keep_the_bits_of_the_stacked_reference(name, kmax):
+    rep = {"golden": golden_repeller, "rotated": rotated_pair}.get(name, lambda: preset(name))()
+    for k in range(kmax + 1):
+        cs = rep.cylinders(k)
+        codes, centers, radii = stacked_cylinders(rep, k)
+        assert cs.codes.dtype == codes.dtype and np.array_equal(cs.codes, codes)
+        assert cs.centers.tobytes() == centers.tobytes()
+        assert cs.radii.tobytes() == radii.tobytes()
+
+
+@pytest.mark.parametrize("shape", [Circle(), Circle(0.5 - 1j, 2.0), Segment(), Segment(-1 + 0.5j, 2 + 1j)])
+def test_exact_pieces_keep_the_bits_of_their_formulas(shape):
+    rng = rng_stream(12, 0)
+    r = 2.0 * shape.bounding_radius
+    z = shape.bounding_center + rng.uniform(-r, r, 2000) + 1j * rng.uniform(-r, r, 2000)
+    # and the ends of every piece down to depth 15, and the bounding center
+    ends = shape._center(np.arange((1 << 15) + 1), 1 << 15)
+    z = np.concatenate([z, ends, [shape.bounding_center]])
+    for depth in (0, 5, 15):
+        codes, centers, radii = shape.atoms(depth)
+        old_codes, old_centers, old_radii = exact_pieces(shape, depth)
+        assert codes.dtype == old_codes.dtype and np.array_equal(codes, old_codes)
+        assert centers.tobytes() == old_centers.tobytes()
+        assert radii.tobytes() == old_radii.tobytes()
+        assert np.array_equal(shape.leaf_index(z, depth), exact_leaf_index(shape, z, depth))
+
+
+@pytest.mark.parametrize("fan", [2, 3, 4])
+def test_word_table_is_the_lexicographic_product(fan):
+    shape = {2: Circle(), 3: rotated_repeller(), 4: preset("corner4")}[fan]
+    assert shape.fan == fan
+    for depth in range(6):
+        words = shape.words(depth)
+        assert words.dtype == np.uint8 and words.shape == (fan**depth, depth)
+        assert [tuple(w) for w in words] == list(itertools.product(range(fan), repeat=depth))
+    assert np.array_equal(Circle().words(12), binary_codes(12))
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "middle-thirds"])
+def test_word_table_over_the_cap_is_refused_before_allocating(name):
+    shape = resolve_shape(name)
+    first_over = next(d for d in itertools.count() if shape.fan**d > shape.piece_cap)
+    tracemalloc.start()
+    try:
+        for depth in (first_over, 64):
+            for build in (shape.words, shape.atoms):
+                with pytest.raises(ResourceLimitError, match=f"cap {shape.piece_cap}"):
+                    build(depth)
+        with pytest.raises(ResourceLimitError, match=f"cap {shape.piece_cap}"):
+            shape.atom_depth(1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "point", "corner4"])
+def test_atom_depth_refuses_a_radius_that_is_not_positive(name):
+    shape = resolve_shape(name)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            shape.atom_depth(radius)
 
 
 # -- certified distance -----------------------------------------------------------
@@ -248,7 +319,7 @@ def test_leaf_field_brackets_distance(thirds):
         lo, hi = fld.query(z)
         leaf = fld.leaf(z)
         assert (lo <= hi).all()
-        assert (hi - lo <= 2.0 * rep.max_cylinder_radius(fld.depth) + 1e-12).all()
+        assert (hi - lo <= 2.0 * rep.piece_radius(fld.depth) + 1e-12).all()
         assert leaf.min() >= 0 and leaf.max() < fld.leaf_count
         for zi, l, h in zip(z[:50], lo[:50], hi[:50]):
             iv = distance_interval(rep, complex(zi), tol=1e-9)

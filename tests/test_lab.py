@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
@@ -658,3 +659,57 @@ def test_import_and_preset_runs_load_no_scipy(tmp_path):
     assert (tmp_path / "regularity" / "regularity.csv").exists()
     assert (tmp_path / "measure-scaling" / "scaling.csv").exists()
     assert (tmp_path / "green-comparability" / "summary.txt").exists()
+
+
+def _load_tracer():
+    """perfbench's span recorder, loaded by file path (perfbench is no package)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_records_the_layer_spans_and_changes_no_output(tmp_path):
+    """The benchmark's traced pass sets field on each resolved shape with
+    object.__setattr__, reassigns each field's query and rebinds the layer
+    entry points lab calls.  A repeller run that builds a field and a sampled
+    run on an exact shape must leave their spans and write the files an
+    untraced run writes: a slotted shape, a field property or a renamed hook
+    would break this."""
+    import cantorlab
+
+    tracer = _load_tracer()
+    runs = (("lemma-L", "middle-thirds", {"kmax": 2}),
+            ("green-comparability", "circle", {"samples": 4000}))
+
+    def configs(root):
+        return [ExperimentConfig(experiment=name, shape=shape, seed=1, threads=2,
+                                 out=str(root / name), params=params)
+                for name, shape, params in runs]
+
+    recorder = tracer.Tracer()
+    with recorder.installed(cantorlab) as traced_run:
+        for cfg in configs(tmp_path / "traced"):
+            traced_run(cfg)
+    for cfg in configs(tmp_path / "plain"):
+        run_experiment(cfg)
+    assert lab.resolve_shape is resolve_shape
+    work = {}
+    for span in recorder.spans:
+        work[span[tracer.NAME]] = work.get(span[tracer.NAME], 0) + span[tracer.COUNT]
+    for layer in ("geometry", "shapes"):
+        assert work[f"{layer}.field_build"] > 0 and work[f"{layer}.field_query"] > 0, layer
+    assert work["potential.sample_harmonic_measure"] == 4000
+    for name, _, _ in runs:
+        traced, plain = read_tree(tmp_path / "traced" / name), read_tree(tmp_path / "plain" / name)
+        assert set(traced) == set(plain)
+        for file in plain:
+            if file == "manifest.json":
+                manifests = [json.loads(t[file]) for t in (traced, plain)]
+                for m in manifests:
+                    del m["wall_clock"]
+                assert manifests[0] == manifests[1]
+            else:
+                assert traced[file] == plain[file], (name, file)
