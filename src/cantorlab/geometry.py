@@ -612,16 +612,10 @@ class CoveringReport:
         return len(self.counts) - 1
 
 
-def _covering_generation(rep: Repeller, eps: float, k: int) -> int:
+def _covering_generation(rep: Repeller, eps: float) -> int:
     """Coarsest generation whose cylinders all have radius below eps / 4."""
-    g = 0
-    while rep.piece_radius(g) >= eps / 4.0:
-        g += 1
-        if rep.fan**g > CYLINDER_CAP:
-            raise ResourceLimitError(
-                f"covering at k={k} needs generation {g}, over the cylinder cap"
-            )
-    return g
+    # the largest float below eps / 4 turns atom_depth's <= into the strict <
+    return rep.atom_depth(np.nextafter(eps / 4.0, 0.0))
 
 
 def _first_level_gap(rep: Repeller) -> float:
@@ -645,6 +639,57 @@ def _lattice_steps(rep: Repeller, a: float) -> list:
     return steps
 
 
+def _scale_base(a, kmax: int) -> float:
+    """a as a float; refused unless finite and above 1, with a^-(kmax+1) above 0."""
+    a = float(a)
+    if not (math.isfinite(a) and a > 1.0 and a ** -(kmax + 1) > 0.0):
+        raise ValueError(f"scale base a must exceed 1, be finite and keep a^-(kmax+1) "
+                         f"above 0, got a={a:g} with kmax={kmax}")
+    return a
+
+
+def _renewal(shape: Shape, a: float, levels, direct, combine) -> list:
+    """Values at levels (k, radii, g), renewed past the separation scale.
+
+    A node is (radii, g): radii are (a^-k, a^-(k+1), ...) or their rescalings,
+    g a generation or None.  Once twice its outer radius radii[0] is below the
+    smallest gap between first-level discs (never on an exact shape), branch
+    i's child has the radii over s_i, or a^-(k-m+j) for a lattice step m (see
+    _lattice_steps), and generation g - 1, and the node's value is
+    combine(child values in branch order).  The other nodes are found depth
+    first and memoised on (radii, g); direct(nodes) gives their values in
+    that order.
+    """
+    gap = _first_level_gap(shape) if isinstance(shape, Repeller) else 0.0
+    steps = _lattice_steps(shape, a) if gap > 0 else []
+    children: dict = {}  # node -> its children, or None if computed directly
+
+    def plan(node, k):
+        if node in children:
+            return
+        radii, g = node
+        if not 2.0 * radii[0] < gap:
+            children[node] = None
+            return
+        kids = []
+        for b, m in zip(shape.branches, steps):
+            lattice = k is not None and m is not None
+            kid = (tuple(a ** -(k - m + j) for j in range(len(radii))) if lattice
+                   else tuple(r / b.scale for r in radii), None if g is None else g - 1)
+            plan(kid, k - m if lattice else None)
+            kids.append(kid)
+        children[node] = kids  # after its children: insertion order is bottom-up
+
+    for k, radii, g in levels:
+        plan((radii, g), k)
+    nodes = [node for node, kids in children.items() if kids is None]
+    values = dict(zip(nodes, direct(nodes)))
+    for node, kids in children.items():
+        if kids is not None:
+            values[node] = combine([values[kid] for kid in kids])
+    return [values[radii, g] for _, radii, g in levels]
+
+
 def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     """Count components of shrinking neighborhoods of J and fit their growth.
 
@@ -657,9 +702,9 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     Past the separation scale, once 2 eps is below the smallest gap between
     first-level discs, no link joins two first-level branches, and branch i's
     links at eps are those of the whole set at eps / s_i, one generation up
-    (renewal: m(eps) = sum_i m(eps / s_i)).  So only scales above the
-    separation scale are clustered, from the close_pairs candidates that pass
-    the link test, and no deeper generation is built.
+    (renewal: m(eps) = sum_i m(eps / s_i), planned by _renewal).  So only
+    scales above the separation scale are clustered, from the close_pairs
+    candidates that pass the link test, and no deeper generation is built.
 
     A level's diameter is its widest component's diagonal plus the pad
     2 (r_max + eps), r_max the generation's largest cylinder radius.  Above
@@ -670,32 +715,15 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     turn the bounding box, and the renewal value is then a different upper
     bound on the center spread, since diam(S_i K) = s_i diam(K).
     """
-    if a <= 1:
-        raise ValueError("scale base a must exceed 1")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    # the cylinder cap still bounds the deepest covering generation, though
-    # renewal no longer builds it: checked before any work
-    _covering_generation(rep, float(a) ** (-kmax), kmax)
-    gap = _first_level_gap(rep)
-    steps = _lattice_steps(rep, float(a))
-    memo: dict = {}
+    a = _scale_base(a, kmax)
+    # every level's generation, and so the cylinder cap, before any cylinder is built
+    levels = [(k, (a**-k,), _covering_generation(rep, a**-k)) for k in range(kmax + 1)]
 
-    def clusters(eps: float, g: int, k):
-        """Component count and largest bounding-box diagonal of the centers of
-        the generation-g cylinders at eps = a^-k."""
-        if (eps, g) in memo:
-            return memo[eps, g]
-        if g >= 1 and 2.0 * eps < gap:
-            parts = []
-            for b, m in zip(rep.branches, steps):
-                if k is None or m is None:
-                    parts.append(clusters(eps / b.scale, g - 1, None))
-                else:
-                    parts.append(clusters(float(a) ** -(k - m), g - 1, k - m))
-            ns, diags = zip(*parts)
-            memo[eps, g] = (sum(ns), max(b.scale * d for b, d in zip(rep.branches, diags)))
-            return memo[eps, g]
+    def clusters(node):
+        """Component count and widest bounding-box diagonal of generation g's centers at eps."""
+        (eps,), g = node
         cs = rep.cylinders(g)
         centers, radii = cs.centers, cs.radii
         i, j = close_pairs(centers, 2.0 * eps + 2.0 * float(radii.max()))
@@ -705,25 +733,22 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
         lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
         np.minimum.at(lo, labels, xy)
         np.maximum.at(hi, labels, xy)
-        memo[eps, g] = (n, max(math.hypot(w, h) for w, h in hi - lo))
-        return memo[eps, g]
+        return n, max(math.hypot(w, h) for w, h in hi - lo)
 
-    counts = []
-    diams = []
-    for k in range(kmax + 1):
-        eps = float(a) ** (-k)
-        g = _covering_generation(rep, eps, k)
-        n, diag = clusters(eps, g, k)
-        counts.append(n)
-        diams.append(diag + 2.0 * (rep.piece_radius(g) + eps))
+    def combine(parts):
+        ns, diags = zip(*parts)
+        return sum(ns), max(b.scale * d for b, d in zip(rep.branches, diags))
+
+    tops = _renewal(rep, a, levels, lambda nodes: map(clusters, nodes), combine)
+    counts = [n for n, _ in tops]
+    diams = [d + 2.0 * (rep.piece_radius(g) + eps) for (_, d), (_, (eps,), g) in zip(tops, levels)]
     ks = np.arange(kmax + 1)
     x = ks * math.log(a)
-    y = np.log(counts)
-    slope = np.polyfit(x, y, 1)[0]
+    slope = np.polyfit(x, np.log(counts), 1)[0]
     c_count = float(np.max(np.array(counts) / np.exp(slope * x)))
-    c_diam = float(np.max(np.array(diams) * np.asarray(a, dtype=float) ** ks))
+    c_diam = float(np.max(np.array(diams) * a**ks))
     return CoveringReport(
-        a=float(a),
+        a=a,
         counts=tuple(int(c) for c in counts),
         diameters=tuple(float(d) for d in diams),
         delta_reg=float(slope),
@@ -825,8 +850,8 @@ def shell_integral_sums(
     On a repeller, an annulus with r_out below half the smallest gap between
     first-level discs lies in the disjoint neighborhoods of the first-level
     images, so with p = (1-delta)(2+delta)
-    S(r_in, r_out) = sum_i s_i^(2-p) S(r_in / s_i, r_out / s_i) (renewal),
-    memoised on the exact radii.  Only the annuli above that scale, and every
+    S(r_in, r_out) = sum_i s_i^(2-p) S(r_in / s_i, r_out / s_i) (renewal,
+    planned by _renewal).  Only the annuli above that scale, and every
     shell of an exact shape, are integrated, on a field built for the deepest
     of them: each on successively halved midpoint grids until two refinements
     agree to rtol; failure to converge within SHELL_MAX_REFINE doublings
@@ -837,56 +862,31 @@ def shell_integral_sums(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if a <= 1:
-        raise ValueError("scale base a must exceed 1")
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    a = _scale_base(a, kmax)
     power = (1.0 - delta) * (2.0 + delta)
-    a = float(a)
-    renewal = isinstance(shape, Repeller)
-    gap = _first_level_gap(shape) if renewal else 0.0
-    steps = _lattice_steps(shape, a) if renewal else []
-    renewals: dict = {}  # annulus -> [(weight, rescaled annulus)]
-    quadratures = set()
 
-    def plan(r_in, r_out, k):
-        """Sort an annulus (r_in = a^-(k+1), r_out = a^-k when k is set) and its children."""
-        if (r_in, r_out) in renewals or (r_in, r_out) in quadratures:
-            return
-        if r_out >= 0.5 * gap:
-            quadratures.add((r_in, r_out))
-            return
-        children = []
-        for b, m in zip(shape.branches, steps):
-            if k is None or m is None:
-                child = (r_in / b.scale, r_out / b.scale, None)
-            else:
-                child = (a ** -(k - m + 1), a ** -(k - m), k - m)
-            plan(*child)
-            children.append((b.scale ** (2.0 - power), child[:2]))
-        renewals[r_in, r_out] = children
-
-    shells = [(a ** -(k + 1), a ** -k) for k in range(kmax + 1)]
-    for k, (r_in, r_out) in enumerate(shells):
-        plan(r_in, r_out, k)
-    fld = shape.field(min(quadratures)[0] / 8.0)
-    sums: dict = {}
-    for r_in, r_out in sorted(quadratures):
-        refinements = _shell_quadratures(shape, fld, power, r_in, r_out)
-        prev = next(refinements)
-        for _ in range(SHELL_MAX_REFINE):
+    def quadratures(nodes):
+        annuli = sorted(radii[::-1] for radii, _ in nodes)  # (r_in, r_out), deepest first
+        fld = shape.field(annuli[0][0] / 8.0)
+        sums: dict = {}
+        for r_in, r_out in annuli:
+            refinements = _shell_quadratures(shape, fld, power, r_in, r_out)
             cur = next(refinements)
-            if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-                prev = cur
-                break
-            prev = cur
-        else:
-            raise QuadratureError(
-                f"shell [{r_in:.6g}, {r_out:.6g}) quadrature did not stabilize to rtol={rtol}"
-            )
-        sums[r_in, r_out] = prev
+            for _ in range(SHELL_MAX_REFINE):
+                prev, cur = cur, next(refinements)
+                if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+                    break
+            else:
+                raise QuadratureError(f"shell [{r_in:.6g}, {r_out:.6g}) quadrature "
+                                      f"did not stabilize to rtol={rtol}")
+            sums[r_out, r_in] = cur
+        return [sums[radii] for radii, _ in nodes]
 
-    def total(annulus):
-        if annulus not in sums:
-            sums[annulus] = sum(w * total(child) for w, child in renewals[annulus])
-        return sums[annulus]
+    def combine(parts):
+        return sum(b.scale ** (2.0 - power) * s for b, s in zip(shape.branches, parts))
 
-    return ShellSumReport(delta=float(delta), a=a, sums=tuple(total(s) for s in shells))
+    levels = [(k, (a**-k, a ** -(k + 1)), None) for k in range(kmax + 1)]
+    sums = _renewal(shape, a, levels, quadratures, combine)
+    return ShellSumReport(delta=float(delta), a=a, sums=tuple(sums))

@@ -733,7 +733,7 @@ def test_rotated_covering_diameters_bound_every_component():
     assert cov.counts == explicit_covering(rep, a, kmax)[0]
     for k in range(kmax + 1):
         eps = a ** (-k)
-        cs = rep.cylinders(_covering_generation(rep, eps, k))
+        cs = rep.cylinders(_covering_generation(rep, eps))
         dist = np.abs(cs.centers[:, None] - cs.centers[None, :])
         i, j = np.nonzero(dist <= cs.radii[:, None] + cs.radii[None, :] + 2.0 * eps)
         n, labels = csgraph_components(len(cs), i, j)
@@ -741,9 +741,16 @@ def test_rotated_covering_diameters_bound_every_component():
         assert cov.diameters[k] >= widest + 2.0 * (float(cs.radii.max()) + eps)
 
 
-def test_covering_generations_need_not_step_by_one(thirds):
+def test_covering_generations_need_not_step_by_one(thirds, corner):
     # 0.75 * 3^-(k+1) = 3^-k / 4 exactly, so rounding decides both levels
-    assert _covering_generation(thirds, 3.0**-1, 1) == _covering_generation(thirds, 3.0**-2, 2) == 3
+    assert _covering_generation(thirds, 3.0**-1) == _covering_generation(thirds, 3.0**-2) == 3
+    # corner4 at a = 4: piece_radius(k + 1) = 4^-(k+1) is eps / 4 itself, so the
+    # strict rule radius < eps / 4 takes one generation more than atom_depth(eps / 4)
+    for k in range(8):
+        eps = 4.0**-k
+        assert corner.piece_radius(k + 1) == eps / 4
+        assert _covering_generation(corner, eps) == k + 2
+        assert corner.atom_depth(eps / 4) == k + 1
 
 
 def test_covering_component_count_matches_flood_fill(thirds):
@@ -775,6 +782,42 @@ def test_covering_counts_validation(thirds, corner):
         covering_counts(thirds, a=3.0, kmax=0)
     with pytest.raises(ResourceLimitError):
         covering_counts(corner, a=4.0, kmax=9)
+
+
+def test_covering_cap_refuses_before_any_cylinder_or_pair(monkeypatch, corner):
+    """corner4 at a = 4, kmax = 9 covers its last level with generation 11,
+    4^11 cylinders: atom_depth refuses it while the levels' generations are
+    found, before any cylinder is built or any pair is sought."""
+    calls = []
+    cylinders = Repeller.cylinders
+
+    def record(self, k):
+        calls.append(("cylinders", k))
+        return cylinders(self, k)
+
+    def pairs(z, reach):
+        calls.append(("close_pairs", len(z)))
+        return close_pairs(z, reach)
+
+    monkeypatch.setattr(Repeller, "cylinders", record)
+    monkeypatch.setattr("cantorlab.geometry.close_pairs", pairs)
+    with pytest.raises(ResourceLimitError, match="cap 1048576"):
+        covering_counts(corner, a=4.0, kmax=9)
+    assert calls == []
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, 1e300, 1.0, 0.5])
+def test_scale_base_must_be_finite_above_one_and_not_underflow(thirds, corner, a):
+    # 1e300^-3 underflows to 0: the deepest radius of kmax = 2 would be 0
+    with pytest.raises(ValueError, match="scale base a must exceed 1"):
+        covering_counts(corner, a=a, kmax=2)
+    with pytest.raises(ValueError, match="scale base a must exceed 1"):
+        shell_integral_sums(thirds, delta=0.5, a=a, kmax=2)
+
+
+def test_shell_sums_refuse_a_negative_kmax(thirds):
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        shell_integral_sums(thirds, delta=0.5, a=3.0, kmax=-1)
 
 
 # -- close pairs and components ---------------------------------------------------

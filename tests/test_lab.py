@@ -227,6 +227,52 @@ def test_cli_reports_out_of_range_keys_without_writing(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma-l", "middle-thirds", "--a", "inf"],
+        ["regularity", "corner4", "--a", "nan"],
+        ["regularity", "corner4", "--a", "1e300", "--kmax", "2"],
+    ],
+    ids=["lemma-l-inf", "regularity-nan", "regularity-underflow"],
+)
+def test_cli_refuses_a_scale_base_in_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "scale"
+    assert main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale base a must exceed 1") and err.count("\n") == 1
+    assert not out.exists()
+
+
+#: sha256 of regularity.csv and lemma_l.csv at seed 1: the covering diameters
+#: and the renewal shells, bit for bit
+TABLE_SHA256 = [
+    ("regularity", "corner4", {}, "regularity.csv",
+     "12191d2d61a9327ff393dc9327d75a2723c3afbc8952bf2bcd0cdb957b4afb9d"),
+    ("regularity", "middle-thirds", {}, "regularity.csv",
+     "5b760e31cd2e1030c26bcff6e0ae560cc687298fd2a298f2488d51ce18278c1f"),
+    # a = 2.5 is no power of 1/s, so the renewal levels divide by the scales
+    ("regularity", "middle-alpha:0.2", {"a": 2.5}, "regularity.csv",
+     "58163c959561936c54841d9a30c6e41bbafaa3012c5552ad80c520aaf0bdc7c9"),
+    ("lemma-L", "middle-thirds", {"kmax": 7}, "lemma_l.csv",
+     "67eaf326268e37d6cfecb6588911a81102d7be24d59dbd9ef85a4a11f0cf9923"),
+    ("lemma-L", "corner4", {"delta": 0.5}, "lemma_l.csv",
+     "2e88ab1470c91080b9f0caf0d382f34dacb75300f8c762e8479046c2af50916a"),
+    ("lemma-L", "circle", {"delta": 0.5, "kmax": 4}, "lemma_l.csv",
+     "e0e02c7d8bf4ef32232d3a27cd1f3ed871359fc9710750b302a69581e4022e50"),
+]
+
+
+@pytest.mark.parametrize("experiment, shape, params, name, digest", TABLE_SHA256,
+                         ids=[f"{e}-{s}" for e, s, *_ in TABLE_SHA256])
+def test_covering_and_shell_tables_keep_their_bytes(tmp_path, experiment, shape, params,
+                                                    name, digest):
+    out = tmp_path / "table"
+    run_experiment(ExperimentConfig(experiment=experiment, shape=shape, seed=1, out=str(out),
+                                    params=params))
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_config_hash_ignores_threads_and_out():
     a = ExperimentConfig(experiment="cauchy", shape="circle", seed=3,
                          threads=1, out="x")
