@@ -19,6 +19,7 @@ from .lab import (
     resolve_shape,
     run_experiment,
 )
+from .shapes import code_rows, require_digit_codes
 
 _SHAPE_HELP = "preset (corner4, middle-thirds, middle-alpha:<r>, circle, segment) or IFS file"
 
@@ -59,22 +60,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args) -> int:
     shape = resolve_shape(args.shape)
-    codes, centers, radii = shape.atoms(args.depth)
+    if args.out:
+        require_digit_codes(shape.fan)
+    atoms = shape.atoms(args.depth)
     if isinstance(shape, Repeller):
         print(f"{args.shape}: {len(shape.branches)} branches, "
               f"similarity dimension {similarity_dimension(shape):.6f}, "
-              f"{len(centers)} atoms at depth {args.depth}")
+              f"{len(atoms)} atoms at depth {args.depth}")
     else:
-        print(f"{args.shape}: {len(centers)} atoms at depth {args.depth}")
+        print(f"{args.shape}: {len(atoms)} atoms at depth {args.depth}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "atoms.csv")
         if os.path.exists(path) and not args.force:
             raise OutputCollisionError(f"{path} exists (pass --force to overwrite)")
-        lines = [f"# shape={args.shape} depth={args.depth}", "code,x,y,radius"]
-        for code, c, r in zip(codes, centers, radii):
-            word = "".join(map(str, code.tolist()))
-            lines.append(f"{word},{float(c.real)!r},{float(c.imag)!r},{float(r)!r}")
+        lines = [f"# shape={args.shape} depth={args.depth}", "code,x,y,radius",
+                 *code_rows(atoms.codes, atoms.centers, atoms.radii)]
         text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:
             fh.write(text)

@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimitError,
     QuadratureError,
 )
-from .shapes import DistanceField, Shape
+from .shapes import CylinderSet, DistanceField, Shape, words
 
 #: hard cap on the number of cylinders any operation may instantiate
 CYLINDER_CAP = 4**10
@@ -65,22 +65,6 @@ class SimilarityMap:
 
     def __call__(self, z: complex) -> complex:
         return self.factor * z + self.translation
-
-
-@dataclass(frozen=True)
-class CylinderSet:
-    """All cylinders of one generation, in lexicographic code order.
-
-    codes is a (d^k, k) uint8 array; centers and radii give the disc image of
-    the root disc under each length-k composition.
-    """
-
-    codes: np.ndarray
-    centers: np.ndarray
-    radii: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.centers)
 
 
 class _Axis:
@@ -179,7 +163,7 @@ def _product_axes(rep: "Repeller", depth: int):
     and either all ratios are equal or J lies on a coordinate axis through the
     root center (a line set with unequal ratios).  The leaf index of the word
     (a_1 b_1 .. a_k b_k) is then the sum of its two axis words' offsets.  Each
-    axis is built as cylinders builds centers, so its values have the bits of
+    axis is built as atoms builds centers, so its values have the bits of
     np.unique over the generation's center coordinates.  The coefficients are
     one shared value when all ratios are equal, else one per leaf.  Generation
     0, the root disc alone, is a grid of one cell whatever the maps.
@@ -208,10 +192,10 @@ def _product_axes(rep: "Repeller", depth: int):
         # other axis at 0
         n = len(values)
         scale = f.real if n == rep.fan else np.full(n, f.real[0] if equal else 1.0)
+        # einsum, not @: matmul first casts the whole uint8 word table to int64
+        place = w * rep.fan ** np.arange(depth)[::-1]
+        word = np.einsum("ij,j->i", words(n, depth, rep.piece_cap), place)
         coeff, off = _compose(scale, values, depth)
-        word = np.zeros(1, dtype=np.intp)
-        for _ in range(depth):
-            word = (word[:, None] * rep.fan + w * np.arange(n)).ravel()
         u = coeff * root + off
         order = np.argsort(u, kind="stable")
         u = u[order]
@@ -257,7 +241,7 @@ class _LeafField:
         if product is None:
             from scipy.spatial import cKDTree
 
-            cs = rep.cylinders(depth)
+            cs = rep.atoms(depth)
             radii = cs.radii
             self._tree = cKDTree(np.column_stack([cs.centers.real, cs.centers.imag]))
         else:
@@ -311,7 +295,9 @@ class Repeller(Shape):
 
     Raises OverlapError if two branch images of the root disc come closer
     than SEPARATION_MARGIN * root_radius, and EscapeError if any image is
-    not strictly inside the root disc.
+    not strictly inside the root disc.  first_level_gap is the smallest gap
+    between two first-level discs: below it covering counts and shell sums
+    renew.
     """
 
     piece_cap = CYLINDER_CAP
@@ -332,29 +318,31 @@ class Repeller(Shape):
         self.root_radius = float(root_radius)
         self.name = name
         self._validate()
-        self._cyl_cache: dict[int, CylinderSet] = {}
         self._field_cache: dict[int, _LeafField] = {}
 
     def _validate(self):
+        """Check generation 1 for overlap and escape, and keep its smallest gap."""
         margin = SEPARATION_MARGIN * self.root_radius
-        centers = [b(self.root_center) for b in self.branches]
-        radii = [b.scale * self.root_radius for b in self.branches]
-        n = len(centers)
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = abs(centers[i] - centers[j]) - (radii[i] + radii[j])
-                if gap < margin:
-                    raise OverlapError(
-                        f"branch images {i} and {j} overlap or nearly touch "
-                        f"(gap {gap:.3e}, required {margin:.3e})"
-                    )
-        for i in range(n):
-            reach = abs(centers[i] - self.root_center) + radii[i]
-            if reach >= self.root_radius - margin:
-                raise EscapeError(
-                    f"branch image {i} is not strictly inside the root disc "
-                    f"(reach {reach:.6g} vs radius {self.root_radius:.6g})"
-                )
+        first = self.atoms(1)
+        c, r = first.centers, first.radii
+        i, j = np.triu_indices(len(first), 1)
+        gaps = np.abs(c[i] - c[j]) - r[i] - r[j]
+        overlaps = np.flatnonzero(gaps < margin)
+        if len(overlaps):
+            k = overlaps[0]
+            raise OverlapError(
+                f"branch images {i[k]} and {j[k]} overlap or nearly touch "
+                f"(gap {gaps[k]:.3e}, required {margin:.3e})"
+            )
+        reach = np.abs(c - self.root_center) + r
+        escapes = np.flatnonzero(reach >= self.root_radius - margin)
+        if len(escapes):
+            k = escapes[0]
+            raise EscapeError(
+                f"branch image {k} is not strictly inside the root disc "
+                f"(reach {reach[k]:.6g} vs radius {self.root_radius:.6g})"
+            )
+        self.first_level_gap = float(gaps.min())
 
     # -- cylinder hierarchy ------------------------------------------------
 
@@ -377,7 +365,7 @@ class Repeller(Shape):
     @property
     def diameter(self) -> float:
         # conservative: J sits inside the union of first-generation discs
-        cs = self.cylinders(1)
+        cs = self.atoms(1)
         c, r = cs.centers, cs.radii
         d = c[:, None] - c[None, :]
         # hypot, not np.abs: it rounds like abs(complex), np.abs can differ by an ulp
@@ -387,26 +375,14 @@ class Repeller(Shape):
     def piece_radius(self, k: int) -> float:
         return self.root_radius * self.max_scale**k
 
-    def cylinders(self, k: int) -> CylinderSet:
-        """All generation-k cylinders in lexicographic code order."""
-        if k in self._cyl_cache:
-            return self._cyl_cache[k]
-        codes = self.words(k)
+    def atoms(self, depth: int) -> CylinderSet:
+        """All generation-depth cylinders in lexicographic code order."""
+        codes = self.words(depth)
         bf = np.array([b.factor for b in self.branches])
         bt = np.array([b.translation for b in self.branches])
-        coeffs, offsets = _compose(bf, bt, k)
-        cs = CylinderSet(
-            codes=codes,
-            centers=coeffs * self.root_center + offsets,
-            radii=np.abs(coeffs) * self.root_radius,
-        )
-        if k <= 12:
-            self._cyl_cache[k] = cs
-        return cs
-
-    def atoms(self, depth: int):
-        cs = self.cylinders(depth)
-        return cs.codes, cs.centers, cs.radii
+        coeffs, offsets = _compose(bf, bt, depth)
+        centers = coeffs * self.root_center + offsets
+        return CylinderSet(codes, centers, np.abs(coeffs) * self.root_radius)
 
     # -- certified distance ------------------------------------------------
 
@@ -618,13 +594,6 @@ def _covering_generation(rep: Repeller, eps: float) -> int:
     return rep.atom_depth(np.nextafter(eps / 4.0, 0.0))
 
 
-def _first_level_gap(rep: Repeller) -> float:
-    """Smallest gap between two first-level cylinder discs."""
-    cs = rep.cylinders(1)
-    i, j = np.triu_indices(len(cs), 1)
-    return float(np.min(np.abs(cs.centers[i] - cs.centers[j]) - cs.radii[i] - cs.radii[j]))
-
-
 def _lattice_steps(rep: Repeller, a: float) -> list:
     """Per branch, the m with scale * a^m == 1.0 in floats, else None.
 
@@ -660,7 +629,7 @@ def _renewal(shape: Shape, a: float, levels, direct, combine) -> list:
     first and memoised on (radii, g); direct(nodes) gives their values in
     that order.
     """
-    gap = _first_level_gap(shape) if isinstance(shape, Repeller) else 0.0
+    gap = shape.first_level_gap if isinstance(shape, Repeller) else 0.0
     steps = _lattice_steps(shape, a) if gap > 0 else []
     children: dict = {}  # node -> its children, or None if computed directly
 
@@ -724,7 +693,7 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     def clusters(node):
         """Component count and widest bounding-box diagonal of generation g's centers at eps."""
         (eps,), g = node
-        cs = rep.cylinders(g)
+        cs = rep.atoms(g)
         centers, radii = cs.centers, cs.radii
         i, j = close_pairs(centers, 2.0 * eps + 2.0 * float(radii.max()))
         near = np.abs(centers[i] - centers[j]) <= radii[i] + radii[j] + 2.0 * eps

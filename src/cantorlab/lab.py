@@ -51,7 +51,7 @@ from .potential import (
     rng_stream,
     sample_harmonic_measure,
 )
-from .shapes import Circle, Segment, Shape, SinglePoint
+from .shapes import Circle, Segment, Shape, SinglePoint, require_digit_codes
 
 _REQUIRED_KEYS = ("experiment", "shape", "seed")
 
@@ -227,6 +227,7 @@ def _exp_regularity(shape, cfg: ExperimentConfig):
 
 
 def _exp_measure_scaling(shape, cfg: ExperimentConfig):
+    require_digit_codes(shape.fan)  # measure.csv's codes, before any walk
     em = sample_harmonic_measure(shape, cfg.walk_config())
     diam = em.diameter
     r_lo = cfg.param("r_lo") * diam

@@ -51,7 +51,7 @@ from .errors import (
     VarianceError,
 )
 from .geometry import Repeller, similarity_dimension
-from .shapes import Shape
+from .shapes import Shape, code_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -197,20 +197,12 @@ class EmpiricalMeasure:
         )
 
     def csv_text(self) -> str:
-        if self.codes.size and self.codes.max() > 9:
-            raise ValueError("code serialization supports at most 10 branches")
+        rows = code_rows(self.codes, self.points, self.weights)
         meta = (
             f"# shape={self.shape_name} seed={_fmt_meta(self.seed)} "
             f"stop_tol={_fmt_meta(self.stop_tol)} samples={_fmt_meta(self.samples)}"
         )
-        lines = [meta, "code,x,y,weight"]
-        for i in range(self.atom_count):
-            code = "".join(str(int(c)) for c in self.codes[i])
-            lines.append(
-                f"{code},{float(self.points[i].real)!r},"
-                f"{float(self.points[i].imag)!r},{float(self.weights[i])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join([meta, "code,x,y,weight", *rows]) + "\n"
 
 
 def _fmt_meta(v):
@@ -227,7 +219,7 @@ def natural_measure(rep: Repeller, k: int) -> EmpiricalMeasure:
     Weights follow the Moran rule (product of scale^dimension along the
     word), which for equal scales is the uniform distribution on cylinders.
     """
-    cs = rep.cylinders(k)
+    cs = rep.atoms(k)
     delta = similarity_dimension(rep)
     w = (cs.radii / rep.root_radius) ** delta
     return EmpiricalMeasure(
@@ -235,7 +227,7 @@ def natural_measure(rep: Repeller, k: int) -> EmpiricalMeasure:
         points=cs.centers,
         weights=w / w.sum(),
         shape_name=rep.name,
-        stop_tol=float(cs.radii.max()) if k > 0 else rep.root_radius,
+        stop_tol=float(cs.radii.max()),
     )
 
 
@@ -452,12 +444,12 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
             f"{discarded} of {cfg.samples} walks hit the step limit "
             f"{MAX_STEPS} (allowed {DISCARD_LIMIT:.0%})"
         )
-    codes, centers, _ = shape.atoms(shape.atom_depth(cfg.stop_tol))
+    atoms = shape.atoms(shape.atom_depth(cfg.stop_tol))
     occupied = atom_counts > 0
     weights = atom_counts[occupied].astype(float)
     return EmpiricalMeasure(
-        codes=codes[occupied],
-        points=centers[occupied],
+        codes=atoms.codes[occupied],
+        points=atoms.centers[occupied],
         weights=weights / weights.sum(),
         shape_name=shape.name,
         seed=cfg.seed,
@@ -512,7 +504,7 @@ def boundary_probes(
         raise ValueError("band must satisfy 0 < lo < hi")
     fld = shape.field(lo_b / 16.0)
     anchor_k = shape.atom_depth(lo_b)
-    _, anchors, _ = shape.atoms(anchor_k)
+    anchors = shape.atoms(anchor_k).centers
     rng = rng_stream(seed, 3)
     out = []
     have = 0
@@ -830,7 +822,7 @@ def bhp_holder_fit(
     prad = {p: pole_disc(p), q: pole_disc(q)}
     rng = rng_stream(cfg.seed, 5)
     anchor_k = shape.atom_depth(DEPTH_BAND[0] * R)
-    _, anchors, _ = shape.atoms(anchor_k)
+    anchors = shape.atoms(anchor_k).centers
     pairs = []
     guard = 0
     while len(pairs) < n_pairs:
@@ -854,29 +846,24 @@ def bhp_holder_fit(
         ):
             pairs.append((complex(z1), complex(z2)))
 
-    cache: dict[tuple[complex, complex], float] = {}
-
     def estimate(z, pole, stream):
-        key = (z, pole)
-        if key not in cache:
-            u, n_eff = _absorbed_fraction(
-                shape, fld, z, pole, prad[pole], cfg,
-                rng_stream(cfg.seed, 5, stream), walks_per_point,
+        u, n_eff = _absorbed_fraction(
+            shape, fld, z, pole, prad[pole], cfg,
+            rng_stream(cfg.seed, 5, stream), walks_per_point,
+        )
+        if u <= 0 or math.sqrt(u * (1 - u) / n_eff) > 0.1 * u:
+            raise VarianceError(
+                f"hit probability at {z:.4g} for pole {pole:.4g} has over "
+                "10% relative error; raise walks_per_point"
             )
-            if u <= 0 or math.sqrt(u * (1 - u) / n_eff) > 0.1 * u:
-                raise VarianceError(
-                    f"hit probability at {z:.4g} for pole {pole:.4g} has over "
-                    "10% relative error; raise walks_per_point"
-                )
-            cache[key] = u
-        return cache[key]
+        return u
 
     seps, devs = [], []
     for i, (z1, z2) in enumerate(pairs):
         u1 = estimate(z1, p, 4 * i)
         u2 = estimate(z2, p, 4 * i + 1)
-        v1 = estimate(z1, q, 4 * i + 2)
-        v2 = estimate(z2, q, 4 * i + 3)
+        # one pole twice is one function: v is u, with no walks of its own
+        v1, v2 = (u1, u2) if q == p else (estimate(z1, q, 4 * i + 2), estimate(z2, q, 4 * i + 3))
         seps.append(abs(z1 - z2))
         devs.append(abs(math.log(u1 / v1) - math.log(u2 / v2)))
     eps, c = fit_holder_envelope(np.array(seps), np.array(devs))

@@ -40,6 +40,57 @@ class DistanceField(Protocol):
     def leaf(self, z: np.ndarray) -> np.ndarray: ...
 
 
+@dataclass(frozen=True)
+class CylinderSet:
+    """All pieces of one generation, in lexicographic code order.
+
+    codes is a (fan**k, k) uint8 array; centers and radii give the disc of
+    each piece, which holds its part of J.
+    """
+
+    codes: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+
+def words(fan: int, depth: int, cap: int) -> np.ndarray:
+    """All words of depth letters from fan, lexicographic, as a (fan**depth, depth)
+    uint8 array.
+
+    Raises ValueError below depth 0, ResourceLimitError (before allocating)
+    above cap words.
+    """
+    if depth < 0:
+        raise ValueError("generation must be >= 0")
+    n = fan**depth
+    if n > cap:
+        raise ResourceLimitError(f"generation {depth} has {n} pieces, cap {cap}")
+    codes = np.empty((n, depth), dtype=np.uint8)
+    letters = np.arange(fan, dtype=np.uint8)[:, None]
+    for j in range(depth):
+        # letter j runs through 0..fan-1 in blocks of fan**(depth - 1 - j) rows
+        codes.reshape(fan**j, fan, -1, depth)[..., j] = letters
+    return codes
+
+
+def require_digit_codes(fan: int) -> None:
+    """Refuse more than 10 letters: code columns write one digit per letter."""
+    if fan > 10:
+        raise ValueError(f"code columns write one digit per letter, so at most 10 branches, "
+                         f"got {fan}")
+
+
+def code_rows(codes: np.ndarray, points: np.ndarray, values: np.ndarray) -> list[str]:
+    """One "code,x,y,value" row per piece, its code written a digit per letter."""
+    if codes.size:
+        require_digit_codes(int(codes.max()) + 1)
+    return [f"{''.join(map(str, code.tolist()))},{float(z.real)!r},{float(z.imag)!r},{float(v)!r}"
+            for code, z, v in zip(codes, points, values)]
+
+
 class Shape:
     """What the sampling and quadrature code uses of a compact set J: the base
     class of every boundary, exact shapes and repellers alike.
@@ -49,10 +100,10 @@ class Shape:
     field(resolution) certifies distances to within 2 * resolution.  The
     pieces of generation k number fan**k, each piece split into fan
     contiguous ones at the next generation, and have radius at most
-    piece_radius(k); atoms(depth) gives the codes, centers and radii of all
-    pieces at a generation, and no generation of more than piece_cap pieces
-    is built.  in_outer_domain(z) marks points of the unbounded
-    complementary component.
+    piece_radius(k); atoms(depth), the one accessor for a generation, gives
+    the CylinderSet of its pieces, built on each call, and no generation of
+    more than piece_cap pieces is built.  in_outer_domain(z) marks points of
+    the unbounded complementary component.
     """
 
     name: str
@@ -76,22 +127,8 @@ class Shape:
         return k
 
     def words(self, depth: int) -> np.ndarray:
-        """All words of depth letters, lexicographic, as a (fan**depth, depth) uint8 array.
-
-        Raises ValueError below depth 0, ResourceLimitError (before allocating)
-        above piece_cap words.
-        """
-        if depth < 0:
-            raise ValueError("generation must be >= 0")
-        n = self.fan**depth
-        if n > self.piece_cap:
-            raise ResourceLimitError(f"generation {depth} has {n} pieces, cap {self.piece_cap}")
-        codes = np.empty((n, depth), dtype=np.uint8)
-        letters = np.arange(self.fan, dtype=np.uint8)[:, None]
-        for j in range(depth):
-            # letter j runs through 0..fan-1 in blocks of fan**(depth - 1 - j) rows
-            codes.reshape(self.fan**j, self.fan, -1, depth)[..., j] = letters
-        return codes
+        """The codes of generation depth: words(fan, depth, piece_cap)."""
+        return words(self.fan, depth, self.piece_cap)
 
 
 class _ExactField:
@@ -128,10 +165,11 @@ class _ExactShape(Shape):
         n = self.fan**depth
         return np.minimum((self._param(z) * n).astype(np.int64), n - 1)
 
-    def atoms(self, depth: int):
+    def atoms(self, depth: int) -> CylinderSet:
         codes = self.words(depth)
         n = len(codes)
-        return codes, self._center(np.arange(n) + 0.5, n), np.full(n, self.piece_radius(depth))
+        centers = self._center(np.arange(n) + 0.5, n)
+        return CylinderSet(codes, centers, np.full(n, self.piece_radius(depth)))
 
 
 @dataclass(frozen=True)
@@ -261,9 +299,6 @@ class SinglePoint(_ExactShape):
     def piece_radius(self, depth: int) -> float:
         return 0.0
 
-    def atoms(self, depth: int):
-        return (
-            np.zeros((1, 0), dtype=np.uint8),
-            np.array([self.point]),
-            np.array([0.0]),
-        )
+    def atoms(self, depth: int) -> CylinderSet:
+        return CylinderSet(np.zeros((1, 0), dtype=np.uint8), np.array([self.point]),
+                           np.array([0.0]))

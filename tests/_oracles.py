@@ -319,7 +319,7 @@ def covering_components(rep, eps: float) -> tuple[int, float]:
     g = 0
     while rep.piece_radius(g) >= eps / 4.0:
         g += 1
-    cs = rep.cylinders(g)
+    cs = rep.atoms(g)
     centers, radii = cs.centers, cs.radii
     parent = list(range(len(cs)))
 
@@ -357,7 +357,7 @@ def explicit_covering(rep, a: float, kmax: int) -> tuple[tuple, tuple]:
         g = 0
         while rep.piece_radius(g) >= eps / 4.0:
             g += 1
-        cs = rep.cylinders(g)
+        cs = rep.atoms(g)
         centers, radii = cs.centers, cs.radii
         tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         i, j = tree.query_pairs(2.0 * eps + 2.0 * float(radii.max()), output_type="ndarray").T
@@ -485,7 +485,7 @@ def atom_counts(shape, cfg: WalkConfig, leaf_counts):
     The atoms are the pieces of generation atom_depth(stop_tol), built here
     to count them; each is a contiguous run of equally many leaves.
     """
-    n_atoms = len(shape.atoms(shape.atom_depth(cfg.stop_tol))[0])
+    n_atoms = len(shape.atoms(shape.atom_depth(cfg.stop_tol)))
     return leaf_counts.reshape(n_atoms, -1).sum(axis=1)
 
 
@@ -547,6 +547,14 @@ def stacked_cylinders(rep, k: int):
         codes = np.column_stack([np.repeat(codes, rep.fan, axis=0), letter])
         coeffs, offsets = new_coeffs, new_offsets
     return codes, coeffs * rep.root_center + offsets, np.abs(coeffs) * rep.root_radius
+
+
+def first_level_gap(rep) -> float:
+    """Smallest gap between two first-level cylinder discs, as the renewal
+    computed it from generation 1 before the repeller kept one."""
+    _, centers, radii = stacked_cylinders(rep, 1)
+    i, j = np.triu_indices(len(centers), 1)
+    return float(np.min(np.abs(centers[i] - centers[j]) - radii[i] - radii[j]))
 
 
 def exact_pieces(shape, depth: int):
@@ -622,7 +630,7 @@ class GridField:
     """
 
     def __init__(self, rep, depth: int):
-        cs = rep.cylinders(depth)
+        cs = rep.atoms(depth)
         self.depth, self.leaf_count, self.radii = depth, len(cs), cs.radii
         self.rmax = float(cs.radii.max())
         ux, ix = np.unique(cs.centers.real, return_inverse=True)

@@ -6,7 +6,15 @@ suite and the unit tests share one sampling run each.
 
 import pytest
 
-from cantorlab import Circle, Segment, WalkConfig, potential, preset, sample_harmonic_measure
+from cantorlab import (
+    Circle,
+    Repeller,
+    Segment,
+    WalkConfig,
+    potential,
+    preset,
+    sample_harmonic_measure,
+)
 from cantorlab.lab import _DOUBLING_STREAM
 
 
@@ -70,3 +78,17 @@ def share_counts(monkeypatch):
 
     monkeypatch.setattr(potential, "_shares", shares)
     return counts
+
+
+@pytest.fixture
+def atom_builds(monkeypatch):
+    """The depth of each generation Repeller.atoms builds during the test, in order."""
+    depths = []
+    build = Repeller.atoms
+
+    def atoms(self, depth):
+        depths.append(depth)
+        return build(self, depth)
+
+    monkeypatch.setattr(Repeller, "atoms", atoms)
+    return depths

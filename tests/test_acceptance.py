@@ -50,7 +50,7 @@ def test_criterion_1_circle_oracle_suite(circle_em):
         np.angle(circle_em.points), bins=edges,
         weights=circle_em.weights * circle_em.samples,
     )
-    _, centers, _ = shape.atoms(circle_em.code_depth)
+    centers = shape.atoms(circle_em.code_depth).centers
     per_bin, _ = np.histogram(np.angle(centers), bins=edges)
     exp = per_bin / len(centers) * circle_em.samples
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
@@ -227,7 +227,7 @@ def test_criterion_7_holds_at_a_fine_stop_tol(tmp_path, monkeypatch, share_count
 def test_criterion_8_maximal_cauchy_stability(corner, corner_em_100k,
                                               corner_em_200k):
     """Truncated-transform maxima stable under walk doubling; far-field law."""
-    centers = corner.cylinders(4).centers
+    centers = corner.atoms(4).centers
     pts = centers[:: len(centers) // 100][:100]
     # one truncation grid per measure: default_r_grid reads the measure only
     base = maximal_cauchy(corner_em_100k, pts)

@@ -28,7 +28,7 @@ LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
 def bernoulli_measure(rep, depth: int, p) -> EmpiricalMeasure:
     """Product measure with letter distribution p on the depth-k cylinders."""
-    cs = rep.cylinders(depth)
+    cs = rep.atoms(depth)
     p = np.asarray(p, dtype=float)
     w = np.prod(p[cs.codes.astype(int)], axis=1)
     return EmpiricalMeasure(codes=cs.codes, points=cs.centers, weights=w,

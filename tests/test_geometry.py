@@ -12,6 +12,7 @@ from scipy.spatial import cKDTree
 from cantorlab import (
     Circle,
     ConfigError,
+    CylinderSet,
     EscapeError,
     OverlapError,
     QuadratureError,
@@ -50,6 +51,7 @@ from _oracles import (
     exact_leaf_index,
     exact_pieces,
     explicit_covering,
+    first_level_gap,
     GridField,
     leaf_bounds,
     pairs_within,
@@ -105,6 +107,19 @@ def test_escaping_branch_image_rejected():
     branches = [SimilarityMap(0.3, 0.0, -0.5 + 0j), SimilarityMap(0.3, 0.0, 5.0 + 0j)]
     with pytest.raises(EscapeError):
         Repeller(branches, 0j, 1.0)
+
+
+def test_separation_check_names_the_first_offending_pair():
+    # images 1 and 2 overlap and no other pair does
+    maps = [SimilarityMap(0.2, 0.0, complex(t)) for t in (0.0, 1.0, 1.1)]
+    message = r"images 1 and 2 overlap .* \(gap -5\.000e-01, required 1\.500e-09\)"
+    with pytest.raises(OverlapError, match=message):
+        Repeller(maps, 0.5, 1.5)
+    # images 2 and 3 both leave the root disc, and 2 is named
+    maps = [SimilarityMap(0.2, 0.0, complex(t)) for t in (0.0, 1.0, 3.0, -3.0)]
+    message = r"image 2 is not strictly inside .* \(reach 2\.9 vs radius 1\.5\)"
+    with pytest.raises(EscapeError, match=message):
+        Repeller(maps, 0.5, 1.5)
 
 
 def test_repeller_keyword_constructor():
@@ -166,24 +181,24 @@ def test_bad_middle_alpha_ratio_raises():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_cylinder_cardinality(corner, k):
-    assert len(corner.cylinders(k)) == 4**k
+    assert len(corner.atoms(k)) == 4**k
 
 
 def test_cylinder_codes_lexicographic(thirds):
-    cs = thirds.cylinders(3)
+    cs = thirds.atoms(3)
     expected = list(itertools.product(range(2), repeat=3))
     assert [tuple(cs.codes[i]) for i in range(len(cs))] == expected
 
 
 def test_cylinder_radii_exact(corner):
-    cs = corner.cylinders(3)
+    cs = corner.atoms(3)
     assert np.allclose(cs.radii, corner.root_radius * 0.25**3, rtol=0, atol=0)
 
 
 def test_cylinder_nesting(thirds):
     for k in range(6):
-        parents = thirds.cylinders(k)
-        children = thirds.cylinders(k + 1)
+        parents = thirds.atoms(k)
+        children = thirds.atoms(k + 1)
         fan = thirds.fan
         for i in range(len(parents)):
             pc, pr = parents.centers[i], parents.radii[i]
@@ -195,7 +210,7 @@ def test_cylinder_nesting(thirds):
 
 def test_cylinder_cap_enforced(corner):
     with pytest.raises(ResourceLimitError):
-        corner.cylinders(11)
+        corner.atoms(11)
     with pytest.raises(ResourceLimitError):
         corner.atom_depth(1e-12)
     assert corner.fan**10 == CYLINDER_CAP
@@ -232,11 +247,41 @@ def test_atom_depth_monotone(thirds):
 def test_cylinders_keep_the_bits_of_the_stacked_reference(name, kmax):
     rep = {"golden": golden_repeller, "rotated": rotated_pair}.get(name, lambda: preset(name))()
     for k in range(kmax + 1):
-        cs = rep.cylinders(k)
+        cs = rep.atoms(k)
         codes, centers, radii = stacked_cylinders(rep, k)
         assert cs.codes.dtype == codes.dtype and np.array_equal(cs.codes, codes)
         assert cs.centers.tobytes() == centers.tobytes()
         assert cs.radii.tobytes() == radii.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["corner4", "middle-thirds", "middle-alpha:0.05", "middle-alpha:0.2", "middle-alpha:0.45",
+     "golden", "rotated", "rotated-three"],
+)
+def test_kept_gap_is_the_first_level_gap(name):
+    named = {"golden": golden_repeller, "rotated": rotated_pair, "rotated-three": rotated_repeller}
+    rep = named.get(name, lambda: preset(name))()
+    assert rep.first_level_gap.hex() == first_level_gap(rep).hex()
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "golden"])
+def test_atoms_are_one_cylinder_set_over_the_word_table(name):
+    shape = golden_repeller() if name == "golden" else resolve_shape(name)
+    for depth in range(7):
+        cs = shape.atoms(depth)
+        assert isinstance(cs, CylinderSet)
+        assert len(cs) == len(cs.radii) == len(cs.codes) == shape.fan**depth
+        assert np.array_equal(cs.codes, shape.words(depth))
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "golden"])
+def test_field_leaves_group_into_atoms(name):
+    """The sampler walks on field(r / 4) and bins its stopped walks into the
+    atoms of generation atom_depth(r), leaf_count / fan**depth leaves each."""
+    shape = golden_repeller() if name == "golden" else resolve_shape(name)
+    for r in shape.bounding_radius * np.array([2.0, 0.3, 1e-2, 1e-3, 1e-4]):
+        assert shape.field(r / 4.0).leaf_count % shape.fan ** shape.atom_depth(r) == 0
 
 
 @pytest.mark.parametrize("shape", [Circle(), Circle(0.5 - 1j, 2.0), Segment(), Segment(-1 + 0.5j, 2 + 1j)])
@@ -248,11 +293,11 @@ def test_exact_pieces_keep_the_bits_of_their_formulas(shape):
     ends = shape._center(np.arange((1 << 15) + 1), 1 << 15)
     z = np.concatenate([z, ends, [shape.bounding_center]])
     for depth in (0, 5, 15):
-        codes, centers, radii = shape.atoms(depth)
+        cs = shape.atoms(depth)
         old_codes, old_centers, old_radii = exact_pieces(shape, depth)
-        assert codes.dtype == old_codes.dtype and np.array_equal(codes, old_codes)
-        assert centers.tobytes() == old_centers.tobytes()
-        assert radii.tobytes() == old_radii.tobytes()
+        assert cs.codes.dtype == old_codes.dtype and np.array_equal(cs.codes, old_codes)
+        assert cs.centers.tobytes() == old_centers.tobytes()
+        assert cs.radii.tobytes() == old_radii.tobytes()
         assert np.array_equal(shape.leaf_index(z, depth), exact_leaf_index(shape, z, depth))
 
 
@@ -297,7 +342,7 @@ def test_atom_depth_refuses_a_radius_that_is_not_positive(name):
 
 
 def test_distance_interval_sound_against_brute_force(thirds):
-    cs = thirds.cylinders(10)
+    cs = thirds.atoms(10)
     slack = float(cs.radii.max())
     rng = rng_stream(7, 100)
     z = rng.uniform(-1.0, 2.0, 1000) + 1j * rng.uniform(-1.5, 1.5, 1000)
@@ -341,7 +386,7 @@ def test_field_leaf_matches_nearest_piece(name):
     if hasattr(shape, "leaf_index"):
         assert np.array_equal(leaf, shape.leaf_index(z, fld.depth))
     # the leaf is the piece whose center lies nearest, by brute force
-    _, centers, _ = shape.atoms(fld.depth)
+    centers = shape.atoms(fld.depth).centers
     assert len(centers) == fld.leaf_count
     assert np.array_equal(leaf, np.abs(z[:, None] - centers[None, :]).argmin(axis=1))
 
@@ -376,7 +421,7 @@ def _same_bits(a, b):
 def test_axis_bucket_count_is_searchsorted(name, resolution):
     rep = preset(name)
     fld = rep.field(resolution)
-    centers = rep.cylinders(fld.depth).centers
+    centers = rep.atoms(fld.depth).centers
     rng = rng_stream(11, 0)
     for axis, part in zip(fld._axes, (centers.real, centers.imag)):
         u = np.unique(part)
@@ -422,7 +467,7 @@ def test_grid_field_matches_kd_tree(name):
     for resolution in (1e-3, 2.5e-5):
         fld = rep.field(resolution * rep.bounding_radius)
         assert fld._tree is None
-        centers = rep.cylinders(fld.depth).centers
+        centers = rep.atoms(fld.depth).centers
         tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         rng = rng_stream(10, 0)
         # three bounding radii out: points beyond the bounding square on every side
@@ -517,7 +562,7 @@ def test_product_field_matches_the_unique_grid_oracle(name):
         assert fld.rmax == ref.rmax
         for axis, u in zip(fld._axes, ref.values):
             assert _same_bits(axis.padded[1 : axis.last + 2], u)
-        centers = rep.cylinders(fld.depth).centers
+        centers = rep.atoms(fld.depth).centers
         near = _near_j(fld, centers, rng)
         z = np.concatenate([scattered, _shell_points(rep, fld), near, odd])
         with np.errstate(invalid="ignore"):  # inf - inf at the infinite points
@@ -569,7 +614,7 @@ def test_product_detection_keeps_the_nearest_leaf(name, product):
     rng = rng_stream(9, 1)
     r = 1.5 * rep.bounding_radius
     z = rep.bounding_center + rng.uniform(-r, r, 500) + 1j * rng.uniform(-r, r, 500)
-    _, centers, _ = rep.atoms(fld.depth)
+    centers = rep.atoms(fld.depth).centers
     assert len(centers) == fld.leaf_count
     if name == "rounded":
         assert len(np.unique(centers.real)) < len(centers)
@@ -580,10 +625,11 @@ def test_product_detection_keeps_the_nearest_leaf(name, product):
     assert np.array_equal(d[np.arange(len(z)), fld.leaf(z)], d.min(axis=1))
 
 
-def test_product_field_builds_no_generation():
+def test_product_field_builds_no_generation(atom_builds):
     """corner4's depth-10 field comes from two axes of 1,024 values: the
     generation and the np.unique grid it replaced peaked at 83 MB traced."""
     rep = preset("corner4")
+    assert atom_builds == [1]  # the construction's separation check
     tracemalloc.start()
     try:
         fld = rep.field(2.5e-6)
@@ -592,10 +638,26 @@ def test_product_field_builds_no_generation():
         tracemalloc.stop()
     assert fld.depth == 10 and fld.leaf_count == 4**10
     assert peak < 4_000_000
-    assert rep._cyl_cache == {}
+    assert atom_builds == [1]
 
 
-def test_sampler_builds_no_generation_below_its_atoms():
+def test_line_set_axis_words_take_no_wide_table():
+    """A line set's one axis has a word per leaf: middle-thirds at depth 16
+    has 65,536 words of 16 letters.  Their offsets trace 3.2 MB through
+    einsum; a matmul, which first casts the uint8 word table to int64,
+    traced 10 MB (197 MB at depth 20)."""
+    rep = preset("middle-thirds")
+    tracemalloc.start()
+    try:
+        fld = rep.field(rep.piece_radius(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.depth == 16 and fld._tree is None
+    assert peak < 5_000_000
+
+
+def test_sampler_builds_no_generation_below_its_atoms(atom_builds):
     """At the default stop_tol the corner4 sampler walks on a depth-8 field and
     bins into depth-7 atoms; generation 8 is never built."""
     rep = preset("corner4")
@@ -603,7 +665,7 @@ def test_sampler_builds_no_generation_below_its_atoms():
     sample_harmonic_measure(rep, cfg)
     assert rep.field(cfg.stop_tol / 4.0).depth == 8
     assert rep.atom_depth(cfg.stop_tol) == 7
-    assert max(rep._cyl_cache) == 7
+    assert max(atom_builds) == 7
 
 
 def test_scaling_equivariance(thirds):
@@ -616,8 +678,8 @@ def test_scaling_equivariance(thirds):
         root_center=lam * thirds.root_center,
         root_radius=lam * thirds.root_radius,
     )
-    base = thirds.cylinders(5)
-    big = scaled.cylinders(5)
+    base = thirds.atoms(5)
+    big = scaled.atoms(5)
     assert np.allclose(big.radii, lam * base.radii, rtol=1e-12)
     assert np.allclose(big.centers, lam * base.centers, rtol=1e-12, atol=1e-12)
     for z in [0.3 + 0.4j, -1.0 + 0.1j, 2.0 - 0.5j]:
@@ -698,19 +760,11 @@ def test_covering_counts_equal_the_explicit_clustering(name, a, kmax):
         assert cov.diameters == pytest.approx(diams, rel=1e-13, abs=0)
 
 
-def test_covering_counts_build_no_generation_below_the_clustered_ones(monkeypatch):
+def test_covering_counts_build_no_generation_below_the_clustered_ones(atom_builds):
     """corner4 at a = 4 to kmax 8 clusters generations 2 and 3 and renews the
     rest from them, counts and diameters alike: it asks for no deeper
     generation (its level 8 would be generation 10, 4^10 cylinders) and
     traces under 1 MB."""
-    asked = []
-    cylinders = Repeller.cylinders
-
-    def record(self, k):
-        asked.append(k)
-        return cylinders(self, k)
-
-    monkeypatch.setattr(Repeller, "cylinders", record)
     corner = preset("corner4")
     tracemalloc.start()
     try:
@@ -718,7 +772,7 @@ def test_covering_counts_build_no_generation_below_the_clustered_ones(monkeypatc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(asked) <= 3
+    assert max(atom_builds) <= 3
     assert peak < 2**20
 
 
@@ -733,7 +787,7 @@ def test_rotated_covering_diameters_bound_every_component():
     assert cov.counts == explicit_covering(rep, a, kmax)[0]
     for k in range(kmax + 1):
         eps = a ** (-k)
-        cs = rep.cylinders(_covering_generation(rep, eps))
+        cs = rep.atoms(_covering_generation(rep, eps))
         dist = np.abs(cs.centers[:, None] - cs.centers[None, :])
         i, j = np.nonzero(dist <= cs.radii[:, None] + cs.radii[None, :] + 2.0 * eps)
         n, labels = csgraph_components(len(cs), i, j)
@@ -784,26 +838,20 @@ def test_covering_counts_validation(thirds, corner):
         covering_counts(corner, a=4.0, kmax=9)
 
 
-def test_covering_cap_refuses_before_any_cylinder_or_pair(monkeypatch, corner):
+def test_covering_cap_refuses_before_any_cylinder_or_pair(monkeypatch, corner, atom_builds):
     """corner4 at a = 4, kmax = 9 covers its last level with generation 11,
     4^11 cylinders: atom_depth refuses it while the levels' generations are
     found, before any cylinder is built or any pair is sought."""
     calls = []
-    cylinders = Repeller.cylinders
-
-    def record(self, k):
-        calls.append(("cylinders", k))
-        return cylinders(self, k)
 
     def pairs(z, reach):
-        calls.append(("close_pairs", len(z)))
+        calls.append(len(z))
         return close_pairs(z, reach)
 
-    monkeypatch.setattr(Repeller, "cylinders", record)
     monkeypatch.setattr("cantorlab.geometry.close_pairs", pairs)
     with pytest.raises(ResourceLimitError, match="cap 1048576"):
         covering_counts(corner, a=4.0, kmax=9)
-    assert calls == []
+    assert atom_builds == [] and calls == []
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, 1e300, 1.0, 0.5])
@@ -1175,10 +1223,10 @@ def test_segment_distance_and_atoms():
     s = Segment()
     z = np.array([0.0 + 1.0j, 2.0 + 0j, -3.0 + 0j])
     assert np.allclose(s.distance(z), [1.0, 1.0, 2.0])
-    codes, centers, radii = s.atoms(3)
-    assert len(centers) == 8
-    assert np.allclose(centers.imag, 0.0)
-    assert np.all(radii == s.piece_radius(3))
+    cs = s.atoms(3)
+    assert len(cs) == 8
+    assert np.allclose(cs.centers.imag, 0.0)
+    assert np.all(cs.radii == s.piece_radius(3))
     assert s.in_outer_domain(z).all()
     with pytest.raises(ValueError):
         Segment(1j, 1j)
@@ -1189,8 +1237,8 @@ def test_single_point_shape():
     assert p.diameter == 0.0
     assert p.bounding_radius == 2.0
     assert p.distance(np.array([2.5 + 0j]))[0] == pytest.approx(2.0)
-    codes, centers, radii = p.atoms(5)
-    assert len(centers) == 1 and radii[0] == 0.0
+    cs = p.atoms(5)
+    assert len(cs) == 1 and cs.radii[0] == 0.0
 
 
 def _points_near_pieces(shape, fld, rng):
@@ -1200,11 +1248,10 @@ def _points_near_pieces(shape, fld, rng):
         on = np.array([b.translation / (1.0 - b.factor) for b in shape.branches])
         for _ in range(6):
             on = np.concatenate([b(on) for b in shape.branches])
-        cs = shape.cylinders(fld.depth)
-        centers, radii = cs.centers, cs.radii
     else:
-        on = shape.atoms(fld.depth + 3)[1]
-        _, centers, radii = shape.atoms(fld.depth)
+        on = shape.atoms(fld.depth + 3).centers
+    cs = shape.atoms(fld.depth)
+    centers, radii = cs.centers, cs.radii
     pick = rng.integers(0, len(centers), 20_000)
     inside = centers[pick] + radii[pick] * rng.random(20_000) * np.exp(2j * np.pi * rng.random(20_000))
     return np.concatenate([on, centers, inside])

@@ -260,6 +260,9 @@ TABLE_SHA256 = [
      "2e88ab1470c91080b9f0caf0d382f34dacb75300f8c762e8479046c2af50916a"),
     ("lemma-L", "circle", {"delta": 0.5, "kmax": 4}, "lemma_l.csv",
      "e0e02c7d8bf4ef32232d3a27cd1f3ed871359fc9710750b302a69581e4022e50"),
+    # the shells' divide path: child radii r / s_i, which clustering does not see
+    ("lemma-L", "middle-alpha:0.2", {"a": 2.5, "kmax": 6}, "lemma_l.csv",
+     "234324cae483145ac895ba1fe098615a9ca997ff3b5c4e6b12706c187ef31889"),
 ]
 
 
@@ -559,6 +562,24 @@ def test_cli_build_writes_the_csv_only_with_out(tmp_path, capsys, monkeypatch, s
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 1 and "atoms at depth 3" in printed[0]
     assert not any(bare.iterdir())
+
+
+def test_cli_refuses_codes_past_ten_branches(tmp_path, capsys, monkeypatch):
+    """With 11 branches one digit per letter would write 1010 for both the
+    words 1.0.10 and 10.1.0: build and sample refuse, the sampler unrun."""
+    spec = tmp_path / "eleven.ifs"
+    spec.write_text("root = 0.5, 0, 0.75\n"
+                    + "".join(f"branch = 0.05, 0, {0.095 * k!r}, 0\n" for k in range(11)))
+    sampled = []
+    monkeypatch.setattr(lab, "sample_harmonic_measure", lambda *args: sampled.append(args))
+    for argv in (["build", str(spec), "--depth", "3"], ["sample", str(spec), "--samples", "100"]):
+        out = tmp_path / argv[0]
+        assert main(["--out", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and "at most 10 branches, got 11" in captured.err
+        assert not out.exists()
+    assert sampled == []
 
 
 def test_csv_cells_are_plain_numbers(tmp_path):

@@ -41,11 +41,11 @@ from _oracles import arcsine_cdf, measure_from_csv, weighted_ks_distance
 
 def uniform_circle_measure(depth: int, radius: float = 1.0) -> EmpiricalMeasure:
     shape = Circle(radius=radius)
-    codes, centers, _ = shape.atoms(depth)
-    n = len(centers)
+    atoms = shape.atoms(depth)
+    n = len(atoms)
     return EmpiricalMeasure(
-        codes=codes,
-        points=centers,
+        codes=atoms.codes,
+        points=atoms.centers,
         weights=np.full(n, 1.0 / n),
         shape_name="circle",
         stop_tol=shape.piece_radius(depth),
@@ -611,14 +611,17 @@ def test_sampler_holds_no_count_array_per_chunk():
     assert peak < 10 * leaves * 8
 
 
-def test_sampler_counts_atoms_not_leaves():
+def test_sampler_counts_atoms_not_leaves(monkeypatch):
     """At stop_tol 1e-5 corner4 walks on the depth-10 field, 4^10 leaves, and
     bins into the 4^9 depth-9 atoms.  Stopped walks are counted per atom, so
     no array over the leaves is built: counted per leaf, two chunks on one
     thread peaked at 19.5 MB traced with the atoms and the field built first."""
     rep = preset("corner4")
     cfg = WalkConfig(samples=2 * potential.CHUNK, seed=5, stop_tol=1e-5, threads=1)
-    n_atoms = len(rep.cylinders(9).centers)
+    atoms = rep.atoms(9)
+    n_atoms = len(atoms)
+    # the sampler reads these atoms, built before the trace starts
+    monkeypatch.setattr(rep, "atoms", lambda depth: atoms if depth == 9 else None)
     fld = rep.field(cfg.stop_tol / 4.0)
     assert (fld.leaf_count, n_atoms) == (4**10, 4**9)
     tracemalloc.start()
