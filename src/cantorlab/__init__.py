@@ -1,9 +1,10 @@
 """Numerical laboratory for potential theory on self-similar Cantor sets.
 
 Builds separated similarity IFS repellers, samples harmonic measure of their
-complements by walk-on-spheres, reconstructs Green's functions and
-capacities, measures Menger curvature energies and Cauchy transforms, and
-estimates measure dimensions from cylinder entropies.
+complements by walk-on-spheres or solves for it on one piece generation,
+reconstructs Green's functions and capacities, measures Menger curvature
+energies and Cauchy transforms, and estimates measure dimensions from
+cylinder entropies.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +23,6 @@ from .errors import (
     QuadratureError,
     ResourceLimitError,
     SingularityError,
-    VarianceError,
 )
 from .geometry import (
     CoveringReport,
@@ -48,6 +48,7 @@ from .potential import (
     bhp_holder_fit,
     boundary_probes,
     comparability_fit,
+    equilibrium_measure,
     fit_holder_envelope,
     green_model,
     log_potential,

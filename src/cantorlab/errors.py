@@ -37,10 +37,6 @@ class DispersionError(LabError):
     """Near-boundary potential values spread too widely for a Robin estimate."""
 
 
-class VarianceError(LabError):
-    """Monte Carlo relative error above the requested gate."""
-
-
 class FitDegeneracyError(LabError):
     """Regression input spans too narrow a range to fit."""
 

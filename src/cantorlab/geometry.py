@@ -57,6 +57,9 @@ class SimilarityMap:
     def __post_init__(self):
         if not 0.0 < self.scale < 1.0:
             raise ValueError(f"scale must lie in (0, 1), got {self.scale}")
+        if not (math.isfinite(self.rotation) and np.isfinite(self.translation)):
+            raise ValueError(f"rotation {self.rotation} and translation {self.translation} "
+                             "must be finite")
 
     @property
     def factor(self) -> complex:
@@ -311,8 +314,9 @@ class Repeller(Shape):
     ):
         if len(branches) < 2:
             raise ValueError("a repeller needs at least 2 branches")
-        if root_radius <= 0:
-            raise ValueError("root radius must be positive")
+        if not (0 < root_radius < math.inf and np.isfinite(root_center)):
+            raise ValueError(f"root radius must be positive and finite and the root center "
+                             f"finite, got {root_radius} and {root_center}")
         self.branches = list(branches)
         self.root_center = complex(root_center)
         self.root_radius = float(root_radius)

@@ -23,14 +23,13 @@ in walk order and its step limit counts from its launch, so it sees the
 draws it would see alone.  A direction is one
 random() draw u per walk, turned into e^(2 pi i u) by a table of ROOTS roots
 of unity and a two-term series for the remaining angle (_turn), without a
-complex exp.  Pole absorption runs the same loop with one stream and the
-pole disc folded into the distance bounds, so a walk stops at J or at the
-disc, whichever it reaches first.
+complex exp.
 
 From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
-diagnostics: the dist^delta comparability fit, ball mass scaling, and a
-Holder envelope for ratios of positive harmonic functions near J.
+diagnostics: the dist^delta comparability fit and ball mass scaling.  One
+equilibrium solve gives harmonic measure from infinity and from poles with no
+walks, and bhp's Holder envelope of the ratio of two poles' Green functions.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from .errors import (
     ExcessiveDiscardError,
     FitDegeneracyError,
     InsufficientMassError,
+    ResourceLimitError,
     SingularityError,
-    VarianceError,
 )
 from .geometry import Repeller, similarity_dimension
 from .shapes import Shape, code_rows
@@ -71,8 +70,7 @@ ATOM_BLOCK = 1 << 16
 #: fraction of walks allowed to hit the step limit
 DISCARD_LIMIT = 0.01
 
-#: step limit of every walk from its chunk's launch, sampling and pole
-#: absorption alike
+#: step limit of every walk from its chunk's launch
 MAX_STEPS = 10_000
 
 #: walk directions are roots of unity from a table of this many, each turned
@@ -102,6 +100,11 @@ SEP_BAND = (0.05, 0.5)
 #: ENVELOPE_BINS log-separation buckets
 ENVELOPE_QUANTILE = 0.9
 ENVELOPE_BINS = 6
+
+#: equilibrium_measure refuses more than SOLVE_CAP pieces (4,096 unknowns take
+#: about 5 s); bhp solves on the deepest generation of at most BHP_PIECES (0.2 s)
+SOLVE_CAP = 4096
+BHP_PIECES = 1024
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -602,6 +605,57 @@ def green_model(em: EmpiricalMeasure, shape: Shape, seed: int = 0) -> GreenModel
     return GreenModel(measure=em, robin=robin_constant(em, probes))
 
 
+def equilibrium_measure(shape: Shape, depth: int, poles=()):
+    """Harmonic measure from infinity and from each pole, by one dense solve.
+
+    Piece i of generation depth carries a charge w_i spread as its own
+    equilibrium measure: potential log|c_i - c_j| on piece j, log t_i + V on
+    itself (t_i from capacity_ratios, V = log cap J).  One factorisation of
+    [[A, 1], [1^T, 0]] [w; g] = [rhs; 1] takes rhs = 0, giving the
+    equilibrium measure and g = -V, and rhs_i = log|c_i - p| per pole p,
+    giving omega^p and g(p) with G(z, p) = U^omega^p(z) - log|z - p| + g(p).
+    V is iterated to V = -g, which contracts by sum w_i^2 (a Newton step on
+    V alone meets a singular A near cap J = 1).  Returns the GreenModel of
+    infinity (robin = -V) and (omega^p, g(p)) per pole.  Refuses depth < 1,
+    over SOLVE_CAP pieces (ResourceLimitError) and capacity 0 before any
+    work, and a pole in a piece disc or off the outer domain before any matrix.
+    """
+    if depth < 1:
+        raise ValueError("the solve needs generation >= 1")
+    if shape.fan**depth > SOLVE_CAP:
+        raise ResourceLimitError(f"generation {depth} has {shape.fan**depth} pieces, "
+                                 f"solve cap {SOLVE_CAP}")
+    if shape.diameter == 0:
+        raise ValueError(f"{shape.name} has capacity 0, so no Green function")
+    atoms = shape.atoms(depth)
+    c, n = atoms.centers, len(atoms)
+    rhs = np.zeros((n + 1, 1 + len(poles)))
+    rhs[n] = 1.0
+    for k, p in enumerate(poles, start=1):
+        if not shape.in_outer_domain(p) or np.any(np.abs(c - p) <= atoms.radii):
+            raise ValueError(f"pole {p} is not outside the generation-{depth} piece discs")
+        rhs[:n, k] = np.log(np.abs(c - p))
+    a = np.ones((n + 1, n + 1))
+    a[n, n] = 0.0
+    pair = a[:n, :n]
+    np.abs(c[:, None] - c[None, :], out=pair)
+    np.fill_diagonal(pair, 1.0)  # the self-terms are set in the loop below
+    np.log(pair, out=pair)
+    log_t = np.log(shape.capacity_ratios(atoms.radii))
+    v = 0.0
+    for _ in range(100):
+        a[np.arange(n), np.arange(n)] = log_t + v
+        x = np.linalg.solve(a, rhs)
+        v, last = float(-x[n, 0]), v
+        if abs(v - last) <= 1e-13:
+            break
+    else:
+        raise ValueError(f"log capacity of {shape.name} did not settle in 100 solves")
+    measures = [EmpiricalMeasure(atoms.codes, c, x[:n, k], shape.name,
+                                 stop_tol=float(atoms.radii.max())) for k in range(len(poles) + 1)]
+    return GreenModel(measures[0], robin=-v), list(zip(measures[1:], x[n, 1:].tolist()))
+
+
 # -- comparability of G with dist^delta ------------------------------------------
 
 
@@ -766,111 +820,46 @@ def fit_holder_envelope(
     return float(slope), float(math.exp(intercept))
 
 
-def _absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
-    """Fraction of walks from z0 hitting the pole disc before J."""
-    center = shape.bounding_center
-    enclose = 2.0 * max(
-        shape.bounding_radius, abs(pole - center) + pole_radius, abs(z0 - center)
-    )
-
-    def query(z):
-        # the pole disc joins J as a second absorbing set
-        lo, hi = fld.query(z)
-        dp = np.abs(z - pole) - pole_radius
-        return np.minimum(lo, dp), np.minimum(hi, dp)
-
-    def start(rng, n):
-        return np.full(n, complex(z0))
-
-    def absorb(stopped):  # the walks that stopped at the pole disc
-        return int(np.sum(np.abs(stopped - pole) - pole_radius < fld.query(stopped)[1]))
-
-    hits, lost = _walk(query, [(rng, n)], start, absorb, cfg.stop_tol, center, enclose)
-    finished = n - lost
-    if finished < 0.99 * n:
-        raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
-    return hits / finished, finished
-
-
 def bhp_holder_fit(
-    shape: Shape,
-    p: complex,
-    q: complex,
-    cfg: WalkConfig,
-    n_pairs: int = 16,
-    walks_per_point: int = 50_000,
+    shape: Shape, p: complex, q: complex, n_pairs: int = 64, seed: int = 0
 ) -> HolderFit:
-    """Holder fit for log(u/v) near J, with u, v vanishing on J.
-
-    u(z) and v(z) are the probabilities that a walk from z reaches a small
-    absorption disc around p (resp. q) before J; both are positive harmonic
-    away from the poles and vanish on J.  The absorption radius is a quarter
-    of the pole's distance to J, which keeps hit probabilities large
-    enough that the 10% relative-error gate is reachable at desk-scale walk
-    counts.  VarianceError is raised when any estimate misses that gate.
-    """
-    cfg = cfg.resolve(shape)
-    fld = shape.field(cfg.stop_tol / 4.0)
+    """Holder fit for log(u/v) near J, with u = G(., p) and v = G(., q), the
+    Green functions of one equilibrium solve on the deepest generation of at
+    most BHP_PIECES pieces.  Pair points sit at certified distance DEPTH_BAND
+    * R from J (R the bounding radius), SEP_BAND * R apart, drawn from the
+    (seed, 5) stream."""
+    depth = 1
+    while shape.fan ** (depth + 1) <= BHP_PIECES:
+        depth += 1
+    _, ((om_p, g_p), (om_q, g_q)) = equilibrium_measure(shape, depth, (p, q))
     R = shape.bounding_radius
-
-    def pole_disc(pole):
-        plo, _ = fld.query(np.array([pole]))
-        if plo[0] < 10.0 * cfg.stop_tol:
-            raise ValueError(f"pole {pole} sits too close to J")
-        return plo[0] / 4.0
-
-    prad = {p: pole_disc(p), q: pole_disc(q)}
-    rng = rng_stream(cfg.seed, 5)
-    anchor_k = shape.atom_depth(DEPTH_BAND[0] * R)
-    anchors = shape.atoms(anchor_k).centers
+    depth_lo, depth_hi = (math.log(b * R) for b in DEPTH_BAND)
+    sep_lo, sep_hi = (math.log(b * R) for b in SEP_BAND)
+    band = (DEPTH_BAND[0] * R, DEPTH_BAND[1] * R * 2.0)
+    fld = shape.field(band[0] / 16.0)
+    anchors = shape.atoms(shape.atom_depth(band[0])).centers
+    rng = rng_stream(seed, 5)
     pairs = []
-    guard = 0
-    while len(pairs) < n_pairs:
-        guard += 1
-        if guard > 100 * n_pairs:
-            raise FitDegeneracyError("could not place valid point pairs near J")
+    for _ in range(100 * n_pairs):
         z1 = anchors[rng.integers(0, len(anchors))] + np.exp(
-            rng.uniform(math.log(DEPTH_BAND[0] * R), math.log(DEPTH_BAND[1] * R))
-        ) * np.exp(1j * rng.uniform(0.0, TWO_PI))
-        sep = math.exp(
-            rng.uniform(math.log(SEP_BAND[0] * R), math.log(SEP_BAND[1] * R))
-        )
-        z2 = z1 + sep * np.exp(1j * rng.uniform(0.0, TWO_PI))
+            rng.uniform(depth_lo, depth_hi)) * np.exp(1j * rng.uniform(0.0, TWO_PI))
+        z2 = z1 + math.exp(rng.uniform(sep_lo, sep_hi)) * np.exp(1j * rng.uniform(0.0, TWO_PI))
         both = np.array([z1, z2])
-        qlo, qhi = fld.query(both)
-        band = (DEPTH_BAND[0] * R, DEPTH_BAND[1] * R * 2.0)
-        if (
-            qlo.min() >= band[0]
-            and qhi.max() <= band[1]
-            and shape.in_outer_domain(both).all()
-        ):
+        lo, hi = fld.query(both)
+        if lo.min() >= band[0] and hi.max() <= band[1] and shape.in_outer_domain(both).all():
             pairs.append((complex(z1), complex(z2)))
+            if len(pairs) == n_pairs:
+                break
+    else:
+        raise FitDegeneracyError("could not place valid point pairs near J")
 
-    def estimate(z, pole, stream):
-        u, n_eff = _absorbed_fraction(
-            shape, fld, z, pole, prad[pole], cfg,
-            rng_stream(cfg.seed, 5, stream), walks_per_point,
-        )
-        if u <= 0 or math.sqrt(u * (1 - u) / n_eff) > 0.1 * u:
-            raise VarianceError(
-                f"hit probability at {z:.4g} for pole {pole:.4g} has over "
-                "10% relative error; raise walks_per_point"
-            )
-        return u
-
-    seps, devs = [], []
-    for i, (z1, z2) in enumerate(pairs):
-        u1 = estimate(z1, p, 4 * i)
-        u2 = estimate(z2, p, 4 * i + 1)
-        # one pole twice is one function: v is u, with no walks of its own
-        v1, v2 = (u1, u2) if q == p else (estimate(z1, q, 4 * i + 2), estimate(z2, q, 4 * i + 3))
-        seps.append(abs(z1 - z2))
-        devs.append(abs(math.log(u1 / v1) - math.log(u2 / v2)))
-    eps, c = fit_holder_envelope(np.array(seps), np.array(devs))
-    return HolderFit(
-        epsilon=eps,
-        c=c,
-        n_pairs=n_pairs,
-        separations=tuple(seps),
-        deviations=tuple(devs),
-    )
+    z = np.array(pairs).ravel()  # z1, z2 of each pair in turn
+    u = log_potential(om_p, z) - np.log(np.abs(z - p)) + g_p
+    # one pole twice is one function: v is u, bit for bit
+    v = u if q == p else log_potential(om_q, z) - np.log(np.abs(z - q)) + g_q
+    h = np.log(u / v)
+    seps = [abs(z1 - z2) for z1, z2 in pairs]
+    devs = np.abs(h[0::2] - h[1::2])
+    eps, c = fit_holder_envelope(np.array(seps), devs)
+    return HolderFit(epsilon=eps, c=c, n_pairs=n_pairs, separations=tuple(seps),
+                     deviations=tuple(float(d) for d in devs))

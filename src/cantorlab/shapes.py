@@ -102,8 +102,9 @@ class Shape:
     contiguous ones at the next generation, and have radius at most
     piece_radius(k); atoms(depth), the one accessor for a generation, gives
     the CylinderSet of its pieces, built on each call, and no generation of
-    more than piece_cap pieces is built.  in_outer_domain(z) marks points of
-    the unbounded complementary component.
+    more than piece_cap pieces is built; capacity_ratios(radii) gives each
+    piece's capacity over that of J, the self-term of the equilibrium solve.
+    in_outer_domain(z) marks points of the unbounded complementary component.
     """
 
     name: str
@@ -129,6 +130,11 @@ class Shape:
     def words(self, depth: int) -> np.ndarray:
         """The codes of generation depth: words(fan, depth, piece_cap)."""
         return words(self.fan, depth, self.piece_cap)
+
+    def capacity_ratios(self, radii: np.ndarray) -> np.ndarray:
+        """cap(piece) / cap(J) for pieces of these radii: radius over bounding
+        radius, as a piece is J scaled (a repeller's cylinders, a segment's)."""
+        return radii / self.bounding_radius
 
 
 class _ExactField:
@@ -218,6 +224,10 @@ class Circle(_ExactShape):
     def piece_radius(self, depth: int) -> float:
         # half arc length bounds the distance from arc midpoint to any arc point
         return np.pi * self.radius / (1 << depth)
+
+    def capacity_ratios(self, radii: np.ndarray) -> np.ndarray:
+        # an arc of half length r on a circle of radius R has capacity R sin(r / 2R)
+        return np.sin(radii / (2.0 * self.radius))
 
 
 @dataclass(frozen=True)

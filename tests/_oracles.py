@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from cantorlab.curvature import cauchy_truncations
-from cantorlab.errors import ExcessiveDiscardError, SingularityError
+from cantorlab.errors import SingularityError
 from cantorlab.geometry import _Axis
 from cantorlab.potential import (
     LAUNCH_FACTOR,
@@ -251,6 +251,26 @@ def segment_green_exact(z: complex) -> float:
     return float(np.log(np.abs(val)))
 
 
+def circle_green(z, p: complex):
+    """Green's function of the outside of the unit circle with pole p:
+    log(|1 - z conj(p)| / |z - p|)."""
+    return np.log(np.abs(1.0 - z * np.conj(p)) / np.abs(z - p))
+
+
+def circle_poisson_masses(n: int, p: complex) -> np.ndarray:
+    """Harmonic measure from p outside the unit circle of its n equal arcs,
+    the arc of center angle 2 pi (m + 1/2) / n given by the Poisson kernel
+    (|p|^2 - 1) / |p - e^(i theta)|^2 / 2 pi at the arc center times its
+    length 2 pi / n."""
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    return (abs(p) ** 2 - 1.0) / np.abs(p - np.exp(1j * theta)) ** 2 / n
+
+
+def arcsine_masses(n: int) -> np.ndarray:
+    """Equilibrium masses of the n equal pieces of [-1, 1], from arcsine_cdf."""
+    return np.diff(arcsine_cdf(np.linspace(-1.0, 1.0, n + 1)))
+
+
 @dataclass(frozen=True)
 class DistanceInterval:
     """Certified enclosure lo <= dist(z, J) <= hi."""
@@ -426,12 +446,11 @@ def measure_from_csv(text: str) -> EmpiricalMeasure:
     )
 
 
-# The two walk loops below are the sampler chunk and the pole-absorption
-# estimate as they were written before both became calls of one loop,
-# potential._walk.  That loop keeps one array of live walks full: it launches
+# The walk loop below is the sampler chunk as it was written before it
+# became a call of one loop, potential._walk.  That loop keeps one array of live walks full: it launches
 # each chunk, with its own random stream, at the end of the array once the
 # walks of earlier chunks have stopped and left room, and counts each chunk's
-# step limit from its launch.  The references walk one chunk alone from step
+# step limit from its launch.  The reference walks one chunk alone from step
 # zero, bin and count stopped walks inside the loop, step by step, and draw
 # from one stream, so equal results pin the merged loop to the same draws
 # and stops.  They map each random() draw u to the direction _turn(u), where
@@ -487,33 +506,6 @@ def atom_counts(shape, cfg: WalkConfig, leaf_counts):
     """
     n_atoms = len(shape.atoms(shape.atom_depth(cfg.stop_tol)))
     return leaf_counts.reshape(n_atoms, -1).sum(axis=1)
-
-
-def absorbed_fraction(shape, fld, z0, pole, pole_radius, cfg, rng, n):
-    """Fraction of walks from z0 hitting the pole disc before J."""
-    z = np.full(n, complex(z0))
-    center = shape.bounding_center
-    enclose = 2.0 * max(
-        shape.bounding_radius, abs(pole - center) + pole_radius, abs(z0 - center)
-    )
-    hits = 0
-    finished = 0
-    for _ in range(MAX_STEPS):
-        lo, hi = fld.query(z)
-        dp = np.abs(z - pole) - pole_radius
-        stop = np.minimum(hi, dp) < cfg.stop_tol
-        if stop.any():
-            hits += int(np.sum(dp[stop] < hi[stop]))
-            finished += int(stop.sum())
-            keep = ~stop
-            z, lo, dp = z[keep], lo[keep], dp[keep]
-        if z.size == 0:
-            break
-        z = z + np.minimum(lo, dp) * _turn(rng.random(z.size))
-        z = _reenter(z, center, enclose, rng)
-    if finished < 0.99 * n:
-        raise ExcessiveDiscardError("over 1% of pole walks hit the step limit")
-    return hits / finished, finished
 
 
 # -- piece generations ------------------------------------------------------------

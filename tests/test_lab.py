@@ -44,7 +44,6 @@ shape = middle-thirds
 seed = 5
 
 n_pairs = 4
-stop_tol = 1e-3
 pole_p = 2+1j
 """
 
@@ -59,18 +58,18 @@ def test_parse_config_types_and_param_split():
     assert cfg.seed == 5
     assert cfg.out is None
     assert cfg.threads == 1
-    assert cfg.params == {"n_pairs": 4, "stop_tol": 1e-3, "pole_p": complex(2.0, 1.0)}
+    assert cfg.params == {"n_pairs": 4, "pole_p": complex(2.0, 1.0)}
     assert "samples" not in cfg.params
 
 
 @pytest.mark.parametrize(
     "experiment,key,value",
-    [("regularity", "n_points", "5"), ("regularity", "walks_per_point", "7"),
+    [("regularity", "n_points", "5"), ("regularity", "n_pairs", "7"),
      ("curvature-profile", "pole_p", "2+1j"),
      # the walk keys, on experiments that never walk or never count walks
      ("regularity", "samples", "5"), ("regularity", "stop_tol", "0.5"),
      ("curvature-profile", "samples", "5"), ("lemma-L", "stop_tol", "0.5"),
-     ("bhp", "samples", "40000")],
+     ("bhp", "samples", "40000"), ("bhp", "stop_tol", "1e-3")],
 )
 def test_config_refuses_a_key_its_experiment_does_not_read(tmp_path, capsys,
                                                            experiment, key, value):
@@ -93,16 +92,16 @@ def test_walk_keys_are_read_and_hashed_where_the_experiment_walks():
     with pytest.raises(ConfigError, match="does not read 'samples'"):
         parse_experiment_config("experiment = regularity\nshape = corner4\nseed = 1\n"
                                 "kmax = 3\nsamples = 5\nstop_tol = 0.5\n")
-    bhp = parse_experiment_config("experiment = bhp\nshape = circle\nseed = 1\nstop_tol = 1e-3\n")
-    assert bhp.params == {"stop_tol": 1e-3} and bhp.walk_config().stop_tol == 1e-3
-    assert "stop_tol = 0.001\n" in bhp.canonical_text()
-    assert "samples" not in bhp.canonical_text()
+    dims = parse_experiment_config("experiment = dimension-gap\nshape = circle\nseed = 1\n"
+                                   "stop_tol = 1e-3\n")
+    assert dims.params == {"stop_tol": 1e-3} and dims.walk_config().stop_tol == 1e-3
+    assert "stop_tol = 0.001\n" in dims.canonical_text()
     sampling = {"measure-scaling", "green-comparability", "cauchy", "dimension-gap"}
     for name, exp in lab._EXPERIMENTS.items():
         cfg = ExperimentConfig(experiment=name, shape="corner4", seed=1)
         walks = name in sampling
         assert ("samples" in exp.params) == walks, name
-        assert ("stop_tol" in exp.params) == (walks or name == "bhp"), name
+        assert ("stop_tol" in exp.params) == walks, name
         if walks:
             assert cfg.param("samples") == cfg.walk_config().samples == 100_000, name
         assert ("samples = 100000\n" in cfg.canonical_text()) == walks, name
@@ -244,6 +243,35 @@ def test_cli_refuses_a_scale_base_in_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_CORNER_BRANCHES = "branch = 0.25,0,0,0\nbranch = 0.25,0,0.75,0\nbranch = 0.25,0,0,0.75\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_CORNER_BRANCHES + "branch = 0.25,0,0.75,0.75\nroot = 0.5,0.5,nan\n", "root radius"),
+        (_CORNER_BRANCHES + "branch = 0.25,0,nan,0.75\nroot = 0.5,0.5,1\n", "translation"),
+        (_CORNER_BRANCHES + "branch = 0.25,0,0.75,0.75\nroot = 0.5,inf,1\n", "root center"),
+        (_CORNER_BRANCHES + "branch = 0.25,inf,0.75,0.75\nroot = 0.5,0.5,1\n", "rotation"),
+    ],
+    ids=["root-radius-nan", "translation-nan", "root-center-inf", "rotation-inf"],
+)
+def test_non_finite_ifs_numbers_are_refused_in_one_line(tmp_path, capsys, text, message):
+    # a NaN gap fails no < test: the translation file built 16 atoms and
+    # graded regularity with "diam <= nan*a^-k"
+    path = tmp_path / "bad.ifs"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        resolve_shape(str(path))
+    for argv in (["build", str(path), "--depth", "2"],
+                 ["--out", str(tmp_path / "out"), "regularity", str(path), "--kmax", "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 #: sha256 of regularity.csv and lemma_l.csv at seed 1: the covering diameters
 #: and the renewal shells, bit for bit
 TABLE_SHA256 = [
@@ -304,8 +332,6 @@ _PINNED_CANONICAL = [
      "stop_tol = 0.001\n"),
     ("bhp", "",
      "experiment = 'bhp'\nseed = 1\nshape = 'corner4'\n"),
-    ("bhp", "stop_tol = 1e-3",
-     "experiment = 'bhp'\nseed = 1\nshape = 'corner4'\nstop_tol = 0.001\n"),
     ("curvature-profile", "",
      "experiment = 'curvature-profile'\nseed = 1\nshape = 'corner4'\n"),
     ("cauchy", "",
@@ -520,6 +546,21 @@ def test_bhp_grades_the_claimed_exponent_range(tmp_path, monkeypatch, epsilon, g
     assert verdict.endswith(f"-> {grade}")
 
 
+@pytest.mark.parametrize("shape", ["corner4", "middle-thirds", "circle", "segment"])
+def test_bhp_at_its_defaults_runs_on_every_shape(tmp_path, capsys, shape):
+    # with 16 pairs, 2.7 per separation bucket, segment, middle-thirds and
+    # the circle refused with fewer than 3 populated buckets
+    files = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert main(["--seed", "3", "--threads", str(threads), "--out", str(out),
+                     "bhp", shape]) == 0
+        files.append({name: (out / name).read_bytes() for name in ("bhp.csv", "summary.txt")})
+    assert files[0] == files[1]
+    assert len(files[0]["bhp.csv"].splitlines()) == 2 + 64
+    assert "64 pairs" in capsys.readouterr().out
+
+
 # -- command line -----------------------------------------------------------------------
 
 
@@ -657,7 +698,7 @@ def test_cli_help_shows_the_table_defaults():
     sample = {a.dest: a.help for a in subs["sample"]._actions}
     assert sample["samples"] == "default 100000"
     assert sample["r_hi"] == "default 0.25"
-    assert "default 50000" in subs["bhp"].format_help()
+    assert "default 64" in subs["bhp"].format_help()
 
 
 def test_cli_flags_follow_the_config_key_table():
@@ -701,7 +742,8 @@ from cantorlab.lab import ExperimentConfig, run_experiment
 for name, shape, params in (("cauchy", "corner4", {"samples": 4000}),
                             ("regularity", "corner4", {"kmax": 4}),
                             ("measure-scaling", "corner4", {"samples": 20000}),
-                            ("green-comparability", "circle", {"samples": 20000})):
+                            ("green-comparability", "circle", {"samples": 20000}),
+                            ("bhp", "corner4", {})):
     run_experiment(ExperimentConfig(experiment=name, shape=shape, seed=1, threads=2,
                                     out=f"{sys.argv[1]}/{name}", params=params))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
@@ -709,11 +751,11 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split("."
 
 
 def test_import_and_preset_runs_load_no_scipy(tmp_path):
-    """The import, a cauchy, a regularity and a measure-scaling run on
+    """The import, a cauchy, a regularity, a measure-scaling and a bhp run on
     corner4 and a green-comparability run on the circle load no scipy module
     and not numpy.ma, in a fresh interpreter: only fields of rotated maps need
-    scipy, and order statistics go through potential.quantile, not
-    np.quantile.  The import loads neither concurrent.futures nor logging:
+    scipy, the equilibrium solve is numpy's, and order statistics go through
+    potential.quantile, not np.quantile.  The import loads neither concurrent.futures nor logging:
     the sampler starts plain threads."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -726,6 +768,7 @@ def test_import_and_preset_runs_load_no_scipy(tmp_path):
     assert (tmp_path / "regularity" / "regularity.csv").exists()
     assert (tmp_path / "measure-scaling" / "scaling.csv").exists()
     assert (tmp_path / "green-comparability" / "summary.txt").exists()
+    assert (tmp_path / "bhp" / "bhp.csv").exists()
 
 
 def _load_tracer():

@@ -1,5 +1,7 @@
-"""Walk-on-spheres sampling, potentials, Robin constants, regression fits."""
+"""Walk-on-spheres sampling, the equilibrium solve, potentials, Robin constants,
+regression fits."""
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -15,15 +17,17 @@ from cantorlab import (
     ExcessiveDiscardError,
     FitDegeneracyError,
     InsufficientMassError,
+    ResourceLimitError,
     Segment,
     SingularityError,
-    VarianceError,
+    SinglePoint,
     WalkConfig,
     ball_mass_scaling,
     bhp_holder_fit,
     boundary_probes,
     cauchy_transform,
     comparability_fit,
+    equilibrium_measure,
     fit_holder_envelope,
     green_model,
     log_potential,
@@ -33,7 +37,7 @@ from cantorlab import (
     sample_harmonic_measure,
 )
 from cantorlab import potential
-from cantorlab.potential import _absorbed_fraction, quantile, rng_stream
+from cantorlab.potential import quantile, rng_stream
 
 import _oracles
 from _oracles import arcsine_cdf, measure_from_csv, weighted_ks_distance
@@ -379,30 +383,11 @@ def test_holder_envelope_validation():
         fit_holder_envelope(same, same.copy())
 
 
-def test_absorbed_fraction_matches_exterior_green_ratio():
-    """Hit probability of a small disc before the circle, against closed form.
-
-    For the unit-circle complement, u(z) ~ G(z, p) / (log(1/rho) +
-    log(|p|^2 - 1)) with G the exterior Green's function of the pole pair.
-    """
-    shape = Circle()
-    cfg = WalkConfig(samples=1, seed=0).resolve(shape)
-    fld = shape.field(cfg.stop_tol / 4.0)
-    for z0, pole, rho in [(2.0 + 0j, 3.0 + 0j, 0.1), (1.5 + 0j, 2.0 + 2.0j, 0.2)]:
-        u, n_eff = _absorbed_fraction(
-            shape, fld, z0, pole, rho, cfg, rng_stream(9, 0), 40_000
-        )
-        g = math.log(abs(z0 * np.conj(pole) - 1.0) / abs(z0 - pole))
-        w = math.log(1.0 / rho) + math.log(abs(pole) ** 2 - 1.0)
-        assert n_eff == 40_000
-        assert u == pytest.approx(g / w, rel=0.03)
-
-
 @pytest.mark.parametrize("name", ["circle", "segment", "corner4"])
 def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
-    """The one walk loop gives the old loops' counts, live walks and hits.
+    """The one walk loop gives the old loop's counts and live walks.
 
-    The references walk one chunk on one stream and bin and count stopped
+    The reference walks one chunk on one stream and bins and counts stopped
     walks inside the loop, step by step; the merged loop walks the chunks in
     one refilled array and bins stopped walks into atoms in blocks.
     """
@@ -420,19 +405,6 @@ def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
         return [lv for _, lv in refs]
 
     assert live_per_chunk() == [0, 0, 0]
-    if name == "circle":
-        cases = [(2.0 + 0j, 3.0 + 0j, 0.1, 40_000), (1.5 + 0j, 2.0 + 2.0j, 0.2, 40_000)]
-    elif name == "corner4":
-        cases = [(0.5 + 0.5j, 2.5 + 0.5j, 0.25, 5_000)]
-    else:
-        cases = []
-    for z0, pole, rho, n in cases:
-        got = _absorbed_fraction(shape, fld, z0, pole, rho, cfg, rng_stream(9, 0), n)
-        ref = _oracles.absorbed_fraction(
-            shape, fld, z0, pole, rho, cfg, rng_stream(9, 0), n
-        )
-        assert got == ref
-        assert 0.0 < got[0] < 1.0
 
     # a step limit that leaves walks of every stream live
     monkeypatch.setattr(potential, "MAX_STEPS", 12)
@@ -638,29 +610,92 @@ def test_sampler_counts_atoms_not_leaves(monkeypatch):
 
 
 def test_bhp_fit_identical_poles_has_zero_envelope():
-    fit = bhp_holder_fit(
-        Circle(),
-        3.0 + 0j,
-        3.0 + 0j,
-        WalkConfig(samples=1, seed=3),
-        n_pairs=6,
-        walks_per_point=20_000,
-    )
+    fit = bhp_holder_fit(Circle(), 3.0 + 0j, 3.0 + 0j, n_pairs=6, seed=3)
     assert fit.epsilon == 1.0
     assert fit.c == 0.0
     assert all(d == 0.0 for d in fit.deviations)
 
 
-def test_bhp_fit_variance_gate():
-    with pytest.raises(VarianceError):
-        bhp_holder_fit(
-            Circle(),
-            3.0 + 0j,
-            2.0 + 2.0j,
-            WalkConfig(samples=1, seed=3),
-            n_pairs=4,
-            walks_per_point=400,
-        )
+# -- the equilibrium solve --------------------------------------------------------
+
+
+def _green(omega, g, z, p):
+    """G(z, p) = U^omega^p(z) - log|z - p| + g(p), from one pole's solve."""
+    return log_potential(omega, z) - np.log(np.abs(z - p)) + g
+
+
+def test_pole_solve_matches_the_circle_poisson_kernel_and_green_function():
+    """Circle, K = 10: each pole's masses are the Poisson kernel's arc masses
+    to 1e-3, relative, and G(z, p) is the closed form to 1e-3, at the points
+    and poles the retired absorption-walk test read."""
+    poles = [3.0 + 0j, 2.0 + 2.0j]
+    model, solved = equilibrium_measure(Circle(), 10, poles)
+    assert model.capacity == pytest.approx(1.0, abs=1e-3)
+    for p, (omega, _) in zip(poles, solved):
+        ref = _oracles.circle_poisson_masses(1024, p)
+        assert np.max(np.abs(omega.weights - ref) / ref) < 1e-3
+    for z, k in [(2.0 + 0j, 0), (1.5 + 0j, 1), (0.5 + 2.5j, 0)]:
+        got = _green(*solved[k], z, poles[k])
+        assert got == pytest.approx(_oracles.circle_green(z, poles[k]), abs=1e-3)
+
+
+def test_segment_solve_gives_capacity_one_half_and_the_arcsine_masses():
+    # the end pieces carry the largest error, 5.3e-4 of mass each
+    model, _ = equilibrium_measure(Segment(), 10)
+    assert model.capacity == pytest.approx(0.5, abs=1e-3)
+    ref = _oracles.arcsine_masses(1024)
+    assert np.max(np.abs(model.measure.weights - ref)) < 1e-3
+
+
+@pytest.mark.parametrize("name,depth,capacity",
+                         [("corner4", 5, 0.5558927870), ("middle-thirds", 10, 0.2209530068)])
+def test_repeller_solve_capacities(name, depth, capacity):
+    model, _ = equilibrium_measure(preset(name), depth)
+    assert model.capacity == pytest.approx(capacity, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "middle-thirds"])
+def test_solve_weights_are_probabilities_and_green_is_symmetric(name):
+    shape = {"circle": Circle(), "segment": Segment()}.get(name) or preset(name)
+    c, diam = shape.bounding_center, shape.diameter
+    p, q = c + 1.4 * diam, c + 1.4j * diam
+    model, ((om_p, g_p), (om_q, g_q)) = equilibrium_measure(shape, 10 if shape.fan == 2 else 5,
+                                                            [p, q])
+    for omega in (model.measure, om_p, om_q):
+        assert omega.weights.min() > 0
+        assert abs(omega.weights.sum() - 1.0) < 1e-12
+    assert abs(_green(om_p, g_p, q, p) - _green(om_q, g_q, p, q)) < 1e-10
+
+
+def test_corner4_solve_is_invariant_under_the_square_symmetries(corner):
+    """The 8 isometries of the square act on corner4's letters x + 2y by
+    flipping x, flipping y and swapping the two bits; each maps a piece to a
+    piece of the same mass."""
+    model, _ = equilibrium_measure(corner, 5)
+    codes, w = model.measure.codes, model.measure.weights
+    places = 4 ** np.arange(4, -1, -1)
+    for flip_x, flip_y, swap in itertools.product((0, 1), repeat=3):
+        x, y = codes & 1 ^ flip_x, codes >> 1 ^ flip_y
+        letters = y + 2 * x if swap else x + 2 * y
+        assert np.allclose(w[letters @ places], w, rtol=1e-9, atol=0)
+
+
+def test_solve_refuses_before_building_anything(corner, monkeypatch):
+    built = []
+    monkeypatch.setattr(corner, "atoms", lambda depth: built.append(depth))
+    monkeypatch.setattr(SinglePoint, "atoms", lambda self, depth: built.append(depth))
+    monkeypatch.setattr(SinglePoint, "field", lambda self, res: built.append(res))
+    with pytest.raises(ResourceLimitError, match="solve cap 4096"):
+        equilibrium_measure(corner, 7)
+    with pytest.raises(ValueError, match="generation >= 1"):
+        equilibrium_measure(corner, 0)
+    with pytest.raises(ValueError, match="capacity 0"):
+        bhp_holder_fit(SinglePoint(), 1.0 + 0j, 1j)
+    assert built == []
+    with pytest.raises(ValueError, match="not outside"):
+        equilibrium_measure(Circle(), 4, [0.5 + 0j])
+    with pytest.raises(ValueError, match="not outside"):
+        equilibrium_measure(Circle(), 4, [1.001 + 0j])
 
 
 def test_segment_capacity_quarter_length(segment_em):
