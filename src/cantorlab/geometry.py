@@ -21,10 +21,7 @@ from .errors import (
     ResourceLimitError,
     QuadratureError,
 )
-from .shapes import CylinderSet, DistanceField, Shape, words
-
-#: hard cap on the number of cylinders any operation may instantiate
-CYLINDER_CAP = 4**10
+from .shapes import CylinderSet, DistanceField, Shape, piece_count, words
 
 #: required clearance between branch images, relative to the root radius
 SEPARATION_MARGIN = 1e-9
@@ -197,7 +194,7 @@ def _product_axes(rep: "Repeller", depth: int):
         scale = f.real if n == rep.fan else np.full(n, f.real[0] if equal else 1.0)
         # einsum, not @: matmul first casts the whole uint8 word table to int64
         place = w * rep.fan ** np.arange(depth)[::-1]
-        word = np.einsum("ij,j->i", words(n, depth, rep.piece_cap), place)
+        word = np.einsum("ij,j->i", words(n, depth), place)
         coeff, off = _compose(scale, values, depth)
         u = coeff * root + off
         order = np.argsort(u, kind="stable")
@@ -303,8 +300,6 @@ class Repeller(Shape):
     renew.
     """
 
-    piece_cap = CYLINDER_CAP
-
     def __init__(
         self,
         branches: list[SimilarityMap],
@@ -381,7 +376,7 @@ class Repeller(Shape):
 
     def atoms(self, depth: int) -> CylinderSet:
         """All generation-depth cylinders in lexicographic code order."""
-        codes = self.words(depth)
+        codes = words(self.fan, depth)
         bf = np.array([b.factor for b in self.branches])
         bt = np.array([b.translation for b in self.branches])
         coeffs, offsets = _compose(bf, bt, depth)
@@ -691,7 +686,6 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = _scale_base(a, kmax)
-    # every level's generation, and so the cylinder cap, before any cylinder is built
     levels = [(k, (a**-k,), _covering_generation(rep, a**-k)) for k in range(kmax + 1)]
 
     def clusters(node):
@@ -712,7 +706,11 @@ def covering_counts(rep: Repeller, a: float, kmax: int) -> CoveringReport:
         ns, diags = zip(*parts)
         return sum(ns), max(b.scale * d for b, d in zip(rep.branches, diags))
 
-    tops = _renewal(rep, a, levels, lambda nodes: map(clusters, nodes), combine)
+    def direct(nodes):
+        piece_count(rep.fan, max(g for _, g in nodes))  # the deepest, before any is clustered
+        return map(clusters, nodes)
+
+    tops = _renewal(rep, a, levels, direct, combine)
     counts = [n for n, _ in tops]
     diams = [d + 2.0 * (rep.piece_radius(g) + eps) for (_, d), (_, (eps,), g) in zip(tops, levels)]
     ks = np.arange(kmax + 1)

@@ -50,7 +50,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import Repeller, similarity_dimension
-from .shapes import Shape, code_rows
+from .shapes import Shape, code_rows, piece_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -407,7 +407,8 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     Returns an EmpiricalMeasure whose atoms sit at the centers of the pieces
     of radius about stop_tol, weighted by stopped-walk counts, which each
     share tallies per atom: no array spans the leaves of the stop_tol / 4
-    field the walks run on.  Raises
+    field the walks run on.  Raises ResourceLimitError (piece_count) when the
+    atoms are too many, before the field, any helper thread or any walk, and
     ExcessiveDiscardError when over 1% of walks exhaust MAX_STEPS.  Chunk c
     walks on the substream (seed, stream, c); two runs at one seed are
     independent when their stream keys differ, and otherwise the smaller
@@ -416,6 +417,8 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
     first failing share.
     """
     cfg = cfg.resolve(shape)
+    depth = shape.atom_depth(cfg.stop_tol)
+    piece_count(shape.fan, depth)
     fld = shape.field(cfg.stop_tol / 4.0)
     sizes = [CHUNK] * (cfg.samples // CHUNK)
     if cfg.samples % CHUNK:
@@ -447,7 +450,7 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
             f"{discarded} of {cfg.samples} walks hit the step limit "
             f"{MAX_STEPS} (allowed {DISCARD_LIMIT:.0%})"
         )
-    atoms = shape.atoms(shape.atom_depth(cfg.stop_tol))
+    atoms = shape.atoms(depth)
     occupied = atom_counts > 0
     weights = atom_counts[occupied].astype(float)
     return EmpiricalMeasure(
@@ -827,7 +830,9 @@ def bhp_holder_fit(
     Green functions of one equilibrium solve on the deepest generation of at
     most BHP_PIECES pieces.  Pair points sit at certified distance DEPTH_BAND
     * R from J (R the bounding radius), SEP_BAND * R apart, drawn from the
-    (seed, 5) stream."""
+    (seed, 5) stream.  Capacity 0, one piece at every depth, is refused first."""
+    if shape.diameter == 0:
+        raise ValueError(f"{shape.name} has capacity 0, so no Green function")
     depth = 1
     while shape.fan ** (depth + 1) <= BHP_PIECES:
         depth += 1

@@ -17,9 +17,9 @@ from .errors import ResourceLimitError
 
 TWO_PI = 2.0 * np.pi
 
-#: most pieces of one generation of an exact shape: the circle's field at
-#: stop_tol 1e-5 radii has depth 21, the segment's depth 19
-PIECE_CAP = 1 << 22
+#: most pieces of one generation under any table (atoms, a product axis's words,
+#: the sampler's tallies); atoms and close_pairs over 2^22 pieces take about 2 GB
+PIECE_CAP = 4**10
 
 
 class DistanceField(Protocol):
@@ -56,18 +56,21 @@ class CylinderSet:
         return len(self.centers)
 
 
-def words(fan: int, depth: int, cap: int) -> np.ndarray:
-    """All words of depth letters from fan, lexicographic, as a (fan**depth, depth)
-    uint8 array.
-
-    Raises ValueError below depth 0, ResourceLimitError (before allocating)
-    above cap words.
-    """
+def piece_count(fan: int, depth: int) -> int:
+    """fan**depth, checked before any table over generation depth is built:
+    ValueError below depth 0, ResourceLimitError above PIECE_CAP."""
     if depth < 0:
         raise ValueError("generation must be >= 0")
     n = fan**depth
-    if n > cap:
-        raise ResourceLimitError(f"generation {depth} has {n} pieces, cap {cap}")
+    if n > PIECE_CAP:
+        raise ResourceLimitError(f"generation {depth} has {fan}^{depth} pieces, cap {PIECE_CAP}")
+    return n
+
+
+def words(fan: int, depth: int) -> np.ndarray:
+    """All words of depth letters from fan, lexicographic, as a (fan**depth, depth)
+    uint8 array, refused by piece_count before it is allocated."""
+    n = piece_count(fan, depth)
     codes = np.empty((n, depth), dtype=np.uint8)
     letters = np.arange(fan, dtype=np.uint8)[:, None]
     for j in range(depth):
@@ -101,15 +104,14 @@ class Shape:
     pieces of generation k number fan**k, each piece split into fan
     contiguous ones at the next generation, and have radius at most
     piece_radius(k); atoms(depth), the one accessor for a generation, gives
-    the CylinderSet of its pieces, built on each call, and no generation of
-    more than piece_cap pieces is built; capacity_ratios(radii) gives each
+    the CylinderSet of its pieces, built on each call and refused above
+    PIECE_CAP pieces (piece_count); capacity_ratios(radii) gives each
     piece's capacity over that of J, the self-term of the equilibrium solve.
     in_outer_domain(z) marks points of the unbounded complementary component.
     """
 
     name: str
     fan: int
-    piece_cap: int
 
     def in_outer_domain(self, z: np.ndarray) -> np.ndarray:
         # a set with no holes: the complement is one connected piece
@@ -122,14 +124,7 @@ class Shape:
         k = 0
         while self.piece_radius(k) > target_radius:
             k += 1
-            if self.fan**k > self.piece_cap:
-                raise ResourceLimitError(f"{self.name} pieces of radius {target_radius:g} "
-                                         f"number more than the cap {self.piece_cap}")
         return k
-
-    def words(self, depth: int) -> np.ndarray:
-        """The codes of generation depth: words(fan, depth, piece_cap)."""
-        return words(self.fan, depth, self.piece_cap)
 
     def capacity_ratios(self, radii: np.ndarray) -> np.ndarray:
         """cap(piece) / cap(J) for pieces of these radii: radius over bounding
@@ -143,7 +138,7 @@ class _ExactField:
     def __init__(self, shape, depth: int):
         self.shape = shape
         self.depth = depth
-        self.leaf_count = 1 << depth
+        self.leaf_count = shape.fan**depth
 
     def query(self, z: np.ndarray):
         d = self.shape.distance(z)
@@ -156,13 +151,12 @@ class _ExactField:
 class _ExactShape(Shape):
     """Closed-form shape whose generation-k pieces have radius piece_radius(k).
 
-    The pieces of generation k split a parameter t in [0, 1] into 2^k equal
+    The pieces of generation k split a parameter t in [0, 1] into fan^k equal
     intervals: _param(z) is the parameter of z's nearest point on the shape,
     and _center(m, n) the point at parameter m / n.
     """
 
     fan = 2  # each piece halves
-    piece_cap = PIECE_CAP
 
     def field(self, resolution: float) -> _ExactField:
         return _ExactField(self, self.atom_depth(resolution))
@@ -172,7 +166,7 @@ class _ExactShape(Shape):
         return np.minimum((self._param(z) * n).astype(np.int64), n - 1)
 
     def atoms(self, depth: int) -> CylinderSet:
-        codes = self.words(depth)
+        codes = words(self.fan, depth)
         n = len(codes)
         centers = self._center(np.arange(n) + 0.5, n)
         return CylinderSet(codes, centers, np.full(n, self.piece_radius(depth)))
@@ -222,8 +216,9 @@ class Circle(_ExactShape):
         return self.center + self.radius * np.exp(1j * (TWO_PI * m / n))
 
     def piece_radius(self, depth: int) -> float:
-        # half arc length bounds the distance from arc midpoint to any arc point
-        return np.pi * self.radius / (1 << depth)
+        # half arc length bounds the distance from arc midpoint to any arc point;
+        # ldexp is the division by 2^depth, and stays finite past depth 1023
+        return float(np.ldexp(np.pi * self.radius, -depth))
 
     def capacity_ratios(self, radii: np.ndarray) -> np.ndarray:
         # an arc of half length r on a circle of radius R has capacity R sin(r / 2R)
@@ -272,7 +267,7 @@ class Segment(_ExactShape):
         return self.a + m / n * (self.b - self.a)
 
     def piece_radius(self, depth: int) -> float:
-        return abs(self.b - self.a) / (2 << depth)
+        return float(np.ldexp(abs(self.b - self.a), -depth - 1))
 
 
 @dataclass(frozen=True)
@@ -280,13 +275,15 @@ class SinglePoint(_ExactShape):
     """Degenerate one-point set.
 
     Not a valid repeller; it exists so the shell-sum quadrature can be checked
-    against the closed-form integral of |z|^(-p) over a disc.
+    against the closed-form integral of |z|^(-p) over a disc.  Its one piece
+    of each generation is the point itself, of radius 0.
     """
 
     point: complex = 0j
     extent: float = 1.0
 
     name = "point"
+    fan = 1
 
     @property
     def bounding_center(self) -> complex:
@@ -303,12 +300,11 @@ class SinglePoint(_ExactShape):
     def distance(self, z: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(z) - self.point)
 
-    def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
-        return np.zeros(np.shape(z), dtype=np.int64)
+    def _param(self, z: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(z))
+
+    def _center(self, m: np.ndarray, n: int) -> np.ndarray:
+        return np.full(np.shape(m), self.point, dtype=complex)
 
     def piece_radius(self, depth: int) -> float:
         return 0.0
-
-    def atoms(self, depth: int) -> CylinderSet:
-        return CylinderSet(np.zeros((1, 0), dtype=np.uint8), np.array([self.point]),
-                           np.array([0.0]))

@@ -32,7 +32,6 @@ from cantorlab import (
     similarity_dimension,
 )
 from cantorlab.geometry import (
-    CYLINDER_CAP,
     SHELL_BASE_CELLS,
     SHELL_MAX_REFINE,
     _components,
@@ -41,7 +40,7 @@ from cantorlab.geometry import (
     close_pairs,
 )
 from cantorlab.potential import rng_stream
-from cantorlab.shapes import PIECE_CAP
+from cantorlab.shapes import PIECE_CAP, words
 
 from _oracles import (
     binary_codes,
@@ -209,30 +208,45 @@ def test_cylinder_nesting(thirds):
 
 
 def test_cylinder_cap_enforced(corner):
-    with pytest.raises(ResourceLimitError):
-        corner.atoms(11)
-    with pytest.raises(ResourceLimitError):
-        corner.atom_depth(1e-12)
-    assert corner.fan**10 == CYLINDER_CAP
+    """The cap bounds tables, not depths: corner4's first generation over
+    PIECE_CAP has no atoms, while its depth is plain geometry."""
+    first_over = next(d for d in itertools.count() if corner.fan**d > PIECE_CAP)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
+            corner.atoms(first_over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 4^-20 < 1e-12 < 4^-19
+    assert corner.atom_depth(1e-12) == 20
 
 
 def test_exact_shape_piece_cap_enforced():
-    # stop_tol = 1e-5 bounding radii asks for fields at a quarter of it: depth
-    # 21 on the circle and 19 on the segment, inside the cap of 2^22 pieces
-    assert PIECE_CAP == 1 << 22
+    """Exact fields build no table, so they take any depth; their atoms stop
+    at PIECE_CAP pieces, refused before anything is allocated."""
+    # stop_tol = 1e-5 bounding radii asks for fields at a quarter of it
     assert Circle().atom_depth(1e-5 / 4) == 21
     assert Segment().atom_depth(1e-5 / 4) == 19
+    first_over = next(d for d in itertools.count() if 2**d > PIECE_CAP)
+    rng = rng_stream(32, 0)
     for shape in (Circle(), Segment()):
-        deepest = shape.piece_radius(22)
-        assert shape.atom_depth(deepest) == 22
-        # refused before anything of 2^23 or 2^27 pieces is built
-        for radius in (0.99 * deepest, 1e-7 / 4):
+        z = shape.bounding_center + 2.0 * shape.bounding_radius * (rng.random(64) - 0.5j)
+        for radius in (shape.piece_radius(first_over), 1e-7 / 4):
+            fld = shape.field(radius)
+            assert fld.depth == shape.atom_depth(radius) >= first_over
+            assert fld.leaf_count == 2**fld.depth
+            assert np.array_equal(fld.query(z)[1], shape.distance(z))
+            assert np.array_equal(fld.leaf(z), exact_leaf_index(shape, z, fld.depth))
+        tracemalloc.start()
+        try:
             with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
-                shape.atom_depth(radius)
-            with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
-                shape.field(radius)
-        with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
-            shape.atoms(23)
+                shape.atoms(first_over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_atom_depth_monotone(thirds):
@@ -265,17 +279,17 @@ def test_kept_gap_is_the_first_level_gap(name):
     assert rep.first_level_gap.hex() == first_level_gap(rep).hex()
 
 
-@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "golden"])
+@pytest.mark.parametrize("name", ["circle", "segment", "point", "corner4", "golden"])
 def test_atoms_are_one_cylinder_set_over_the_word_table(name):
     shape = golden_repeller() if name == "golden" else resolve_shape(name)
     for depth in range(7):
         cs = shape.atoms(depth)
         assert isinstance(cs, CylinderSet)
         assert len(cs) == len(cs.radii) == len(cs.codes) == shape.fan**depth
-        assert np.array_equal(cs.codes, shape.words(depth))
+        assert np.array_equal(cs.codes, words(shape.fan, depth))
 
 
-@pytest.mark.parametrize("name", ["circle", "segment", "corner4", "golden"])
+@pytest.mark.parametrize("name", ["circle", "segment", "point", "corner4", "golden"])
 def test_field_leaves_group_into_atoms(name):
     """The sampler walks on field(r / 4) and bins its stopped walks into the
     atoms of generation atom_depth(r), leaf_count / fan**depth leaves each."""
@@ -306,24 +320,24 @@ def test_word_table_is_the_lexicographic_product(fan):
     shape = {2: Circle(), 3: rotated_repeller(), 4: preset("corner4")}[fan]
     assert shape.fan == fan
     for depth in range(6):
-        words = shape.words(depth)
-        assert words.dtype == np.uint8 and words.shape == (fan**depth, depth)
-        assert [tuple(w) for w in words] == list(itertools.product(range(fan), repeat=depth))
-    assert np.array_equal(Circle().words(12), binary_codes(12))
+        table = words(fan, depth)
+        assert table.dtype == np.uint8 and table.shape == (fan**depth, depth)
+        assert [tuple(w) for w in table] == list(itertools.product(range(fan), repeat=depth))
+    assert np.array_equal(words(2, 12), binary_codes(12))
 
 
 @pytest.mark.parametrize("name", ["circle", "segment", "corner4", "middle-thirds"])
 def test_word_table_over_the_cap_is_refused_before_allocating(name):
     shape = resolve_shape(name)
-    first_over = next(d for d in itertools.count() if shape.fan**d > shape.piece_cap)
+    first_over = next(d for d in itertools.count() if shape.fan**d > PIECE_CAP)
     tracemalloc.start()
     try:
         for depth in (first_over, 64):
-            for build in (shape.words, shape.atoms):
-                with pytest.raises(ResourceLimitError, match=f"cap {shape.piece_cap}"):
+            for build in (lambda d: words(shape.fan, d), shape.atoms):
+                with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
                     build(depth)
-        with pytest.raises(ResourceLimitError, match=f"cap {shape.piece_cap}"):
-            shape.atom_depth(1e-300)
+        # a depth is geometry alone: atom_depth builds nothing, at any radius
+        assert shape.piece_radius(shape.atom_depth(1e-300)) <= 1e-300
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,6 +350,9 @@ def test_atom_depth_refuses_a_radius_that_is_not_positive(name):
     for radius in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             shape.atom_depth(radius)
+    # and nothing else: the smallest positive float has a depth, past 2^1023 pieces
+    tiny = 5e-324
+    assert shape.piece_radius(shape.atom_depth(tiny)) <= tiny
 
 
 # -- certified distance -----------------------------------------------------------
@@ -829,19 +846,27 @@ def test_covering_fit_matches_similarity_dimension(thirds):
     assert cov.kmax == 8
 
 
-def test_covering_counts_validation(thirds, corner):
+def test_covering_counts_validation(thirds, atom_builds):
     with pytest.raises(ValueError):
         covering_counts(thirds, a=1.0, kmax=3)
     with pytest.raises(ValueError):
         covering_counts(thirds, a=3.0, kmax=0)
-    with pytest.raises(ResourceLimitError):
-        covering_counts(corner, a=4.0, kmax=9)
+    near = preset("middle-alpha:0.4999999")
+    atom_builds.clear()  # the construction check's generation 1
+    with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
+        covering_counts(near, a=2.0, kmax=22)
+    assert atom_builds == []
 
 
-def test_covering_cap_refuses_before_any_cylinder_or_pair(monkeypatch, corner, atom_builds):
-    """corner4 at a = 4, kmax = 9 covers its last level with generation 11,
-    4^11 cylinders: atom_depth refuses it while the levels' generations are
-    found, before any cylinder is built or any pair is sought."""
+def test_covering_cap_refuses_before_any_cylinder_or_pair(monkeypatch, atom_builds):
+    """middle-alpha:0.4999999 has first-level gap 1e-7, so no level down to
+    a = 2, kmax = 22 renews, and level 22 clusters generation 23, 2^23
+    cylinders: it is refused before any generation is built or any pair is
+    sought, not after the shallower levels are clustered."""
+    rep = preset("middle-alpha:0.4999999")
+    assert 1e-7 < rep.first_level_gap < 1.01e-7
+    assert _covering_generation(rep, 2.0**-22) == 23 and 2**23 > PIECE_CAP
+    atom_builds.clear()
     calls = []
 
     def pairs(z, reach):
@@ -849,9 +874,36 @@ def test_covering_cap_refuses_before_any_cylinder_or_pair(monkeypatch, corner, a
         return close_pairs(z, reach)
 
     monkeypatch.setattr("cantorlab.geometry.close_pairs", pairs)
-    with pytest.raises(ResourceLimitError, match="cap 1048576"):
-        covering_counts(corner, a=4.0, kmax=9)
+    with pytest.raises(ResourceLimitError, match=f"generation 23 has 2\\^23 pieces, cap {PIECE_CAP}"):
+        covering_counts(rep, a=2.0, kmax=22)
     assert atom_builds == [] and calls == []
+
+
+def test_corner4_field_past_the_piece_cap_builds_no_generation(atom_builds):
+    """corner4's field at 2.5e-7 has depth 11 and 4^11 leaves, over PIECE_CAP,
+    and is served by two product axes of 2^11 values: no generation is built,
+    and its bounds hold the certified distance near J."""
+    rep = preset("corner4")
+    tracemalloc.start()
+    try:
+        fld = rep.field(2.5e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fld.depth, fld.leaf_count) == (11, 4**11) and fld.leaf_count > PIECE_CAP
+    assert atom_builds == [1]  # the construction check's generation 1
+    # the codes alone of generation 11 would take 46 MB
+    assert peak < 3 << 20
+    rng = rng_stream(32, 1)
+    anchors = rep.atoms(8).centers
+    n = 300
+    z = anchors[rng.integers(0, len(anchors), n)] + 10.0 ** rng.uniform(-7.0, -4.5, n) * np.exp(
+        2j * np.pi * rng.random(n))
+    lo, hi = fld.query(z)
+    assert (hi - lo <= 2.0 * rep.piece_radius(11) + 1e-15).all()
+    for zi, l, h in zip(z, lo, hi):
+        iv = distance_interval(rep, complex(zi), tol=1e-10)
+        assert l <= iv.hi and h >= iv.lo
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, 1e300, 1.0, 0.5])

@@ -34,6 +34,7 @@ from cantorlab.lab import (
     resolve_shape,
     run_experiment,
 )
+from cantorlab.shapes import PIECE_CAP
 
 from test_geometry import IFS_TEXT
 
@@ -211,12 +212,14 @@ def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, monkeypatch, argv
         # the exact shapes refuse a negative depth with the repeller's message
         (["build", "circle", "--depth", "-1"], "generation must be >= 0"),
         (["build", "segment", "--depth", "-1"], "generation must be >= 0"),
-        # the exact shapes' piece cap: 2^23 pieces, refused before any is built
-        (["build", "circle", "--depth", "23"], f"cap {1 << 22}"),
-        (["green", "circle", "--stop-tol", "2e-6", "--samples", "100"], f"cap {1 << 22}"),
+        # the piece cap: 2^21 pieces, refused before any is built, and 2^21
+        # atoms at stop_tol 2e-6, refused before any walk
+        (["build", "circle", "--depth", "21"], f"cap {PIECE_CAP}"),
+        (["green", "circle", "--stop-tol", "2e-6", "--samples", "100"], f"cap {PIECE_CAP}"),
+        (["green", "circle", "--stop-tol", "1e-320", "--samples", "100"], f"cap {PIECE_CAP}"),
     ],
     ids=["kmax", "a", "delta", "depth", "depth-circle", "depth-segment", "build-cap",
-         "stop_tol-cap"],
+         "stop_tol-cap", "stop_tol-subnormal"],
 )
 def test_cli_reports_out_of_range_keys_without_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "range"
@@ -224,6 +227,20 @@ def test_cli_reports_out_of_range_keys_without_writing(tmp_path, capsys, argv, m
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+def test_regularity_past_the_piece_cap_renews_without_building(tmp_path, capsys):
+    """corner4 at kmax 9 covers its last level with generation 11, more than
+    PIECE_CAP pieces, but renewal clusters only generations 2 and 3: the run
+    is accepted, and past the separation scale each level has four times the
+    components of the one before."""
+    out = tmp_path / "reg"
+    assert main(["--out", str(out), "regularity", "corner4", "--kmax", "9"]) == 0
+    assert "-> PASS" in capsys.readouterr().out
+    rows = (out / "regularity.csv").read_text().splitlines()[2:]
+    counts = [int(row.split(",")[1]) for row in rows]
+    assert len(counts) == 10 and counts[:2] == [1, 1]
+    assert all(m1 == 4 * m0 for m0, m1 in zip(counts[1:], counts[2:]))
 
 
 @pytest.mark.parametrize(
@@ -603,6 +620,13 @@ def test_cli_build_writes_the_csv_only_with_out(tmp_path, capsys, monkeypatch, s
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 1 and "atoms at depth 3" in printed[0]
     assert not any(bare.iterdir())
+
+
+def test_cli_build_writes_one_point_piece_with_a_full_code(tmp_path):
+    """The point's one piece of generation 3 has the code 000 of its word table."""
+    out = tmp_path / "point"
+    assert main(["--out", str(out), "build", "point", "--depth", "3"]) == 0
+    assert (out / "atoms.csv").read_text().splitlines()[2:] == ["000,0.0,0.0,0.0"]
 
 
 def test_cli_refuses_codes_past_ten_branches(tmp_path, capsys, monkeypatch):

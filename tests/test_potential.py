@@ -38,6 +38,7 @@ from cantorlab import (
 )
 from cantorlab import potential
 from cantorlab.potential import quantile, rng_stream
+from cantorlab.shapes import PIECE_CAP
 
 import _oracles
 from _oracles import arcsine_cdf, measure_from_csv, weighted_ks_distance
@@ -537,6 +538,41 @@ def test_a_failing_share_raises_after_every_helper_joins(failing, monkeypatch):
     assert walkers[0] == threading.get_ident() != walkers[1]
 
 
+def test_sampler_over_the_piece_cap_refuses_before_any_walk(monkeypatch):
+    """stop_tol 2e-6 on the unit circle asks for 2^21 atoms, over PIECE_CAP:
+    refused on the calling thread before the field is built, any helper
+    thread starts or any chunk is walked."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(Circle, "field", forbidden)
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
+    monkeypatch.setattr(potential, "_walk_chunks", forbidden)
+    with pytest.raises(ResourceLimitError, match=f"has 2\\^21 pieces, cap {PIECE_CAP}"):
+        sample_harmonic_measure(Circle(), WalkConfig(samples=100_000, stop_tol=2e-6, threads=2))
+
+
+@pytest.mark.parametrize("shape", [Circle(), Circle(radius=3.0), Segment()],
+                         ids=["circle", "circle-3", "segment"])
+def test_exact_sampler_boundary_is_the_deepest_generation_under_the_cap(shape):
+    """stop_tol = piece_radius(20), 2^20 = PIECE_CAP atoms, is accepted and
+    the next float below it refused, as when the cap bounded the field."""
+    deepest = next(d for d in itertools.count() if 2 ** (d + 1) > PIECE_CAP)
+    tol = shape.piece_radius(deepest)
+    em = sample_harmonic_measure(shape, WalkConfig(samples=64, seed=1, stop_tol=tol))
+    assert em.codes.shape[1] == deepest
+    with pytest.raises(ResourceLimitError, match=f"cap {PIECE_CAP}"):
+        sample_harmonic_measure(shape, WalkConfig(samples=64, stop_tol=np.nextafter(tol, 0.0)))
+
+
+def test_corner4_sample_at_stop_tol_1e6_bins_into_generation_10(corner):
+    """The walks run on the depth-11 field, over PIECE_CAP leaves, and stop in
+    the 4^10 atoms of generation 10."""
+    em = sample_harmonic_measure(corner, WalkConfig(samples=20_000, seed=1, stop_tol=1e-6))
+    assert em.codes.shape[1] == 10 and em.discarded == 0
+    assert abs(em.weights.sum() - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["circle", "corner4"])
 def test_atom_sums_match_the_wide_blocks(name, circle_em, corner_em_100k):
     """Cache-sized blocks give every point the bits the 2e6-pair blocks gave."""
@@ -645,6 +681,18 @@ def test_segment_solve_gives_capacity_one_half_and_the_arcsine_masses():
     assert model.capacity == pytest.approx(0.5, abs=1e-3)
     ref = _oracles.arcsine_masses(1024)
     assert np.max(np.abs(model.measure.weights - ref)) < 1e-3
+
+
+def test_segment_solve_matches_the_closed_form_green_function():
+    """G of [-1, 1] from the K = 10 solve is within 1e-3 of
+    log|z + sqrt(z - 1) sqrt(z + 1)| off the segment and near its ends
+    (8.0e-4 at worst), and nearer it than the K = 8 solve at each point."""
+    points = [0.5j, 0.3 + 0.2j, -0.7 + 0.1j, 1.05 + 0j, -1.02 + 0.03j, 2.0 + 0j, -0.9 - 0.2j]
+    exact = np.array([_oracles.segment_green_exact(z) for z in points])
+    err = {k: np.abs(equilibrium_measure(Segment(), k)[0].green(np.array(points)) - exact)
+           for k in (8, 10)}
+    assert err[10].max() < 1e-3
+    assert (err[10] < err[8]).all()
 
 
 @pytest.mark.parametrize("name,depth,capacity",
