@@ -579,17 +579,22 @@ def robin_constant(em: EmpiricalMeasure, probes: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GreenModel:
-    """Green's function with pole at infinity: G = log-potential + Robin."""
+    """Green's function G(., pole): log-potential + robin with the pole at
+    infinity (pole None), log-potential - log|z - pole| + robin for a finite
+    pole, where measure is the pole's harmonic measure and robin is g(pole)."""
 
     measure: EmpiricalMeasure
     robin: float
+    pole: complex | None = None
 
     @property
     def capacity(self) -> float:
         return math.exp(-self.robin)
 
     def green(self, z) -> float | np.ndarray:
-        return log_potential(self.measure, z) + self.robin
+        if self.pole is None:
+            return log_potential(self.measure, z) + self.robin
+        return log_potential(self.measure, z) - np.log(np.abs(z - self.pole)) + self.robin
 
 
 def green_model(em: EmpiricalMeasure, shape: Shape, seed: int = 0) -> GreenModel:
@@ -608,7 +613,7 @@ def green_model(em: EmpiricalMeasure, shape: Shape, seed: int = 0) -> GreenModel
     return GreenModel(measure=em, robin=robin_constant(em, probes))
 
 
-def equilibrium_measure(shape: Shape, depth: int, poles=()):
+def equilibrium_measure(shape: Shape, depth: int, poles=()) -> list[GreenModel]:
     """Harmonic measure from infinity and from each pole, by one dense solve.
 
     Piece i of generation depth carries a charge w_i spread as its own
@@ -618,10 +623,11 @@ def equilibrium_measure(shape: Shape, depth: int, poles=()):
     equilibrium measure and g = -V, and rhs_i = log|c_i - p| per pole p,
     giving omega^p and g(p) with G(z, p) = U^omega^p(z) - log|z - p| + g(p).
     V is iterated to V = -g, which contracts by sum w_i^2 (a Newton step on
-    V alone meets a singular A near cap J = 1).  Returns the GreenModel of
-    infinity (robin = -V) and (omega^p, g(p)) per pole.  Refuses depth < 1,
-    over SOLVE_CAP pieces (ResourceLimitError) and capacity 0 before any
-    work, and a pole in a piece disc or off the outer domain before any matrix.
+    V alone meets a singular A near cap J = 1).  Returns the GreenModels of
+    infinity (robin = -V) and then of each pole in turn (robin = g(p)).
+    Refuses depth < 1, over SOLVE_CAP pieces (ResourceLimitError) and
+    capacity 0 before any work, and a pole in a piece disc or off the outer
+    domain before any matrix.
     """
     if depth < 1:
         raise ValueError("the solve needs generation >= 1")
@@ -654,9 +660,9 @@ def equilibrium_measure(shape: Shape, depth: int, poles=()):
             break
     else:
         raise ValueError(f"log capacity of {shape.name} did not settle in 100 solves")
-    measures = [EmpiricalMeasure(atoms.codes, c, x[:n, k], shape.name,
-                                 stop_tol=float(atoms.radii.max())) for k in range(len(poles) + 1)]
-    return GreenModel(measures[0], robin=-v), list(zip(measures[1:], x[n, 1:].tolist()))
+    return [GreenModel(EmpiricalMeasure(atoms.codes, c, x[:n, k], shape.name,
+                                        stop_tol=float(atoms.radii.max())), float(x[n, k]), pole)
+            for k, pole in enumerate([None, *poles])]
 
 
 # -- comparability of G with dist^delta ------------------------------------------
@@ -830,13 +836,11 @@ def bhp_holder_fit(
     Green functions of one equilibrium solve on the deepest generation of at
     most BHP_PIECES pieces.  Pair points sit at certified distance DEPTH_BAND
     * R from J (R the bounding radius), SEP_BAND * R apart, drawn from the
-    (seed, 5) stream.  Capacity 0, one piece at every depth, is refused first."""
-    if shape.diameter == 0:
-        raise ValueError(f"{shape.name} has capacity 0, so no Green function")
+    (seed, 5) stream.  At fan 1 the solve refuses capacity 0 before any work."""
     depth = 1
-    while shape.fan ** (depth + 1) <= BHP_PIECES:
+    while 1 < shape.fan ** (depth + 1) <= BHP_PIECES:
         depth += 1
-    _, ((om_p, g_p), (om_q, g_q)) = equilibrium_measure(shape, depth, (p, q))
+    _, green_p, green_q = equilibrium_measure(shape, depth, (p, q))
     R = shape.bounding_radius
     depth_lo, depth_hi = (math.log(b * R) for b in DEPTH_BAND)
     sep_lo, sep_hi = (math.log(b * R) for b in SEP_BAND)
@@ -859,9 +863,8 @@ def bhp_holder_fit(
         raise FitDegeneracyError("could not place valid point pairs near J")
 
     z = np.array(pairs).ravel()  # z1, z2 of each pair in turn
-    u = log_potential(om_p, z) - np.log(np.abs(z - p)) + g_p
-    # one pole twice is one function: v is u, bit for bit
-    v = u if q == p else log_potential(om_q, z) - np.log(np.abs(z - q)) + g_q
+    u = green_p.green(z)
+    v = u if q == p else green_q.green(z)  # one pole twice is one function: v is u, bit for bit
     h = np.log(u / v)
     seps = [abs(z1 - z2) for z1, z2 in pairs]
     devs = np.abs(h[0::2] - h[1::2])

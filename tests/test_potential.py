@@ -655,29 +655,24 @@ def test_bhp_fit_identical_poles_has_zero_envelope():
 # -- the equilibrium solve --------------------------------------------------------
 
 
-def _green(omega, g, z, p):
-    """G(z, p) = U^omega^p(z) - log|z - p| + g(p), from one pole's solve."""
-    return log_potential(omega, z) - np.log(np.abs(z - p)) + g
-
-
 def test_pole_solve_matches_the_circle_poisson_kernel_and_green_function():
     """Circle, K = 10: each pole's masses are the Poisson kernel's arc masses
     to 1e-3, relative, and G(z, p) is the closed form to 1e-3, at the points
     and poles the retired absorption-walk test read."""
     poles = [3.0 + 0j, 2.0 + 2.0j]
-    model, solved = equilibrium_measure(Circle(), 10, poles)
+    model, *solved = equilibrium_measure(Circle(), 10, poles)
     assert model.capacity == pytest.approx(1.0, abs=1e-3)
-    for p, (omega, _) in zip(poles, solved):
+    for p, green in zip(poles, solved):
         ref = _oracles.circle_poisson_masses(1024, p)
-        assert np.max(np.abs(omega.weights - ref) / ref) < 1e-3
+        assert np.max(np.abs(green.measure.weights - ref) / ref) < 1e-3
     for z, k in [(2.0 + 0j, 0), (1.5 + 0j, 1), (0.5 + 2.5j, 0)]:
-        got = _green(*solved[k], z, poles[k])
+        got = solved[k].green(z)
         assert got == pytest.approx(_oracles.circle_green(z, poles[k]), abs=1e-3)
 
 
 def test_segment_solve_gives_capacity_one_half_and_the_arcsine_masses():
     # the end pieces carry the largest error, 5.3e-4 of mass each
-    model, _ = equilibrium_measure(Segment(), 10)
+    [model] = equilibrium_measure(Segment(), 10)
     assert model.capacity == pytest.approx(0.5, abs=1e-3)
     ref = _oracles.arcsine_masses(1024)
     assert np.max(np.abs(model.measure.weights - ref)) < 1e-3
@@ -698,7 +693,7 @@ def test_segment_solve_matches_the_closed_form_green_function():
 @pytest.mark.parametrize("name,depth,capacity",
                          [("corner4", 5, 0.5558927870), ("middle-thirds", 10, 0.2209530068)])
 def test_repeller_solve_capacities(name, depth, capacity):
-    model, _ = equilibrium_measure(preset(name), depth)
+    [model] = equilibrium_measure(preset(name), depth)
     assert model.capacity == pytest.approx(capacity, abs=1e-9)
 
 
@@ -707,25 +702,40 @@ def test_solve_weights_are_probabilities_and_green_is_symmetric(name):
     shape = {"circle": Circle(), "segment": Segment()}.get(name) or preset(name)
     c, diam = shape.bounding_center, shape.diameter
     p, q = c + 1.4 * diam, c + 1.4j * diam
-    model, ((om_p, g_p), (om_q, g_q)) = equilibrium_measure(shape, 10 if shape.fan == 2 else 5,
-                                                            [p, q])
-    for omega in (model.measure, om_p, om_q):
-        assert omega.weights.min() > 0
-        assert abs(omega.weights.sum() - 1.0) < 1e-12
-    assert abs(_green(om_p, g_p, q, p) - _green(om_q, g_q, p, q)) < 1e-10
+    models = equilibrium_measure(shape, 10 if shape.fan == 2 else 5, [p, q])
+    assert [m.pole for m in models] == [None, p, q]
+    for model in models:
+        assert model.measure.weights.min() > 0
+        assert abs(model.measure.weights.sum() - 1.0) < 1e-12
+    assert abs(models[1].green(q) - models[2].green(p)) < 1e-10
 
 
 def test_corner4_solve_is_invariant_under_the_square_symmetries(corner):
     """The 8 isometries of the square act on corner4's letters x + 2y by
     flipping x, flipping y and swapping the two bits; each maps a piece to a
     piece of the same mass."""
-    model, _ = equilibrium_measure(corner, 5)
+    [model] = equilibrium_measure(corner, 5)
     codes, w = model.measure.codes, model.measure.weights
     places = 4 ** np.arange(4, -1, -1)
     for flip_x, flip_y, swap in itertools.product((0, 1), repeat=3):
         x, y = codes & 1 ^ flip_x, codes >> 1 ^ flip_y
         letters = y + 2 * x if swap else x + 2 * y
         assert np.allclose(w[letters @ places], w, rtol=1e-9, atol=0)
+
+
+def test_corner4_mirror_poles_have_mirror_measures(corner):
+    """bhp's default poles on corner4 are mirror images under sigma(z) = i
+    conj(z), which maps J to itself by swapping each letter's two bits, so
+    omega^q(w) = omega^p(sigma w) (1.7e-11 relative measured) and g(q) = g(p)."""
+    c, diam = corner.bounding_center, corner.diameter
+    p, q = c + 1.4 * diam, c + 1.4j * diam
+    assert q == 1j * np.conj(p)
+    _, green_p, green_q = equilibrium_measure(corner, 5, [p, q])
+    codes = green_q.measure.codes
+    mirror = ((codes >> 1) + 2 * (codes & 1)) @ 4 ** np.arange(4, -1, -1)
+    assert np.allclose(green_q.measure.weights, green_p.measure.weights[mirror],
+                       rtol=1e-9, atol=0)
+    assert green_q.robin == pytest.approx(green_p.robin, abs=1e-12)
 
 
 def test_solve_refuses_before_building_anything(corner, monkeypatch):
