@@ -66,7 +66,7 @@ class ExperimentConfig:
 
     params holds the parameter keys that were set, the walk keys samples and
     stop_tol among them.  Setting a key the experiment does not read (its
-    entry in _EXPERIMENTS) is a ConfigError.
+    entry in _EXPERIMENTS), or a count key n_* below 1, is a ConfigError.
     """
 
     experiment: str
@@ -87,6 +87,8 @@ class ExperimentConfig:
             if key not in reads:
                 raise ConfigError(f"experiment {self.experiment!r} does not read {key!r} "
                                   f"(it reads {', '.join(reads)})")
+            if key.startswith("n_") and self.params[key] < 1:
+                raise ConfigError(f"{key} must be >= 1")
         try:
             self.walk_config()
         except ValueError as exc:

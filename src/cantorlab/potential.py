@@ -540,12 +540,14 @@ def quantile(values, q: float | None = None) -> float:
     Sorts a copy: at x = (n - 1) q between sorted neighbours a and b, the
     value is a + (b - a) t, or b - (b - a)(1 - t) when t = x - floor(x) is at
     least 0.5, and the last value once x >= n - 1; a median is the middle
-    value or (a + b) / 2.  values must hold no NaN.  numpy's own first call
-    imports numpy.ma (np.unique calls np.ma.is_masked), which costs tens of
-    milliseconds of CPU and over a megabyte.
+    value or (a + b) / 2.  values must hold no NaN, and at least one value
+    (ValueError).  numpy's own first call imports numpy.ma (np.unique calls
+    np.ma.is_masked), which costs tens of milliseconds of CPU and over a megabyte.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
+    if n == 0:
+        raise ValueError("quantile of no values")
     if q is None:
         return float(v[n // 2] if n % 2 else (v[n // 2 - 1] + v[n // 2]) / 2)
     x = (n - 1) * q

@@ -24,7 +24,7 @@ from cantorlab import (
     Segment,
     SinglePoint,
 )
-from cantorlab import lab
+from cantorlab import lab, potential
 from cantorlab.cli import _experiment_config, build_parser, main
 from cantorlab.lab import (
     _KEY_TYPES,
@@ -199,6 +199,27 @@ def test_config_rejects_bad_samples_and_seed(tmp_path, capsys, monkeypatch, argv
     for args in (argv, ["run", str(conf)]):
         assert main(["--out", str(out), *args]) == 2
         assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_COUNT_KEYS = [(name, key) for name, exp in lab._EXPERIMENTS.items()
+               for key in exp.params if key.startswith("n_")]
+
+
+@pytest.mark.parametrize("experiment,key", _COUNT_KEYS, ids=[f"{e}-{k}" for e, k in _COUNT_KEYS])
+def test_count_keys_below_one_are_refused_before_any_walk_or_solve(tmp_path, capsys,
+                                                                   monkeypatch, experiment, key):
+    def called(*args, **kwargs):
+        raise AssertionError("a walk or a solve started")
+
+    monkeypatch.setattr(lab, "sample_harmonic_measure", called)
+    monkeypatch.setattr(potential, "equilibrium_measure", called)
+    out = tmp_path / "count"
+    argv = ["--out", str(out), lab._EXPERIMENTS[experiment].command, "corner4",
+            "--" + key.replace("_", "-"), "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key} must be >= 1\n"
     assert not out.exists()
 
 

@@ -309,6 +309,12 @@ def test_quantile_matches_numpy_bit_for_bit():
     assert ours == [float(x) for x in numpys]
 
 
+def test_quantile_of_no_values_is_a_value_error():
+    for q in (None, 0.5):
+        with pytest.raises(ValueError, match="no values"):
+            quantile([], q)
+
+
 # -- comparability fit -------------------------------------------------------------------
 
 
