@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, SingularityError
 from .geometry import close_pairs
-from .potential import ATOM_BLOCK, EmpiricalMeasure, _atom_sum, natural_measure
+from .potential import ATOM_BLOCK, EmpiricalMeasure, _atom_sum, _pair_blocks, natural_measure
 
 #: largest atom count the energy accepts: 4**7, corner4 at generation 7, is
 #: 1.3e8 unordered pairs and 0.7-0.9 s of process CPU (all threads) on a
@@ -164,10 +164,10 @@ def cauchy_truncations(em: EmpiricalMeasure, z, r_grid=None):
     Returns (r_grid, complex values), a row of values per point for an array
     z.  Each atom's term goes to bin searchsorted(r_grid, |atom - z|), the
     count of radii below its distance; bincount sums the bins and the value
-    at r_j is the sum of the bins past j, with no sort.  Points go in blocks
-    of at most ATOM_BLOCK pairs, whose terms overwrite their separations, and
-    a point's values have the same bits alone or in any array.  An atom at z
-    itself lies beyond no radius.
+    at r_j is the sum of the bins past j, with no sort.  Points go in
+    _pair_blocks, whose terms overwrite their separations, and a point's
+    values have the same bits alone or in any array.  An atom at z itself
+    lies beyond no radius.
     """
     if r_grid is None:
         r_grid = default_r_grid(em)
@@ -175,9 +175,7 @@ def cauchy_truncations(em: EmpiricalMeasure, z, r_grid=None):
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     m = len(r_grid) + 1
     out = np.empty((len(zs), len(r_grid)), dtype=complex)
-    block = max(1, ATOM_BLOCK // em.atom_count)
-    for start in range(0, len(zs), block):
-        sep = zs[start : start + block, None] - em.points[None, :]
+    for rows, sep in _pair_blocks(em, zs):
         keys = np.searchsorted(r_grid, np.abs(sep), side="left")
         keys += m * np.arange(len(sep))[:, None]  # one run of m bins per point
         keys = keys.ravel()
@@ -186,6 +184,6 @@ def cauchy_truncations(em: EmpiricalMeasure, z, r_grid=None):
         bins = np.empty((len(sep), m), dtype=complex)
         bins.real = np.bincount(keys, sep.real.ravel(), bins.size).reshape(-1, m)
         bins.imag = np.bincount(keys, sep.imag.ravel(), bins.size).reshape(-1, m)
-        out[start : start + block] = np.cumsum(bins[:, :0:-1], axis=1)[:, ::-1]
+        out[rows] = np.cumsum(bins[:, :0:-1], axis=1)[:, ::-1]
         del sep, keys  # before the next block's separations
     return r_grid, out[0] if np.ndim(z) == 0 else out

@@ -63,8 +63,8 @@ CHUNK = 4096
 BATCH = 8
 
 #: pairs per block of every pair sum (1 MB complex): point-atom pairs of the
-#: log potential, the Cauchy transform and its truncations, and atom pairs of
-#: the Menger energy
+#: log potential, the Cauchy transform and its truncations and the ball
+#: masses, and atom pairs of the Menger energy
 ATOM_BLOCK = 1 << 16
 
 #: fraction of walks allowed to hit the step limit
@@ -468,26 +468,34 @@ def sample_harmonic_measure(shape: Shape, cfg: WalkConfig, stream: int = 0) -> E
 # -- logarithmic potential and the Green model ----------------------------------
 
 
+def _pair_blocks(em: EmpiricalMeasure, zs: np.ndarray):
+    """(rows, zs[rows, None] - atoms) for consecutive cache-sized row slices
+    of at most ATOM_BLOCK point-atom pairs (or one point), which bound every
+    point-atom pair sum.  No block is held here: one the caller frees before
+    asking for the next is gone when the next is built."""
+    block = max(1, ATOM_BLOCK // em.atom_count)
+    for start in range(0, len(zs), block):
+        rows = slice(start, start + block)
+        yield rows, zs[rows, None] - em.points[None, :]
+
+
 def _atom_sum(em: EmpiricalMeasure, z, kernel, dtype):
     """Sum of w * kernel(z - atom, |z - atom|) over the atoms, at each z.
 
-    Points are taken in cache-sized blocks of at most ATOM_BLOCK point-atom
-    pairs (or one point); a point's sum has the same bits in any block.  A
-    point within 1e-14 of an atom raises SingularityError.  The kernel may
-    overwrite its arguments, so a block holds at most one complex and one
-    real array.  A scalar z gives a scalar of type dtype, an array z an array
-    of that dtype.
+    Points are taken in _pair_blocks; a point's sum has the same bits in any
+    block.  A point within 1e-14 of an atom raises SingularityError.  The
+    kernel may overwrite its arguments, so a block holds at most one complex
+    and one real array.  A scalar z gives a scalar of type dtype, an array z
+    an array of that dtype.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(len(zs), dtype=dtype)
-    block = max(1, ATOM_BLOCK // em.atom_count)
-    for start in range(0, len(zs), block):
-        diff = zs[start : start + block, None] - em.points[None, :]
+    for rows, diff in _pair_blocks(em, zs):
         dist = np.abs(diff)
         if dist.min() < 1e-14:
             raise SingularityError("evaluation point coincides with an atom")
         # einsum, not a BLAS gemv: that wakes a second OpenBLAS thread for no gain
-        out[start : start + block] = np.einsum("ij,j->i", kernel(diff, dist), em.weights)
+        out[rows] = np.einsum("ij,j->i", kernel(diff, dist), em.weights)
         del diff, dist  # free this block before the next one is built
     return dtype(out[0]) if np.ndim(z) == 0 else out
 
@@ -757,23 +765,27 @@ def ball_mass_scaling(
 ) -> ScalingReport:
     """Fit the growth exponent of ball masses at each center.
 
-    Raises InsufficientMassError when any queried ball holds fewer than 50
-    atoms, which would make its mass estimate unstable.
+    Centers are taken in _pair_blocks.  Raises InsufficientMassError when any
+    queried ball holds fewer than 50 atoms, which would make its mass
+    estimate unstable; radii ascend, so a smallest ball holds the fewest.
     """
     centers = np.asarray(centers, dtype=complex)
     radii = np.sort(np.asarray(radii, dtype=float))
     if len(radii) < 3:
         raise ValueError("need at least 3 radii")
-    dist = np.abs(centers[:, None] - em.points[None, :])
+    held = np.empty(len(centers), dtype=np.intp)
     masses = np.empty((len(centers), len(radii)))
-    for j, r in enumerate(radii):
-        inside = dist <= r
-        held = inside.sum(axis=1)
-        if held.min() < 50:
-            raise InsufficientMassError(
-                f"a ball of radius {r:.3g} holds only {int(held.min())} atoms"
-            )
-        masses[:, j] = inside @ em.weights
+    for rows, diff in _pair_blocks(em, centers):
+        dist = np.abs(diff)
+        del diff
+        held[rows] = np.count_nonzero(dist <= radii[0], axis=1)
+        for j, r in enumerate(radii):
+            masses[rows, j] = (dist <= r) @ em.weights
+        del dist  # free this block before the next one is built
+    if held.min() < 50:
+        raise InsufficientMassError(
+            f"a ball of radius {radii[0]:.3g} holds only {int(held.min())} atoms"
+        )
     logr = np.log(radii)
     slopes = [float(np.polyfit(logr, np.log(m), 1)[0]) for m in masses]
     med = quantile(slopes)

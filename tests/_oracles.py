@@ -245,6 +245,18 @@ def wide_block_sum(em: EmpiricalMeasure, zs: np.ndarray, kernel, dtype) -> np.nd
     return out
 
 
+def dense_ball_masses(em: EmpiricalMeasure, centers: np.ndarray, radii) -> np.ndarray:
+    """Measure of each ball B(center, r), a row per center and a column per
+    radius: the product of the dense centers x atoms inside-mask with the
+    weights, as the package formed it before it took the centers in blocks,
+    here one center's row at a time."""
+    masses = np.empty((len(centers), len(radii)))
+    for i, c in enumerate(np.asarray(centers, dtype=complex)):
+        dist = np.abs(c - em.points)
+        masses[i] = [(dist <= r) @ em.weights for r in radii]
+    return masses
+
+
 def segment_green_exact(z: complex) -> float:
     """Green's function of the complement of [-1, 1] with pole at infinity."""
     val = z + np.sqrt(z - 1) * np.sqrt(z + 1)

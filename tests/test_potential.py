@@ -359,6 +359,29 @@ def test_ball_mass_scaling_linear_on_circle():
     assert report.c_min > 0 and report.c_max < 1.0
 
 
+def test_ball_mass_scaling_takes_the_centers_in_atom_blocks(corner_em_100k):
+    """2,000 centers on the 12,407 atoms of the 100k-walk corner4 measure: a
+    dense centers x atoms distance matrix alone is 198 MB, and the blocked
+    masses peak at 1.6 MB traced.  The exponents and constants are those of
+    the dense masses to 1e-13 relative."""
+    em = corner_em_100k
+    centers = em.points[np.sort(rng_stream(3, 9).choice(em.atom_count, 2000, replace=False))]
+    radii = np.geomspace(0.02, 0.25, 6) * em.diameter
+    tracemalloc.start()
+    try:
+        report = ball_mass_scaling(em, centers, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    masses = _oracles.dense_ball_masses(em, centers, radii)
+    slopes = [np.polyfit(np.log(radii), np.log(m), 1)[0] for m in masses]
+    consts = masses / radii ** report.exponent_median
+    assert np.allclose(report.exponents, slopes, rtol=1e-13, atol=0)
+    assert np.allclose([report.c_min, report.c_max], [consts.min(), consts.max()],
+                       rtol=1e-13, atol=0)
+
+
 def test_ball_mass_scaling_requires_mass():
     em = uniform_circle_measure(8)
     with pytest.raises(InsufficientMassError):
