@@ -163,6 +163,9 @@ class _ExactShape(Shape):
 
     def leaf_index(self, z: np.ndarray, depth: int) -> np.ndarray:
         n = self.fan**depth
+        if n > 1 << 62:  # past 2^62 leaves, param * n may overflow int64
+            raise ResourceLimitError(f"generation {depth} has {self.fan}^{depth} leaves, "
+                                     f"over the int64 index limit 2^62")
         return np.minimum((self._param(z) * n).astype(np.int64), n - 1)
 
     def atoms(self, depth: int) -> CylinderSet:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,24 @@ def test_exact_pieces_keep_the_bits_of_their_formulas(shape):
         assert cs.centers.tobytes() == old_centers.tobytes()
         assert cs.radii.tobytes() == old_radii.tobytes()
         assert np.array_equal(shape.leaf_index(z, depth), exact_leaf_index(shape, z, depth))
+
+
+@pytest.mark.parametrize("shape", [Circle(), Segment()])
+def test_exact_leaf_indices_past_int64_are_refused(shape):
+    """At depth 62 the leaf index fits int64 and matches the oracle, the
+    pieces' ends among the points; from depth 63 it is refused, where it
+    wrapped to -2^63 with a RuntimeWarning and from depth 64 overflowed."""
+    z = np.concatenate([shape._center(np.arange(9), 8), [shape.bounding_center + 0.3j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(shape.leaf_index(z, 62), exact_leaf_index(shape, z, 62))
+        for depth in (63, 69):
+            with pytest.raises(ResourceLimitError, match=f"generation {depth}"):
+                shape.leaf_index(z, depth)
+        fld = shape.field(1e-20)
+        assert fld.depth > 63
+        with pytest.raises(ResourceLimitError, match="int64"):
+            fld.leaf(z)
 
 
 @pytest.mark.parametrize("fan", [2, 3, 4])
