@@ -438,25 +438,30 @@ def preset(name: str) -> Repeller:
     raise ConfigError(f"unknown repeller preset {name!r}")
 
 
-def parse_repeller_spec(text: str, name: str = "custom") -> Repeller:
-    """Build a repeller from flat key-value lines.
-
-    Each branch is one line ``branch = scale,rotation,tx,ty`` and the root
-    disc is ``root = cx,cy,r``.  Lines starting with ``#`` are comments.
-    """
-    branches = []
-    root = None
+def key_value_lines(text: str):
+    """(line number, key, value) of each ``key = value`` line, stripped, with
+    ``#`` comments and blank lines skipped; any other line is a ConfigError."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        parts = [p.strip() for p in value.split(",")]
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_repeller_spec(text: str, name: str = "custom") -> Repeller:
+    """Build a repeller from flat key-value lines (key_value_lines).
+
+    Each branch is one line ``branch = scale,rotation,tx,ty`` and the root
+    disc is ``root = cx,cy,r``.
+    """
+    branches = []
+    root = None
+    for lineno, key, value in key_value_lines(text):
         try:
-            nums = [float(p) for p in parts]
+            nums = [float(p) for p in value.split(",")]
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key!r} is not numeric") from exc
         if key == "branch":

@@ -34,6 +34,7 @@ from .errors import ConfigError, OutputCollisionError
 from .geometry import (
     Repeller,
     covering_counts,
+    key_value_lines,
     parse_repeller_spec,
     preset,
     shell_integral_sums,
@@ -122,14 +123,7 @@ class ExperimentConfig:
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse flat key = value config text; errors carry line numbers."""
     found: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected 'key = value', got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for ln, key, val in key_value_lines(text):
         if key not in _KEY_TYPES:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
         if key in found:

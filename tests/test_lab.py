@@ -147,6 +147,14 @@ def test_parse_config_errors_carry_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_config_and_ifs_files_share_one_line_reader():
+    text = "# comment\n\n  just words  # trailing\n"
+    for parse in (parse_experiment_config, lab.parse_repeller_spec):
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert str(err.value) == "line 3: expected 'key = value', got 'just words  # trailing'"
+
+
 def test_config_rejects_launch_radius():
     # the launch circle is fixed at 1.1 bounding radii; the key is gone
     text = "experiment = cauchy\nshape = circle\nseed = 1\nlaunch_radius = 5.0\n"
