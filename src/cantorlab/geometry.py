@@ -362,6 +362,19 @@ class Repeller(Shape):
         return self.root_radius
 
     @property
+    def enclosing_radius(self) -> float:
+        """min(root radius, max_i |f_i(c) - c| / (1 - scale_i)), c the root center.
+
+        Each map sends the disc of that radius rho about c into itself, since
+        |f_i(y) - c| <= scale_i |y - c| + |f_i(c) - c| <= rho, so J lies in it;
+        no generation is built.  Exact on every preset: 1/sqrt(2) on corner4,
+        1/2 on the middle sets.
+        """
+        c = self.root_center
+        reach = max(abs(b(c) - c) / (1.0 - b.scale) for b in self.branches)
+        return min(self.root_radius, reach)
+
+    @property
     def diameter(self) -> float:
         # conservative: J sits inside the union of first-generation discs
         cs = self.atoms(1)

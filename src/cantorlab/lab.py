@@ -67,7 +67,10 @@ class ExperimentConfig:
 
     params holds the parameter keys that were set, the walk keys samples and
     stop_tol among them.  Setting a key the experiment does not read (its
-    entry in _EXPERIMENTS), or a count key n_* below 1, is a ConfigError.
+    entry in _EXPERIMENTS), or a count key n_* below 1, is a ConfigError, and
+    so are ball radii outside 0 < r_lo < r_hi, n_radii below 3 and depths
+    outside 0 < depth_lo < depth_hi or spanning under one decade, set or
+    defaulted: all are refused before any walk.
     """
 
     experiment: str
@@ -90,10 +93,29 @@ class ExperimentConfig:
                                   f"(it reads {', '.join(reads)})")
             if key.startswith("n_") and self.params[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if "r_lo" in reads:
+            self._refuse_range("r_lo", "r_hi")
+            if self.param("n_radii") < 3:
+                raise ConfigError("n_radii must be >= 3")
+        if "depth_lo" in reads:
+            lo, hi = self._refuse_range("depth_lo", "depth_hi")
+            # comparability_fit's own rule, on the unscaled depths
+            if math.log10(hi / lo) < 1.0 - 1e-9:
+                raise ConfigError(f"depth_hi must be at least 10 * depth_lo, "
+                                  f"got depth_lo {lo!r} and depth_hi {hi!r}")
         try:
             self.walk_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def _refuse_range(self, lo_key: str, hi_key: str) -> tuple[float, float]:
+        """The two keys' values, refused unless 0 < lo < hi < inf."""
+        lo, hi = self.param(lo_key), self.param(hi_key)
+        if not 0 < lo:
+            raise ConfigError(f"{lo_key} must be > 0, got {lo!r}")
+        if not lo < hi < math.inf:
+            raise ConfigError(f"{hi_key} must be finite and above {lo_key} ({lo!r}), got {hi!r}")
+        return lo, hi
 
     def param(self, key: str):
         """The parameter's configured value, else its default from the experiment table."""

@@ -7,10 +7,12 @@ certified upper bound drops below stop_tol.  A walk that leaves its
 enclosing circle re-enters it by the exact exterior Poisson kernel, so that
 circle sets the cost, not the law.
 
-The sampler realizes the pole at infinity as a launch circle of
-LAUNCH_FACTOR times the root radius: walks start uniformly on it, and the
-stopped walks are binned into the cylinder piece of radius about stop_tol
-that contains them, which makes the result an atomic measure with exact
+The sampler realizes the pole at infinity as a launch circle of radius
+R + 2 stop_tol about the bounding center, R the shape's enclosing_radius:
+it holds every point within stop_tol of J, so it encloses the stopping set
+and no walk starts stopped.  Walks start uniformly on it, and the stopped
+walks are binned into the cylinder piece of radius about stop_tol that
+contains them, which makes the result an atomic measure with exact
 integer provenance: reductions are integer counts per piece, so results are
 independent of chunk scheduling and thread count.  Each chunk of CHUNK walks
 draws from its own random stream.  The chunks are cut into contiguous
@@ -77,11 +79,6 @@ MAX_STEPS = 10_000
 #: by at most pi / ROOTS through a two-term series (see _turn)
 ROOTS = 1024
 
-#: walks launch on, and re-enter onto, the circle of this many bounding
-#: radii; exterior Poisson re-entry makes every circle outside the root disc
-#: sample the same law, and a wider one only adds wandering in the annulus
-LAUNCH_FACTOR = 1.1
-
 #: Robin fits use this many probes at certified distance [2, 10] * stop_tol
 ROBIN_PROBES = 256
 
@@ -121,7 +118,11 @@ class WalkConfig:
 
     stop_tol may be left as None and is then resolved against the shape as
     1e-4 * bounding radius.  Walks start on, and re-enter onto, the circle of
-    LAUNCH_FACTOR * bounding radius, and each runs at most MAX_STEPS steps.
+    radius enclosing_radius + 2 * stop_tol about the shape's bounding center,
+    the tightest the shape certifies around the stopping set: exterior
+    Poisson re-entry makes every enclosing circle sample the same law, and a
+    wider one only adds steps in the annulus.  Each walk runs at most
+    MAX_STEPS steps.
     threads is a maximum: a run takes one per BATCH * CHUNK walks, the
     calling thread walking the first share and one helper thread each other.
     """
@@ -378,7 +379,7 @@ def _walk_chunks(shape, fld, cfg: WalkConfig, jobs, stream: int = 0):
     field leaves, so a stopped walk's atom is its leaf // group.
     """
     center = shape.bounding_center
-    launch = LAUNCH_FACTOR * shape.bounding_radius
+    launch = shape.enclosing_radius + 2.0 * cfg.stop_tol
     n_atoms = shape.fan ** shape.atom_depth(cfg.stop_tol)
     group = fld.leaf_count // n_atoms
 

@@ -99,7 +99,10 @@ class Shape:
     class of every boundary, exact shapes and repellers alike.
 
     name labels file headers; the disc of bounding_center and
-    bounding_radius contains J, and diameter is that of J itself.
+    bounding_radius contains J, and so does the one of enclosing_radius about
+    the same center, a certified radius no larger (bounding_radius unless the
+    shape knows a tighter one), given without building a generation;
+    diameter is that of J itself.
     field(resolution) certifies distances to within 2 * resolution.  The
     pieces of generation k number fan**k, each piece split into fan
     contiguous ones at the next generation, and have radius at most
@@ -125,6 +128,10 @@ class Shape:
         while self.piece_radius(k) > target_radius:
             k += 1
         return k
+
+    @property
+    def enclosing_radius(self) -> float:
+        return self.bounding_radius
 
     def capacity_ratios(self, radii: np.ndarray) -> np.ndarray:
         """cap(piece) / cap(J) for pieces of these radii: radius over bounding
@@ -295,6 +302,10 @@ class SinglePoint(_ExactShape):
     @property
     def bounding_radius(self) -> float:
         return self.extent
+
+    @property
+    def enclosing_radius(self) -> float:
+        return 0.0
 
     @property
     def diameter(self) -> float:

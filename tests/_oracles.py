@@ -19,7 +19,6 @@ from cantorlab.curvature import cauchy_truncations
 from cantorlab.errors import SingularityError
 from cantorlab.geometry import _Axis
 from cantorlab.potential import (
-    LAUNCH_FACTOR,
     MAX_STEPS,
     EmpiricalMeasure,
     WalkConfig,
@@ -492,7 +491,7 @@ def _reenter(z: np.ndarray, center: complex, radius: float, rng) -> np.ndarray:
 def walk_chunk(shape, fld, cfg: WalkConfig, chunk_index: int, n: int):
     rng = rng_stream(cfg.seed, 0, chunk_index)
     center = shape.bounding_center
-    launch = LAUNCH_FACTOR * shape.bounding_radius
+    launch = shape.enclosing_radius + 2.0 * cfg.stop_tol
     z = center + launch * _turn(rng.random(n))
     counts = np.zeros(fld.leaf_count, dtype=np.int64)
     for _ in range(MAX_STEPS):

@@ -402,9 +402,9 @@ def test_truncations_match_the_sorted_suffix_sums(name, corner):
     finally:
         tracemalloc.stop()
     if name == "walks":
-        # 8 points a block on 7,875 atoms: the separations, their moduli and
+        # 8 points a block on 7,948 atoms: the separations, their moduli and
         # the bin keys (2.0 MB), not a second complex array of terms (3.7 MB)
-        assert em.atom_count == 7875
+        assert em.atom_count == 7948
         assert peak < 2.5e6
     assert vals.shape == (len(zs), len(r_grid))
     for z, row in zip(zs, vals):

@@ -156,7 +156,7 @@ def test_config_and_ifs_files_share_one_line_reader():
 
 
 def test_config_rejects_launch_radius():
-    # the launch circle is fixed at 1.1 bounding radii; the key is gone
+    # walks launch on the shape's enclosing circle plus 2 stop_tol; the key is gone
     text = "experiment = cauchy\nshape = circle\nseed = 1\nlaunch_radius = 5.0\n"
     with pytest.raises(ConfigError, match="unknown key 'launch_radius'"):
         parse_experiment_config(text)
@@ -228,6 +228,42 @@ def test_count_keys_below_one_are_refused_before_any_walk_or_solve(tmp_path, cap
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {key} must be >= 1\n"
+    assert not out.exists()
+
+
+_RANGE_CASES = [
+    ("measure-scaling", "r_lo", "0", "r_lo must be > 0, got 0.0"),
+    ("measure-scaling", "r_hi", "-1", "r_hi must be finite and above r_lo (0.02), got -1.0"),
+    ("measure-scaling", "r_lo", "0.3", "r_hi must be finite and above r_lo (0.3), got 0.25"),
+    ("measure-scaling", "r_hi", "inf", "r_hi must be finite and above r_lo (0.02), got inf"),
+    ("measure-scaling", "n_radii", "2", "n_radii must be >= 3"),
+    ("green-comparability", "depth_lo", "0", "depth_lo must be > 0, got 0.0"),
+    ("green-comparability", "depth_hi", "0.005",
+     "depth_hi must be finite and above depth_lo (0.01), got 0.005"),
+    ("green-comparability", "depth_hi", "0.05",
+     "depth_hi must be at least 10 * depth_lo, got depth_lo 0.01 and depth_hi 0.05"),
+]
+
+
+@pytest.mark.parametrize("experiment,key,value,message", _RANGE_CASES,
+                         ids=[f"{e}-{k}-{v}" for e, k, v, _ in _RANGE_CASES])
+def test_range_keys_are_refused_before_any_walk(tmp_path, capsys, monkeypatch, experiment,
+                                                key, value, message):
+    """Ball radii, radius counts and depth bands are refused while the config
+    is built, naming the key, where they once failed only after the walks."""
+    def called(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(lab, "sample_harmonic_measure", called)
+    text = f"experiment = {experiment}\nshape = corner4\nseed = 1\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_experiment_config(text)
+    assert str(err.value) == message
+    out = tmp_path / "range"
+    argv = ["--out", str(out), lab._EXPERIMENTS[experiment].command, "corner4",
+            "--" + key.replace("_", "-"), value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -739,6 +775,8 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
 
 #: a value of each key type to pass on the command line
 _FLAG_VALUES = {int: "3", float: "0.5", complex: "2+1j", str: "x"}
+# lower ends of ranges, whose defaulted upper ends 0.25 and 0.1 refuse 0.5
+_FLAG_VALUES_BY_KEY = {"r_lo": "0.125", "depth_lo": "0.0078125"}
 
 
 def test_cli_help_shows_the_table_defaults():
@@ -776,7 +814,7 @@ def test_cli_flags_follow_the_config_key_table():
             assert key in _KEY_TYPES, (command, key)
             key_type = _KEY_TYPES[key]
             assert (action.type or str) is key_type, (command, key)
-            raw = _FLAG_VALUES[key_type]
+            raw = _FLAG_VALUES_BY_KEY.get(key, _FLAG_VALUES[key_type])
             flag = [action.option_strings[0], raw]
             argv = ([*flag, command, "corner4"] if action in global_flags
                     else [command, "corner4", *flag])
@@ -794,7 +832,7 @@ print(sorted(m for m in sys.modules if m in ("concurrent.futures", "logging")))
 from cantorlab.lab import ExperimentConfig, run_experiment
 for name, shape, params in (("cauchy", "corner4", {"samples": 4000}),
                             ("regularity", "corner4", {"kmax": 4}),
-                            ("measure-scaling", "corner4", {"samples": 20000}),
+                            ("measure-scaling", "corner4", {"samples": 40000}),
                             ("green-comparability", "circle", {"samples": 20000}),
                             ("bhp", "corner4", {})):
     run_experiment(ExperimentConfig(experiment=name, shape=shape, seed=1, threads=2,
@@ -809,7 +847,9 @@ def test_import_and_preset_runs_load_no_scipy(tmp_path):
     and not numpy.ma, in a fresh interpreter: only fields of rotated maps need
     scipy, the equilibrium solve is numpy's, and order statistics go through
     potential.quantile, not np.quantile.  The import loads neither concurrent.futures nor logging:
-    the sampler starts plain threads."""
+    the sampler starts plain threads.  measure-scaling walks 40k: at 20k the
+    smallest balls of seeds 1-12 hold 42-73 atoms and 5 seeds, seed 1 among
+    them, fall under the 50-atom guard; at 40k they hold 69-103."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], env=env,

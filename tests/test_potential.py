@@ -17,6 +17,7 @@ from cantorlab import (
     ExcessiveDiscardError,
     FitDegeneracyError,
     InsufficientMassError,
+    Repeller,
     ResourceLimitError,
     Segment,
     SingularityError,
@@ -32,6 +33,7 @@ from cantorlab import (
     green_model,
     log_potential,
     natural_measure,
+    parse_repeller_spec,
     preset,
     robin_constant,
     sample_harmonic_measure,
@@ -146,9 +148,10 @@ def test_sampled_measure_is_normalized(circle_em):
 
 
 def test_segment_arcsine_law():
-    # walks launch just outside the root disc, so only exact re-entry through
-    # the exterior Poisson kernel keeps the law; 2^15 walks put criterion 2's
-    # KS bound of 0.01 at the 99.7th percentile of the KS null distribution
+    # walks launch 2 stop_tol outside the enclosing disc, so only exact
+    # re-entry through the exterior Poisson kernel keeps the law; 2^15 walks
+    # put criterion 2's KS bound of 0.01 at the 99.7th percentile of the KS
+    # null distribution
     em = sample_harmonic_measure(Segment(), WalkConfig(samples=1 << 15, seed=12))
     assert em.discarded == 0
     assert weighted_ks_distance(em.points.real, em.weights, arcsine_cdf) < 0.01
@@ -163,12 +166,110 @@ def test_circle_uniform_law():
     assert weighted_ks_distance(turns, em.weights, lambda t: t) < 0.01
 
 
-@pytest.mark.parametrize("name, bound", [("circle", 16.4), ("segment", 22.7), ("corner4", 33.5)])
+ROTATED_IFS = """
+# two maps turned by pi/3: no axis grid, so the field takes the KD-tree
+root = 0, 0, 1
+branch = 0.3, 1.0471975511965976, -0.5, 0
+branch = 0.3, 1.0471975511965976, 0.5, 0
+"""
+
+ENCLOSING = {"corner4": 1.0 / math.sqrt(2.0), "middle-thirds": 0.5, "middle-alpha:0.45": 0.5,
+             "rotated": None, "circle": 1.0, "segment": 1.0}
+
+
+def _enclosed_shape(name):
+    if name == "rotated":
+        return parse_repeller_spec(ROTATED_IFS, name="rotated")
+    return {"circle": Circle(), "segment": Segment()}.get(name) or preset(name)
+
+
+def _word_fixed_points(rep, depth):
+    """The fixed point b / (1 - a) of each word map z -> a z + b of the given
+    length, composed in plain Python: each is a point of J."""
+    out = []
+    for word in itertools.product(rep.branches, repeat=depth):
+        a, b = 1.0 + 0j, 0j
+        for m in word:  # f_w = f_w1 o ... o f_wk: compose on the right
+            a, b = a * m.factor, a * m.translation + b
+        out.append(b / (1.0 - a))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", list(ENCLOSING))
+def test_enclosing_radius_is_certified(name, monkeypatch):
+    """The launch radius encloses J and the stopping set: generation-6 piece
+    discs of radius scale * R about f_w(c) and points of J lie within R, the
+    presets' R is exact, and no walk starts stopped."""
+    shape = _enclosed_shape(name)
+    c, big_r = shape.bounding_center, shape.enclosing_radius
+    assert 0.0 < big_r <= shape.bounding_radius
+    if isinstance(shape, Repeller):
+        # the word maps send the disc (c, R) to the discs (f_w(c), scale_w * R)
+        cs = shape.atoms(6)
+        reach = np.abs(cs.centers - c) + cs.radii * (big_r / shape.root_radius)
+        assert reach.max() <= big_r * (1.0 + 1e-12)
+        points = _word_fixed_points(shape, 6)
+    else:
+        points = shape._center(np.arange(65), 64)  # generation-6 piece ends, on J
+    dist = np.abs(points - c)
+    assert dist.max() <= big_r * (1.0 + 1e-12)
+    if ENCLOSING[name] is not None:
+        assert abs(big_r - ENCLOSING[name]) <= 1e-15
+        assert dist.max() >= big_r * (1.0 - 1e-12)  # tight: J reaches the circle
+
+    cfg = WalkConfig(samples=potential.CHUNK, seed=1).resolve(shape)
+    fld = shape.field(cfg.stop_tol / 4.0)
+    if name == "rotated":
+        assert fld._tree is not None
+    launch = big_r + 2.0 * cfg.stop_tol
+    ring = c + launch * np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    assert fld.query(ring)[1].min() > cfg.stop_tol
+    field_type, first = type(fld), []
+    query = field_type.query
+
+    def recorded(f, z):
+        lo, hi = query(f, z)
+        if not first:
+            first.append((z.copy(), hi))
+        return lo, hi
+
+    monkeypatch.setattr(field_type, "query", recorded)
+    sample_harmonic_measure(shape, cfg)
+    z, hi = first[0]
+    assert z.size == potential.CHUNK
+    assert np.abs(np.abs(z - c) - launch).max() <= 1e-12 * launch
+    assert hi.min() > cfg.stop_tol
+
+
+def _cylinder_masses(em, k):
+    """Mass of each generation-k cylinder, in lexicographic code order."""
+    index = np.zeros(em.atom_count, dtype=np.int64)
+    for j in range(k):
+        index = index * 4 + em.codes[:, j]
+    return np.bincount(index, weights=em.weights, minlength=4**k)
+
+
+def test_corner4_walks_sample_the_equilibrium_law(corner, corner_em_100k):
+    """Level-2 cylinder masses of 100k corner4 walks lie within 4 standard
+    errors sqrt(p (1 - p) / n) of the K = 5 equilibrium solve's, at seeds
+    1-3: a law check that holds for any launch circle enclosing J."""
+    p = _cylinder_masses(equilibrium_measure(corner, 5)[0].measure, 2)
+    for seed in (1, 2, 3):
+        em = (corner_em_100k if seed == 3 else
+              sample_harmonic_measure(corner, WalkConfig(samples=100_000, seed=seed, threads=2)))
+        assert (em.seed, em.samples, em.discarded) == (seed, 100_000, 0)
+        se = np.sqrt(p * (1.0 - p) / em.samples)
+        assert (np.abs(_cylinder_masses(em, 2) - p) <= 4.0 * se).all(), seed
+
+
+@pytest.mark.parametrize("name, bound", [("circle", 4.1), ("segment", 16.2), ("corner4", 25.5)])
 def test_walks_jump_the_whole_lower_bound(name, bound, corner, monkeypatch):
     """Field query points per walk over two chunks at seed 1, a fixed count.
 
-    Jumping 0.9 of the lower bound took 21.8, 30.2 and 44.7 per walk; the
-    whole bound takes 13.0, 18.0 and 30.0.  The bounds are 0.75 of the former.
+    Jumping 0.9 of the lower bound took 21.8, 30.2 and 44.7 per walk from the
+    circle of 1.1 bounding radii, and the whole bound 13.0, 18.0 and 30.0.
+    From the circle of enclosing radius + 2 stop_tol the whole bound takes
+    3.9, 15.4 and 24.3; the bounds are 1.05 of these.
     """
     shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
     cfg = WalkConfig(samples=2 * potential.CHUNK, seed=1).resolve(shape)
@@ -448,11 +549,13 @@ def test_refilled_array_matches_chunks_walked_alone(name, max_steps, corner, mon
     """Chunks launched into a refilled array walk as they would alone.
 
     At BATCH = 2 the first two chunks fill the array; the partial chunk of
-    20 walks launches mid-walk, once 20 walks have stopped, and the last two
-    as room frees up.  Every prefix of the jobs must give the summed counts
-    and live walks of its chunks walked one by one, so each chunk's own live
-    walks agree too, also when MAX_STEPS, counted from each chunk's launch,
-    leaves walks of every chunk live.
+    1,000 walks launches mid-walk, once 1,000 walks have stopped, and the
+    last two as room frees up (a partial chunk of 20 walks on the circle
+    all stop within 12 steps of a launch 2 stop_tol out).  Every prefix of
+    the jobs must give the summed counts and live walks of its chunks
+    walked one by one, so each chunk's own live walks agree too, also when
+    MAX_STEPS, counted from each chunk's launch, leaves walks of every
+    chunk live.
     """
     shape = {"circle": Circle(), "segment": Segment(), "corner4": corner}[name]
     cfg = WalkConfig(samples=1, seed=17).resolve(shape)
@@ -461,7 +564,7 @@ def test_refilled_array_matches_chunks_walked_alone(name, max_steps, corner, mon
     if max_steps is not None:
         monkeypatch.setattr(potential, "MAX_STEPS", max_steps)
         monkeypatch.setattr(_oracles, "MAX_STEPS", max_steps)
-    jobs = [(0, potential.CHUNK), (1, potential.CHUNK), (2, 20),
+    jobs = [(0, potential.CHUNK), (1, potential.CHUNK), (2, 1000),
             (3, potential.CHUNK), (4, potential.CHUNK)]
     refs = [_oracles.walk_chunk(shape, fld, cfg, i, n) for i, n in jobs]
     seen = []  # (walks queried, walks stopped) per step
