@@ -41,15 +41,13 @@ from .potential import (
     ComparabilityReport,
     EmpiricalMeasure,
     GreenModel,
-    HolderFit,
     ScalingReport,
     WalkConfig,
     ball_mass_scaling,
-    bhp_holder_fit,
+    boundary_ladder,
     boundary_probes,
     comparability_fit,
     equilibrium_measure,
-    fit_holder_envelope,
     green_model,
     log_potential,
     natural_measure,

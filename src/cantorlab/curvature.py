@@ -36,10 +36,15 @@ EXACT_CAP = 4**7
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
-    """One curvature energy and the number of unordered atom triples it sums."""
+    """One curvature energy and the number of unordered atom pairs it sums."""
 
     value: float
-    triples: int
+    pairs: int
+
+    @property
+    def triples(self) -> int:
+        """pairs under its old name, which perfbench's tracer still reads."""
+        return self.pairs
 
 
 def _exact_energy(z: np.ndarray, w: np.ndarray) -> float:
@@ -93,7 +98,7 @@ def curvature_energy(em: EmpiricalMeasure) -> CurvatureEstimate:
         raise ValueError("curvature energy needs at least 3 atoms")
     if n > EXACT_CAP:
         raise ResourceLimitError(f"{n} atoms exceed the curvature-energy cap {EXACT_CAP}")
-    return CurvatureEstimate(value=_exact_energy(z, w), triples=n * (n - 1) * (n - 2) // 6)
+    return CurvatureEstimate(value=_exact_energy(z, w), pairs=n * (n - 1) // 2)
 
 
 @dataclass(frozen=True)

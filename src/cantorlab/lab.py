@@ -41,10 +41,10 @@ from .geometry import (
     similarity_dimension,
 )
 from .potential import (
-    ENVELOPE_QUANTILE,
+    BHP_PIECES,
     WalkConfig,
     ball_mass_scaling,
-    bhp_holder_fit,
+    boundary_ladder,
     comparability_fit,
     green_model,
     natural_measure,
@@ -301,30 +301,52 @@ def _exp_green(shape, cfg: ExperimentConfig):
 def _exp_bhp(shape, cfg: ExperimentConfig):
     p = cfg.params.get("pole_p", shape.bounding_center + 1.4 * shape.diameter)
     q = cfg.params.get("pole_q", shape.bounding_center + 1.4j * shape.diameter)
-    fit = bhp_holder_fit(shape, p, q, n_pairs=cfg.param("n_pairs"), seed=cfg.seed)
-    # a dense solve's last bits follow the BLAS thread count: 6 digits hide them
-    rows = [f"{s!r},{d:.6g}" for s, d in zip(fit.separations, fit.deviations)]
-    # a ratio smooth up to J (circle, segment) can read above 1 over one decade
-    # of separations; a non-positive exponent contradicts the claim
-    if fit.epsilon <= 0:
-        st = "REFUTING"
-    elif fit.epsilon <= 1:
-        st = "PASS"
+    depth = 1
+    while 1 < shape.fan ** (depth + 1) <= BHP_PIECES:
+        depth += 1
+
+    def exponents(osc):
+        # e_k = log(osc_k / osc_k+1) / log(r_k / r_k+1), nan at the last k
+        r = np.array([shape.piece_radius(k) for k in range(1, len(osc) + 2)])
+        e = np.full(len(osc), math.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e[:-1] = np.log(osc[:-1] / osc[1:]) / np.log(r[:-2] / r[1:-1])
+        return e
+
+    osc = boundary_ladder(shape, depth, p, q)
+    e = exponents(osc)
+    coarse = exponents(boundary_ladder(shape, max(depth - 1, 1), p, q))
+    drift = np.abs(e - np.append(coarse, math.nan)[: len(e)])
+    # every mass read at k <= depth - 4 is two levels above the truncation
+    graded = list(range(1, depth - 3))[-3:]
+    if q == p:
+        st, why = "PASS", "u/v constant on E"
+    elif len(graded) < 3:
+        st, why = "INCONCLUSIVE", (f"only {len(graded)} of 3 levels k <= {depth - 4}, "
+                                   f"two above the generation-{depth} truncation")
+    elif all(e[k - 1] + drift[k - 1] < 0.95 for k in graded):
+        st, why = "REFUTING", "every graded exponent + drift < 0.95"
+    elif e[graded[-1] - 1] - drift[graded[-1] - 1] >= 0.95:
+        st, why = "PASS", "finest graded exponent - drift >= 0.95"
     else:
-        st = "INCONCLUSIVE"
+        st, why = "INCONCLUSIVE", "the graded exponents straddle 0.95 within their drift"
+    # a dense solve's last bits follow the BLAS thread count: 6 digits hide them
+    rows = [f"{k},{o:.6g},{x:.6g},{d:.6g}"
+            for k, o, x, d in zip(range(1, depth), osc, e, drift)]
     summary = [
-        f"BHP: |log(u/v)(z1) - log(u/v)(z2)| <= C|z1-z2|^eps: eps_hat="
-        f"{fit.epsilon:.4f} C={fit.c:.4g} (quantile {ENVELOPE_QUANTILE:g}, "
-        f"{fit.n_pairs} pairs, u and v the Green functions of poles {p:.4g} and {q:.4g})",
-        f"BHP: holder exponent eps in (0, 1] -> {st}",
+        "BHP: osc_k of log(u/v) over level-k cylinders of E ~ r_k^e_k: "
+        + " ".join(f"e_{k}={e[k - 1]:.4f} (drift {drift[k - 1]:.2g})" for k in graded)
+        + f" (generation {depth} and {depth - 1} solves, u and v the harmonic measures "
+        f"of poles {p:.4g} and {q:.4g})",
+        f"BHP: u/v Lipschitz on E (e_k >= 0.95 at k={graded}) -> {st} ({why})",
     ]
-    return {"bhp.csv": _table(cfg, "separation,deviation", rows)}, summary
+    return {"bhp.csv": _table(cfg, "k,osc,exponent,drift", rows)}, summary
 
 
 def _exp_curvature(shape, cfg: ExperimentConfig):
     rep = _require_repeller(shape, cfg.experiment)
     prof = curvature_profile(rep, kmax=cfg.param("kmax"))
-    rows = [f"{k},{e.value!r},{e.triples}" for k, e in zip(prof.ks, prof.estimates)]
+    rows = [f"{k},{e.value!r},{e.pairs}" for k, e in zip(prof.ks, prof.estimates)]
     inc = np.diff(prof.values)
     if len(inc) == 0:
         st, detail = "INCONCLUSIVE", "no increments at this kmax"
@@ -345,7 +367,7 @@ def _exp_curvature(shape, cfg: ExperimentConfig):
         f"Mc: curvature energy diverges (increments >= 0.5x the k=3 increment) "
         f"-> {st} ({detail})",
     ]
-    return {"curvature.csv": _table(cfg, "k,value,triples", rows)}, summary
+    return {"curvature.csv": _table(cfg, "k,value,pairs", rows)}, summary
 
 
 def _exp_cauchy(shape, cfg: ExperimentConfig):
@@ -479,8 +501,8 @@ _EXPERIMENTS = {
         {"samples": 100_000, "stop_tol": float,
          "n_points": 200, "depth_lo": 0.01, "depth_hi": 0.1}),
     "bhp": Experiment(
-        _exp_bhp, "bhp", "boundary Harnack Holder fit for two poles",
-        {"pole_p": complex, "pole_q": complex, "n_pairs": 64}),
+        _exp_bhp, "bhp", "boundary oscillation ladder of the ratio of two poles' measures",
+        {"pole_p": complex, "pole_q": complex}),
     "curvature-profile": Experiment(
         _exp_curvature, "curvature", "curvature energy profile over generations",
         {"kmax": 5}),

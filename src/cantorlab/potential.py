@@ -31,7 +31,8 @@ From the sampled measure the module builds logarithmic potentials, a Robin
 constant (hence capacity), a Green's function model, and regression-based
 diagnostics: the dist^delta comparability fit and ball mass scaling.  One
 equilibrium solve gives harmonic measure from infinity and from poles with no
-walks, and bhp's Holder envelope of the ratio of two poles' Green functions.
+walks, and bhp's ladder of the oscillation of the log ratio of two poles'
+harmonic measures over ever smaller cylinders of J.
 """
 
 from __future__ import annotations
@@ -88,18 +89,9 @@ ROBIN_TRIM = 0.1
 #: largest 10%-90% quantile spread of probe potentials a Robin fit accepts
 DISPERSION_LIMIT = 0.5
 
-#: boundary Harnack points sit at distance DEPTH_BAND * R from an anchor
-#: piece (R the bounding radius) and pairs are SEP_BAND * R apart
-DEPTH_BAND = (0.05, 0.25)
-SEP_BAND = (0.05, 0.5)
-
-#: the Holder envelope fits this quantile of log deviation in each of
-#: ENVELOPE_BINS log-separation buckets
-ENVELOPE_QUANTILE = 0.9
-ENVELOPE_BINS = 6
-
 #: equilibrium_measure refuses more than SOLVE_CAP pieces (4,096 unknowns take
-#: about 5 s); bhp solves on the deepest generation of at most BHP_PIECES (0.2 s)
+#: about 5 s); bhp solves on the deepest generation of at most BHP_PIECES
+#: (0.2 s) and on the one above it
 SOLVE_CAP = 4096
 BHP_PIECES = 1024
 
@@ -800,89 +792,22 @@ def ball_mass_scaling(
     )
 
 
-# -- Holder envelope for ratios of positive harmonic functions --------------------
+# -- boundary oscillation ladder for ratios of positive harmonic functions ------
 
 
-@dataclass(frozen=True)
-class HolderFit:
-    """Envelope |log(u/v)(z1) - log(u/v)(z2)| <= c * |z1 - z2|^epsilon."""
-
-    epsilon: float
-    c: float
-    n_pairs: int
-    separations: tuple[float, ...] = ()
-    deviations: tuple[float, ...] = ()
-
-
-def fit_holder_envelope(
-    separations: np.ndarray, deviations: np.ndarray
-) -> tuple[float, float]:
-    """Fit a quantile power-law envelope deviation <= c * separation^eps.
-
-    Pairs are bucketed by log separation, the ENVELOPE_QUANTILE quantile of
-    log deviation is taken per bucket, and a least-squares line through the
-    bucket quantiles gives the exponent and constant.
-    """
-    seps = np.asarray(separations, dtype=float)
-    devs = np.asarray(deviations, dtype=float)
-    if len(seps) != len(devs) or len(seps) < 4:
-        raise ValueError("need matching separation/deviation arrays, >= 4 pairs")
-    if np.max(devs) == 0.0:
-        return 1.0, 0.0
-    pos = devs > 0
-    lx, ly = np.log(seps[pos]), np.log(devs[pos])
-    edges = np.linspace(lx.min(), lx.max() + 1e-12, ENVELOPE_BINS + 1)
-    xs, ys = [], []
-    for b in range(ENVELOPE_BINS):
-        in_bin = (lx >= edges[b]) & (lx < edges[b + 1])
-        if in_bin.sum() >= 3:
-            xs.append(0.5 * (edges[b] + edges[b + 1]))
-            ys.append(quantile(ly[in_bin], ENVELOPE_QUANTILE))
-    if len(xs) < 3:
-        raise FitDegeneracyError("fewer than 3 populated separation buckets")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(math.exp(intercept))
-
-
-def bhp_holder_fit(
-    shape: Shape, p: complex, q: complex, n_pairs: int = 64, seed: int = 0
-) -> HolderFit:
-    """Holder fit for log(u/v) near J, with u = G(., p) and v = G(., q), the
-    Green functions of one equilibrium solve on the deepest generation of at
-    most BHP_PIECES pieces.  Pair points sit at certified distance DEPTH_BAND
-    * R from J (R the bounding radius), SEP_BAND * R apart, drawn from the
-    (seed, 5) stream.  At fan 1 the solve refuses capacity 0 before any work."""
-    depth = 1
-    while 1 < shape.fan ** (depth + 1) <= BHP_PIECES:
-        depth += 1
+def boundary_ladder(shape: Shape, depth: int, p: complex, q: complex) -> np.ndarray:
+    """osc_k for k = 1 .. depth - 1: the largest spread of h = log(w^p(C) / w^q(C))
+    over the fan children C of one level-k cylinder, where w^p and w^q are the
+    harmonic measures from poles p and q of one equilibrium solve on
+    generation depth.  The solve's pieces are in lexicographic code order, so
+    a level-j cylinder's mass is the sum of a block of fan^(depth - j) of them.
+    At fan 1 the solve refuses capacity 0 before any work."""
     _, green_p, green_q = equilibrium_measure(shape, depth, (p, q))
-    R = shape.bounding_radius
-    depth_lo, depth_hi = (math.log(b * R) for b in DEPTH_BAND)
-    sep_lo, sep_hi = (math.log(b * R) for b in SEP_BAND)
-    band = (DEPTH_BAND[0] * R, DEPTH_BAND[1] * R * 2.0)
-    fld = shape.field(band[0] / 16.0)
-    anchors = shape.atoms(shape.atom_depth(band[0])).centers
-    rng = rng_stream(seed, 5)
-    pairs = []
-    for _ in range(100 * n_pairs):
-        z1 = anchors[rng.integers(0, len(anchors))] + np.exp(
-            rng.uniform(depth_lo, depth_hi)) * np.exp(1j * rng.uniform(0.0, TWO_PI))
-        z2 = z1 + math.exp(rng.uniform(sep_lo, sep_hi)) * np.exp(1j * rng.uniform(0.0, TWO_PI))
-        both = np.array([z1, z2])
-        lo, hi = fld.query(both)
-        if lo.min() >= band[0] and hi.max() <= band[1] and shape.in_outer_domain(both).all():
-            pairs.append((complex(z1), complex(z2)))
-            if len(pairs) == n_pairs:
-                break
-    else:
-        raise FitDegeneracyError("could not place valid point pairs near J")
-
-    z = np.array(pairs).ravel()  # z1, z2 of each pair in turn
-    u = green_p.green(z)
-    v = u if q == p else green_q.green(z)  # one pole twice is one function: v is u, bit for bit
-    h = np.log(u / v)
-    seps = [abs(z1 - z2) for z1, z2 in pairs]
-    devs = np.abs(h[0::2] - h[1::2])
-    eps, c = fit_holder_envelope(np.array(seps), devs)
-    return HolderFit(epsilon=eps, c=c, n_pairs=n_pairs, separations=tuple(seps),
-                     deviations=tuple(float(d) for d in devs))
+    wp = green_p.measure.weights
+    wq = wp if q == p else green_q.measure.weights  # one pole twice: v is u, bit for bit
+    osc = np.empty(depth - 1)
+    for k in range(1, depth):
+        blocks = (shape.fan ** (k + 1), -1)
+        h = np.log(wp.reshape(blocks).sum(1) / wq.reshape(blocks).sum(1))
+        osc[k - 1] = np.ptp(h.reshape(-1, shape.fan), axis=1).max()
+    return osc

@@ -112,7 +112,8 @@ def test_kernel_matches_area_formula_and_symmetries():
 
 def test_four_corner_generation_one_energy(corner):
     est = curvature_energy(natural_measure(corner, 1))
-    assert est.triples == 4
+    assert est.pairs == 6
+    assert est.triples == est.pairs  # the old name, which perfbench's tracer reads
     assert est.value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 

@@ -18,7 +18,6 @@ import pytest
 from cantorlab import (
     Circle,
     ConfigError,
-    HolderFit,
     OutputCollisionError,
     Repeller,
     Segment,
@@ -39,12 +38,11 @@ from cantorlab.shapes import PIECE_CAP
 from test_geometry import IFS_TEXT
 
 CONFIG_TEXT = """
-# boundary Harnack fit on the collinear set
+# boundary oscillation ladder on the collinear set
 experiment = bhp
 shape = middle-thirds
 seed = 5
 
-n_pairs = 4
 pole_p = 2+1j
 """
 
@@ -59,13 +57,13 @@ def test_parse_config_types_and_param_split():
     assert cfg.seed == 5
     assert cfg.out is None
     assert cfg.threads == 1
-    assert cfg.params == {"n_pairs": 4, "pole_p": complex(2.0, 1.0)}
+    assert cfg.params == {"pole_p": complex(2.0, 1.0)}
     assert "samples" not in cfg.params
 
 
 @pytest.mark.parametrize(
     "experiment,key,value",
-    [("regularity", "n_points", "5"), ("regularity", "n_pairs", "7"),
+    [("regularity", "n_points", "5"), ("regularity", "n_eval", "7"),
      ("curvature-profile", "pole_p", "2+1j"),
      # the walk keys, on experiments that never walk or never count walks
      ("regularity", "samples", "5"), ("regularity", "stop_tol", "0.5"),
@@ -137,6 +135,8 @@ def test_param_defaults_come_from_the_experiment_table():
         ("experiment = cauchy\nwidget = 3\n", "line 2: unknown key 'widget'"),
         ("experiment = curvature-profile\nn_triples = 9\n",
          "line 2: unknown key 'n_triples'"),
+        # bhp's pair envelope and its pair count are gone
+        ("experiment = bhp\nn_pairs = 4\n", "line 2: unknown key 'n_pairs'"),
         ("seed = 1\nseed = 2\n", "line 2: duplicate key 'seed'"),
         ("samples = abc\n", "bad value 'abc' for key 'samples' (expected int)"),
     ],
@@ -524,7 +524,7 @@ def test_curvature_run_end_to_end(tmp_path):
     assert manifest.config_hash == expected_hash
     summary = files["summary.txt"].decode()
     assert "REFUTING" in summary
-    assert files["curvature.csv"].decode().splitlines()[1] == "k,value,triples"
+    assert files["curvature.csv"].decode().splitlines()[1] == "k,value,pairs"
     parsed = json.loads(files["manifest.json"])
     assert parsed["seed"] == 5
     assert parsed["config_hash"] == expected_hash
@@ -561,6 +561,17 @@ def test_used_output_directory_is_refused_before_the_run(tmp_path, monkeypatch, 
     assert len(calls) == 1
     assert (out / held).read_text() != "old\n"
     assert set(os.listdir(out)) == {*manifest.files, "manifest.json"}
+
+
+def test_curvature_csv_counts_the_unordered_atom_pairs_it_sums(tmp_path):
+    # the energy sums each unordered pair of the 4^k atoms once
+    out = tmp_path / "curv"
+    run_experiment(ExperimentConfig(experiment="curvature-profile", shape="corner4", seed=1,
+                                    out=str(out), params={"kmax": 3}))
+    lines = (out / "curvature.csv").read_text().splitlines()
+    assert lines[1] == "k,value,pairs"
+    assert [(int(k), int(n)) for k, _, n in (r.split(",") for r in lines[2:])] == [
+        (k, 4**k * (4**k - 1) // 2) for k in (1, 2, 3)]
 
 
 def test_curvature_profile_on_corners_passes_at_kmax_6(tmp_path):
@@ -613,34 +624,93 @@ def test_dimension_run_reports_gap(tmp_path):
     assert any(name.endswith(".csv") for name in manifest.files)
 
 
-@pytest.mark.parametrize(
-    "epsilon,grade", [(1.6, "INCONCLUSIVE"), (1.0, "PASS"), (0.4, "PASS"), (0.0, "REFUTING")]
-)
-def test_bhp_grades_the_claimed_exponent_range(tmp_path, monkeypatch, epsilon, grade):
-    fit = HolderFit(epsilon=epsilon, c=1.0, n_pairs=2,
-                    separations=(0.1, 0.2), deviations=(0.01, 0.02))
-    monkeypatch.setattr(lab, "bhp_holder_fit", lambda *args, **kwargs: fit)
+@pytest.mark.parametrize("fine,coarse,grade", [
+    (1.0, 1.0, "PASS"), (0.8, 0.8, "REFUTING"), (0.94, 0.98, "INCONCLUSIVE"),
+    (0.97, 0.93, "INCONCLUSIVE")])
+def test_bhp_grades_the_ladder_exponents_with_their_drift(tmp_path, monkeypatch,
+                                                          fine, coarse, grade):
+    # on the circle r_k / r_k+1 = 2, so osc_k = 2^(-e k) reads e at every k;
+    # the generation-10 solve reads fine and the generation-9 one coarse
+    exponent = {10: fine, 9: coarse}
+    monkeypatch.setattr(lab, "boundary_ladder",
+                        lambda shape, depth, p, q: 2.0 ** (-exponent[depth] * np.arange(1, depth)))
     out = tmp_path / "bhp"
-    run_experiment(ExperimentConfig(experiment="bhp", shape="corner4", seed=3,
-                                    out=str(out)))
+    run_experiment(ExperimentConfig(experiment="bhp", shape="circle", seed=3, out=str(out)))
     verdict = (out / "summary.txt").read_text().splitlines()[-1]
-    assert verdict.startswith("BHP: holder exponent eps in (0, 1] -> ")
-    assert verdict.endswith(f"-> {grade}")
+    assert verdict.startswith("BHP: u/v Lipschitz on E (e_k >= 0.95 at k=[4, 5, 6]) -> ")
+    assert f"-> {grade} (" in verdict
+    rows = [r.split(",") for r in (out / "bhp.csv").read_text().splitlines()[2:]]
+    assert [float(r[2]) for r in rows[:8]] == pytest.approx([fine] * 8, abs=1e-6)
+    assert [float(r[3]) for r in rows[:7]] == pytest.approx([abs(fine - coarse)] * 7, abs=1e-6)
+
+
+def _bhp_ladder(tmp_path, shape, **params):
+    """bhp.csv's rows as (k, osc, exponent, drift) floats, and the grade line."""
+    out = tmp_path / shape
+    run_experiment(ExperimentConfig(experiment="bhp", shape=shape, seed=1, out=str(out),
+                                    params=params))
+    lines = (out / "bhp.csv").read_text().splitlines()
+    assert lines[1] == "k,osc,exponent,drift"
+    rows = [tuple(float(x) for x in r.split(",")) for r in lines[2:]]
+    return rows, (out / "summary.txt").read_text().splitlines()[-1]
+
+
+@pytest.mark.parametrize("shape,levels,truth,grade", [
+    ("circle", (5, 6, 7), 1.0, "PASS"), ("segment", (5, 6, 7), 1.0, "PASS"),
+    ("middle-thirds", (4, 5, 6, 7), 0.80, "REFUTING"), ("corner4", (), None, "INCONCLUSIVE")])
+def test_bhp_ladder_reads_the_smoothness_of_u_over_v(tmp_path, monkeypatch,
+                                                   shape, levels, truth, grade):
+    """u/v is real analytic up to the circle and the segment, so the exponents
+    tend to 1; on middle-thirds they hold at 0.80, below the Lipschitz 1.
+    corner4's generation-5 solve leaves one level, k = 1, two above its
+    truncation, too few to grade.  bhp draws no random number and builds no
+    distance field."""
+    def refuse(*args):
+        raise AssertionError("bhp drew a random number or built a field")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(type(resolve_shape(shape)), "field", refuse)
+    rows, verdict = _bhp_ladder(tmp_path, shape)
+    for k in levels:
+        assert rows[k - 1][2] == pytest.approx(truth, abs=0.05), (shape, k)
+    assert verdict.endswith(")") and f"-> {grade} (" in verdict
+
+
+def test_bhp_ladder_of_one_pole_twice_is_zero_and_passes(tmp_path):
+    rows, verdict = _bhp_ladder(tmp_path, "circle", pole_p=3 + 0j, pole_q=3 + 0j)
+    assert len(rows) == 9
+    assert all(osc == 0.0 and math.isnan(e) and math.isnan(d) for _, osc, e, d in rows)
+    assert verdict.endswith("-> PASS (u/v constant on E)")
 
 
 @pytest.mark.parametrize("shape", ["corner4", "middle-thirds", "circle", "segment"])
 def test_bhp_at_its_defaults_runs_on_every_shape(tmp_path, capsys, shape):
-    # with 16 pairs, 2.7 per separation bucket, segment, middle-thirds and
-    # the circle refused with fewer than 3 populated buckets
-    files = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
-        assert main(["--seed", "3", "--threads", str(threads), "--out", str(out),
-                     "bhp", shape]) == 0
-        files.append({name: (out / name).read_bytes() for name in ("bhp.csv", "summary.txt")})
-    assert files[0] == files[1]
-    assert len(files[0]["bhp.csv"].splitlines()) == 2 + 64
-    assert "64 pairs" in capsys.readouterr().out
+    # bhp draws no random number and its solve ignores the walk threads: every
+    # seed and thread count writes the same ladder and the same grade, from
+    # generations 5 and 4 on corner4 and 10 and 9 on the fan-2 sets
+    depth = 5 if shape == "corner4" else 10
+    files = set()
+    for seed in (1, 2, 3):
+        for threads in (1, 2):
+            out = tmp_path / f"s{seed}t{threads}"
+            assert main(["--seed", str(seed), "--threads", str(threads), "--out", str(out),
+                         "bhp", shape]) == 0
+            meta, *table = (out / "bhp.csv").read_bytes().splitlines()
+            assert meta == f"# experiment=bhp shape={shape} seed={seed}".encode()
+            summary = (out / "summary.txt").read_bytes().splitlines()
+            files.add((tuple(table), tuple(summary[1:])))
+    assert len(files) == 1
+    ((table, _),) = files
+    assert len(table) == 1 + depth - 1
+    assert f"generation {depth} and {depth - 1} solves" in capsys.readouterr().out
+
+
+def test_bhp_refuses_the_retired_pair_count(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "bhp"), "bhp", "corner4", "--n-pairs", "4"])
+    assert exc.value.code == 2
+    assert "--n-pairs" in capsys.readouterr().err
+    assert not (tmp_path / "bhp").exists()
 
 
 # -- command line -----------------------------------------------------------------------
@@ -789,7 +859,8 @@ def test_cli_help_shows_the_table_defaults():
     sample = {a.dest: a.help for a in subs["sample"]._actions}
     assert sample["samples"] == "default 100000"
     assert sample["r_hi"] == "default 0.25"
-    assert "default 64" in subs["bhp"].format_help()
+    bhp = {a.dest: a.help for a in subs["bhp"]._actions}
+    assert bhp["pole_p"] == bhp["pole_q"] == "default: from the shape"
 
 
 def test_cli_flags_follow_the_config_key_table():
@@ -823,6 +894,21 @@ def test_cli_flags_follow_the_config_key_table():
             assert type(got) is key_type and got == key_type(raw), (command, key)
             experiments.add(cfg.experiment)
     assert experiments == set(EXPERIMENT_NAMES)
+
+
+def test_readme_names_every_parameter_key_and_lists_the_count_keys():
+    """README's command-line and config sections name every key an experiment
+    reads, and their list of count keys n_* is the table's, so a removed key
+    cannot linger in the docs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    section = text[text.index("## Command line"):text.index("## Outputs")]
+    params = {key for exp in lab._EXPERIMENTS.values() for key in exp.params}
+    assert params - set(re.findall(r"`(\w+)`", section)) == set()
+    (listed,) = re.findall(r"count keys\s+`n_\*`\s+\(([^)]*)\)", section)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(k for k in params
+                                                           if k.startswith("n_"))
 
 
 _NO_SCIPY_RUN = """

@@ -24,12 +24,11 @@ from cantorlab import (
     SinglePoint,
     WalkConfig,
     ball_mass_scaling,
-    bhp_holder_fit,
+    boundary_ladder,
     boundary_probes,
     cauchy_transform,
     comparability_fit,
     equilibrium_measure,
-    fit_holder_envelope,
     green_model,
     log_potential,
     natural_measure,
@@ -489,31 +488,6 @@ def test_ball_mass_scaling_requires_mass():
         ball_mass_scaling(em, em.points[:4], np.array([1e-4, 2e-4, 4e-4]))
 
 
-# -- harnack ratio envelope --------------------------------------------------------------------
-
-
-def test_holder_envelope_zero_deviations():
-    eps, c = fit_holder_envelope(np.linspace(0.1, 1.0, 10), np.zeros(10))
-    assert (eps, c) == (1.0, 0.0)
-
-
-def test_holder_envelope_recovers_power_law():
-    rng = rng_stream(12, 0)
-    seps = np.exp(rng.uniform(math.log(0.01), math.log(1.0), 400))
-    devs = 3.0 * seps**0.6
-    eps, c = fit_holder_envelope(seps, devs)
-    assert eps == pytest.approx(0.6, abs=0.05)
-    assert c >= 2.7
-
-
-def test_holder_envelope_validation():
-    with pytest.raises(ValueError):
-        fit_holder_envelope(np.array([0.1, 0.2]), np.array([0.1, 0.2]))
-    same = np.full(30, 0.25)
-    with pytest.raises(FitDegeneracyError):
-        fit_holder_envelope(same, same.copy())
-
-
 @pytest.mark.parametrize("name", ["circle", "segment", "corner4"])
 def test_walk_loop_matches_the_loops_it_replaced(name, corner, monkeypatch):
     """The one walk loop gives the old loop's counts and live walks.
@@ -777,13 +751,6 @@ def test_sampler_counts_atoms_not_leaves(monkeypatch):
     assert counts.sum() + discarded == potential.CHUNK
 
 
-def test_bhp_fit_identical_poles_has_zero_envelope():
-    fit = bhp_holder_fit(Circle(), 3.0 + 0j, 3.0 + 0j, n_pairs=6, seed=3)
-    assert fit.epsilon == 1.0
-    assert fit.c == 0.0
-    assert all(d == 0.0 for d in fit.deviations)
-
-
 # -- the equilibrium solve --------------------------------------------------------
 
 
@@ -870,6 +837,27 @@ def test_corner4_mirror_poles_have_mirror_measures(corner):
     assert green_q.robin == pytest.approx(green_p.robin, abs=1e-12)
 
 
+def test_ladder_matches_the_circle_poisson_kernel():
+    """Circle, K = 10, bhp's default poles: osc_k at k = 1..9 is the largest
+    spread of log(w^p / w^q) over the two halves of a level-k arc, with the
+    closed-form Poisson masses (block sums of 2^14 arcs) as truth, to 2e-3
+    relative (1.25e-3 measured)."""
+    p, q = 2.8 + 0j, 2.8j
+    osc = boundary_ladder(Circle(), 10, p, q)
+    mp, mq = (_oracles.circle_poisson_masses(1 << 14, z) for z in (p, q))
+    ref = []
+    for k in range(1, 10):
+        h = np.log(mp.reshape(2 ** (k + 1), -1).sum(1) / mq.reshape(2 ** (k + 1), -1).sum(1))
+        ref.append(np.ptp(h.reshape(-1, 2), axis=1).max())
+    assert np.max(np.abs(osc / np.array(ref) - 1.0)) < 2e-3
+
+
+def test_ladder_of_one_pole_twice_is_exactly_zero():
+    # v is u bit for bit, so every log ratio is 0.0
+    osc = boundary_ladder(Circle(), 10, 3.0 + 0j, 3.0 + 0j)
+    assert len(osc) == 9 and (osc == 0.0).all()
+
+
 def test_solve_refuses_before_building_anything(corner, monkeypatch):
     built = []
     monkeypatch.setattr(corner, "atoms", lambda depth: built.append(depth))
@@ -880,7 +868,7 @@ def test_solve_refuses_before_building_anything(corner, monkeypatch):
     with pytest.raises(ValueError, match="generation >= 1"):
         equilibrium_measure(corner, 0)
     with pytest.raises(ValueError, match="capacity 0"):
-        bhp_holder_fit(SinglePoint(), 1.0 + 0j, 1j)
+        boundary_ladder(SinglePoint(), 1, 1.0 + 0j, 1j)
     assert built == []
     with pytest.raises(ValueError, match="not outside"):
         equilibrium_measure(Circle(), 4, [0.5 + 0j])
